@@ -34,6 +34,7 @@ from .errors import (
 from .geometry import (
     ElementaryWeight,
     GammaClass,
+    _pair_indices,
     classify_gamma,
     edge_extremes,
     min_weighted_radius,
@@ -558,7 +559,7 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
         for k in range(4, m + 2):
             for combo in itertools.combinations(range(len(cand)), k):
                 sub = dmat[np.ix_(combo, combo)]
-                if sub[np.triu_indices(k, 1)].max() > d_edge:
+                if sub[_pair_indices(k)].max() > d_edge:
                     continue
                 got = confirmed(combo)
                 if got:

@@ -10,6 +10,7 @@ construction, so agreement between the two routes is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -166,8 +167,9 @@ def _subset_admits_empty_sphere(points, subset, scale) -> bool:
     if locus is None:
         return False
     c0, null_basis = locus
-    rest = np.array([i for i in range(len(points)) if i not in set(subset)])
-    if len(rest) == 0:
+    rest = np.ones(len(points), dtype=bool)
+    rest[list(subset)] = False
+    if not rest.any():
         return True
     q = points[rest]
     v0 = verts[0]
@@ -339,6 +341,41 @@ class OracleResult:
 
 
 _TIE_WINDOW_CAP = 8
+# Witness rows scanned per batch; bounds the (rows x subsets) work arrays.
+_SCAN_CHUNK_ROWS = 512
+
+
+@functools.lru_cache(maxsize=None)
+def _window_subsets(w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only k-subsets of w window slots and each one's first free slot.
+
+    Subsets are sorted slot tuples in ``itertools.combinations`` order.
+    The first free slot is the smallest slot outside the subset, or w
+    when the subset fills the window.
+    """
+    combos = np.array(list(itertools.combinations(range(w), k)),
+                      dtype=np.intp).reshape(-1, k)
+    # slots are sorted and distinct, so combo[j] == j holds exactly on the
+    # prefix 0..f-1 the subset contains, and f is its first free slot
+    first_free = (combos == np.arange(k)).sum(axis=1)
+    for arr in (combos, first_free):
+        arr.flags.writeable = False
+    return combos, first_free
+
+
+def _min_norm_step_norms(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Norms of the minimum-norm least-squares solutions of a x = rhs.
+
+    ``a`` is a stack of (M, N) systems.  Singular values at or below
+    eps * max(M, N) times the largest are dropped, the cutoff
+    ``np.linalg.lstsq`` applies with ``rcond=None``.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    coef = np.einsum("eij,ei->ej", u, rhs) * inv
+    step = np.einsum("ejn,ej->en", vt, coef)
+    return np.sqrt((step * step).sum(axis=1))
 
 
 def _scan_rows(dist_rows: np.ndarray, sites: np.ndarray, band: float,
@@ -363,46 +400,80 @@ def _scan_rows(dist_rows: np.ndarray, sites: np.ndarray, band: float,
     simplex is judged by; a near-tie among five sites marks nothing
     clean, because the scan genuinely cannot tell which way such a
     configuration resolves.
+
+    Every (witness, subset) pair is judged on its own and the results
+    are merged by minimum value and any-clean, so the rows are processed
+    in batches of _SCAN_CHUNK_ROWS with all subsets of one size at once.
     """
-    n_sites = dist_rows.shape[1]
     d0 = dist_rows.min(axis=1)
     counts = (dist_rows <= (d0 + collect)[:, None]).sum(axis=1)
-    for row in np.flatnonzero(counts >= 2):
-        d_row = dist_rows[row]
-        order = np.argsort(d_row)
-        w = min(int(counts[row]), _TIE_WINDOW_CAP)
-        window = order[:w]
-        win_d = d_row[window]
-        beyond = float(d_row[order[w]]) if w < n_sites else math.inf
-        base = float(win_d[0])
+    rows = np.flatnonzero(counts >= 2)
+    for start in range(0, len(rows), _SCAN_CHUNK_ROWS):
+        chunk = rows[start:start + _SCAN_CHUNK_ROWS]
+        _scan_chunk(dist_rows[chunk], counts[chunk], sites, band, collect,
+                    delta_cap, spreads, clean)
+
+
+def _scan_chunk(block: np.ndarray, counts: np.ndarray, sites: np.ndarray,
+                band: float, collect: float, delta_cap: float,
+                spreads: dict, clean: set) -> None:
+    """Judge every window subset of a block of rows with >= 2 near sites."""
+    n_rows, n_sites = block.shape
+    order = np.argsort(block, axis=1)
+    width = np.minimum(counts, _TIE_WINDOW_CAP)
+    top = int(width.max())
+    win_all = order[:, :top]
+    win_d_all = np.take_along_axis(block, win_all, axis=1)
+    # distance to the first site past the window (none when it holds all)
+    past = order[np.arange(n_rows), np.minimum(width, n_sites - 1)]
+    beyond = np.where(width < n_sites, block[np.arange(n_rows), past],
+                      math.inf)
+    found: dict = {}
+    for w in np.unique(width).tolist():
+        sel = width == w
+        window = win_all[sel, :w]
+        win_d = win_d_all[sel, :w]
+        base = win_d[:, 0]
+        ext_d = np.column_stack([win_d, beyond[sel]])
         for k in range(2, w + 1):
-            for local in itertools.combinations(range(w), k):
-                val = float(win_d[local[-1]]) - base  # window is sorted
-                if val > collect:
-                    continue
-                key = tuple(sorted(int(window[i]) for i in local))
-                known = spreads.get(key, math.inf)
-                if val >= known and key in clean:
-                    continue
-                if k >= 3:
-                    p = sites[[window[i] for i in local]]
-                    rows = p[1:] - p[0]
-                    rhs = 0.5 * (win_d[list(local[1:])] ** 2
-                                 - win_d[local[0]] ** 2)
-                    delta, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-                    if float(np.linalg.norm(delta)) > delta_cap:
-                        continue
-                if val < known:
-                    spreads[key] = val
-                if val <= band / 3.0 and key not in clean:
-                    in_set = set(local)
-                    outside = beyond
-                    for i in range(w):
-                        if i not in in_set:
-                            outside = min(outside, float(win_d[i]))
-                            break
-                    if outside - (base + val) >= band:
-                        clean.add(key)
+            combos, first_free = _window_subsets(w, k)
+            val = win_d[:, combos[:, -1]] - base[:, None]  # window is sorted
+            row, sub = np.nonzero(val <= collect)
+            slots = combos[sub]
+            val = val[row, sub]
+            outside = ext_d[row, first_free[sub]]
+            sharp = ((val <= band / 3.0)
+                     & (outside - (base[row] + val) >= band))
+            found.setdefault(k, []).append(
+                (window[row[:, None], slots], win_d[row[:, None], slots],
+                 val, sharp))
+    for k, parts in found.items():
+        members, member_d, val, sharp = (np.concatenate(col)
+                                         for col in zip(*parts))
+        if k >= 3 and len(val):
+            p = sites[members]
+            rhs = 0.5 * (member_d[:, 1:] ** 2 - member_d[:, :1] ** 2)
+            local = _min_norm_step_norms(p[:, 1:] - p[:, :1], rhs) <= delta_cap
+            members, val, sharp = members[local], val[local], sharp[local]
+        _merge_evidence(np.sort(members, axis=1), val, sharp, spreads, clean)
+
+
+def _merge_evidence(keys: np.ndarray, val: np.ndarray, sharp: np.ndarray,
+                    spreads: dict, clean: set) -> None:
+    """Fold per-witness evidence into the per-simplex minimum and clean set."""
+    if len(keys) == 0:
+        return
+    order = np.lexsort(keys.T[::-1])
+    keys, val, sharp = keys[order], val[order], sharp[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    best = np.minimum.reduceat(val, starts)
+    any_sharp = np.logical_or.reduceat(sharp, starts)
+    for key, v, c in zip(map(tuple, keys[starts].tolist()), best.tolist(),
+                         any_sharp.tolist()):
+        if v < spreads.get(key, math.inf):
+            spreads[key] = v
+        if c:
+            clean.add(key)
 
 
 def _scan_oracle(dist_matrix_blocks, sites: np.ndarray, band: float,
@@ -419,7 +490,7 @@ def _scan_oracle(dist_matrix_blocks, sites: np.ndarray, band: float,
 
 
 def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray,
-                    block_rows: int = 8192):
+                    block_rows: int = 1024):
     for start in range(0, len(witnesses), block_rows):
         chunk = witnesses[start:start + block_rows]
         diff = chunk[:, None, :] - sites[None, :, :]
@@ -695,10 +766,16 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     k = as_complex(cplx)
     m = manifold.m
     entries = []
+    charts: dict = {}
     for simplex in k.of_dim(m):
+        outside = np.ones(len(pts), dtype=bool)
+        outside[list(simplex)] = False
+        competitors = pts[outside]
         for p in simplex:
             others = [q for q in simplex if q != p]
-            chart = tangent_chart(manifold, pts[p])
+            if p not in charts:
+                charts[p] = tangent_chart(manifold, pts[p])
+            chart = charts[p]
             u = (pts[others] - pts[p]) @ chart.frame.basis.T
             b = ((pts[others] - pts[p]) ** 2).sum(axis=1)
             a_mat = 2.0 * u
@@ -716,12 +793,10 @@ def power_protection_audit(cplx, points, manifold: Manifold,
                 continue
             center = pts[p] + chart.frame.basis.T @ t
             r2 = float(t @ t)
-            outside = np.array([q for q in range(len(pts))
-                                if q not in set(simplex)])
-            if len(outside) == 0:
+            if len(competitors) == 0:
                 margin = math.inf
             else:
-                margin = float((((pts[outside] - center) ** 2).sum(axis=1)
+                margin = float((((competitors - center) ** 2).sum(axis=1)
                                 - r2).min())
             entries.append(ProtectionEntry(
                 simplex=simplex, vertex=p, margin=margin,

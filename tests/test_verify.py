@@ -1,5 +1,6 @@
 """Brute-force Delaunay oracles, structural checks, and protection audits."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from tandel.verify import (
     oracle_match_report,
     power_protection_audit,
     restricted_delaunay_oracle,
+    _scan_rows,
+    _TIE_WINDOW_CAP,
 )
 
 from conftest import exact_flat_member, flat_sites
@@ -240,6 +243,113 @@ class TestIntrinsicOracle:
             intrinsic_delaunay_oracle(sites, sph, graph, band=0.05)
 
 
+# ===== batched witness scan against the per-subset loop =====
+
+def _reference_scan_rows(dist_rows, sites, band, collect, delta_cap, spreads,
+                         clean):
+    """The witness scan as one lstsq per (witness, subset): the reference
+    the batched ``_scan_rows`` must reproduce exactly."""
+    n_sites = dist_rows.shape[1]
+    d0 = dist_rows.min(axis=1)
+    counts = (dist_rows <= (d0 + collect)[:, None]).sum(axis=1)
+    for row in np.flatnonzero(counts >= 2):
+        d_row = dist_rows[row]
+        order = np.argsort(d_row)
+        w = min(int(counts[row]), _TIE_WINDOW_CAP)
+        window = order[:w]
+        win_d = d_row[window]
+        beyond = float(d_row[order[w]]) if w < n_sites else math.inf
+        base = float(win_d[0])
+        for k in range(2, w + 1):
+            for local in itertools.combinations(range(w), k):
+                val = float(win_d[local[-1]]) - base  # window is sorted
+                if val > collect:
+                    continue
+                key = tuple(sorted(int(window[i]) for i in local))
+                known = spreads.get(key, math.inf)
+                if val >= known and key in clean:
+                    continue
+                if k >= 3:
+                    p = sites[[window[i] for i in local]]
+                    rows = p[1:] - p[0]
+                    rhs = 0.5 * (win_d[list(local[1:])] ** 2
+                                 - win_d[local[0]] ** 2)
+                    delta, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+                    if float(np.linalg.norm(delta)) > delta_cap:
+                        continue
+                if val < known:
+                    spreads[key] = val
+                if val <= band / 3.0 and key not in clean:
+                    in_set = set(local)
+                    outside = beyond
+                    for i in range(w):
+                        if i not in in_set:
+                            outside = min(outside, float(win_d[i]))
+                            break
+                    if outside - (base + val) >= band:
+                        clean.add(key)
+
+
+def _scan_fixture(seed):
+    """Sites and two distance blocks with exact ties, wide windows,
+    collinear triples and far-field witnesses.
+
+    Sites: a 5 x 5 integer grid in the plane z = 0 (its rows and columns
+    give collinear triples) plus random off-plane sites.  Witnesses at
+    half-integer grid points see exact ties: four sites at sqrt(1/2) and
+    eight at sqrt(5/2), so with a wide collect the 8-site window cap
+    falls inside an exact tie.  Far-field witnesses see angularly
+    compressed near-ties that only the locality test rejects.
+    """
+    rng = np.random.default_rng(seed)
+    gx, gy = np.meshgrid(np.arange(5.0), np.arange(5.0))
+    grid = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(25)])
+    sites = np.vstack([grid, rng.uniform([0, 0, -1], [4, 4, 1], (6, 3))])
+    half = rng.choice(4, (12, 2)) + 0.5
+    near = rng.uniform(-0.5, 4.5, (40, 3)) * [1.0, 1.0, 0.3]
+    ang = rng.uniform(0.0, 2.0 * np.pi, 10)
+    far = np.column_stack([2 + 30 * np.cos(ang), 2 + 30 * np.sin(ang),
+                           np.zeros(10)])
+    witnesses = np.vstack([np.column_stack([half, np.zeros(12)]), near, far])
+    dist = np.linalg.norm(witnesses[:, None, :] - sites[None], axis=2)
+    # planted ties: copy a row's nearest distance onto its next sites
+    for row in rng.choice(np.arange(12, 52), 8, replace=False):
+        order = np.argsort(dist[row])
+        dist[row, order[1:rng.integers(2, 5)]] = dist[row, order[0]]
+    split = rng.integers(20, 42)
+    return sites, dist[:split], dist[split:]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("band", [0.1, 0.4])
+def test_batched_scan_matches_loop(seed, band):
+    sites, first, second = _scan_fixture(seed)
+    collect, delta_cap = 3.0 * band, 2.0 * band
+    both = np.vstack([first, second])
+    ordered = np.sort(both, axis=1)
+    counts = (both <= (ordered[:, 0] + collect)[:, None]).sum(axis=1)
+    if band == 0.4:
+        cap = _TIE_WINDOW_CAP
+        assert (counts > cap).any()
+        assert (ordered[counts > cap, cap - 1]
+                == ordered[counts > cap, cap]).any()
+    results = []
+    for scan, cap_delta in [(_reference_scan_rows, delta_cap),
+                            (_scan_rows, delta_cap),
+                            (_reference_scan_rows, math.inf)]:
+        spreads, clean = {}, set()
+        for block in (first, second):
+            scan(block, sites, band, collect, cap_delta, spreads, clean)
+        results.append((spreads, clean))
+    (ref_spreads, ref_clean), (spreads, clean), (loose, _) = results
+    assert spreads == ref_spreads
+    assert clean == ref_clean
+    assert all(type(v) is float for v in spreads.values())
+    assert any(len(key) >= 3 for key in ref_spreads)
+    assert ref_clean
+    assert loose != ref_spreads, "delta_cap rejects nothing in this fixture"
+
+
 # ===== flat-patch coherence: every route agrees =====
 
 @pytest.fixture(scope="module")
@@ -402,6 +512,28 @@ class TestPowerProtection:
         expect = ((pts[3] - center) ** 2).sum() - 0.5
         assert rep.ok
         assert rep.min_margin == pytest.approx(expect, rel=1e-12)
+
+    def test_vertices_only_margin_is_infinite(self):
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        k = AbstractComplex.from_simplices([(0, 1, 2)])
+        rep = power_protection_audit(k, pts, FlatPatch(2, 3), 1.0)
+        assert rep.ok
+        assert len(rep.entries) == 3
+        assert all(e.margin == math.inf for e in rep.entries)
+        assert rep.min_margin == math.inf
+
+    def test_nearest_competitor_listed_first_sets_margin(self):
+        # competitors come before the simplex's vertices in the point list
+        pts = np.array([[5, 5, 0], [1.5, 1.5, 0], [4, -3, 0],
+                        [0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        k = AbstractComplex.from_simplices([(3, 4, 5)])
+        rep = power_protection_audit(k, pts, FlatPatch(2, 3), 1.0)
+        center = np.array([0.5, 0.5, 0.0])
+        expect = ((pts[1] - center) ** 2).sum() - 0.5
+        assert rep.ok
+        assert [e.vertex for e in rep.entries] == [3, 4, 5]
+        for e in rep.entries:
+            assert e.margin == pytest.approx(expect, rel=1e-12)
 
     def test_singular_system_counts_as_failure(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 5, 0]],

@@ -1,56 +1,60 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
+"""Hot numeric kernels of the star build and the rule-2 hitting set.
 
 Two operations dominate profile time:
 
 * clipping a 2-D power cell (intersection of half-planes ``a . t <= b``
   with a bounding box) down to its corner polygon, and
-* scanning candidate point pairs around a prospective insertion for
-  thin ("flake") triangles.
+* scanning candidate point pairs and triples around a prospective
+  insertion for thin ("flake") simplices.
 
-Each has a numba ``@njit`` implementation and a vectorized numpy
-fallback.  Set the environment variable ``TANDEL_DISABLE_NUMBA`` to
-``1`` (or ``true``/``yes``) before import to force the numpy path, e.g.
-when debugging or on platforms without a working numba install.
-
-Both twins implement identical arithmetic so results agree to roundoff;
-the parity tests in ``tests/test_kernels.py`` enforce this.
+Each has one numpy implementation.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _BOX_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("TANDEL_DISABLE_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-_numba = None
-if not _env_disabled():
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _numba = None
-
-
 def using_numba() -> bool:
-    """True when the compiled kernel path is active."""
-    return _numba is not None
+    """Always False: the kernels are numpy only.
+
+    Kept because the benchmark records it in its environment line.
+    """
+    return False
 
 
 # ===== 2-D cell clipping =====
 #
-# Half-planes arrive presorted by offset (rows normalized to unit normal).
+# Half-planes are normalized to unit normals and sorted by offset.
 # Because offsets ascend and clipping never pushes a corner farther from
 # the origin, a constraint whose offset reaches the current max corner
 # norm cannot cut, and neither can any later one -- hence the break.
 
-def _clip_numpy(a, b, box):
-    poly = _BOX_CORNERS * box
+def clip_power_cell(a_raw: np.ndarray, b_raw: np.ndarray, box: float) -> np.ndarray:
+    """Corners of {t : a_raw[i] . t <= b_raw[i]} inside [-box, box]^2.
+
+    Rows are normalized, degenerate (zero-normal) rows resolved, and
+    constraints sorted by offset before the clip so its early-out cull
+    is exact.
+
+    Returns:
+        (k, 2) array of polygon corners in order along the boundary;
+        empty when the feasible region inside the box is empty.
+    """
+    a_raw = np.asarray(a_raw, dtype=float).reshape(-1, 2)
+    b_raw = np.asarray(b_raw, dtype=float).reshape(-1)
+    norms = np.sqrt((a_raw * a_raw).sum(axis=1))
+    live = norms > 1e-300
+    if not live.all():
+        if (b_raw[~live] < 0).any():
+            return np.zeros((0, 2))
+    a = a_raw[live] / norms[live, None]
+    b = b_raw[live] / norms[live]
+    order = np.argsort(b, kind="stable")
+    a = a[order]
+    b = b[order]
+    poly = _BOX_CORNERS * float(box)
     for k in range(len(a)):
         n = len(poly)
         if n == 0:
@@ -71,86 +75,6 @@ def _clip_numpy(a, b, box):
     return np.asarray(poly, dtype=float).reshape(-1, 2)
 
 
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _clip_numba(a, b, box):  # pragma: no cover - exercised via wrapper
-        cap = a.shape[0] + 8
-        poly = np.empty((cap, 2))
-        tmp = np.empty((cap, 2))
-        poly[0, 0] = -box
-        poly[0, 1] = -box
-        poly[1, 0] = box
-        poly[1, 1] = -box
-        poly[2, 0] = box
-        poly[2, 1] = box
-        poly[3, 0] = -box
-        poly[3, 1] = box
-        n = 4
-        for k in range(a.shape[0]):
-            if n == 0:
-                break
-            maxnorm = 0.0
-            for i in range(n):
-                v = np.sqrt(poly[i, 0] ** 2 + poly[i, 1] ** 2)
-                if v > maxnorm:
-                    maxnorm = v
-            if b[k] >= maxnorm:
-                break
-            ax = a[k, 0]
-            ay = a[k, 1]
-            bk = b[k]
-            m = 0
-            for i in range(n):
-                j = i + 1
-                if j == n:
-                    j = 0
-                d0 = ax * poly[i, 0] + ay * poly[i, 1] - bk
-                d1 = ax * poly[j, 0] + ay * poly[j, 1] - bk
-                if d0 <= 0.0:
-                    tmp[m, 0] = poly[i, 0]
-                    tmp[m, 1] = poly[i, 1]
-                    m += 1
-                if (d0 <= 0.0) != (d1 <= 0.0):
-                    s = d0 / (d0 - d1)
-                    tmp[m, 0] = poly[i, 0] + s * (poly[j, 0] - poly[i, 0])
-                    tmp[m, 1] = poly[i, 1] + s * (poly[j, 1] - poly[i, 1])
-                    m += 1
-            n = m
-            for i in range(n):
-                poly[i, 0] = tmp[i, 0]
-                poly[i, 1] = tmp[i, 1]
-        return poly[:n].copy()
-
-
-def clip_power_cell(a_raw: np.ndarray, b_raw: np.ndarray, box: float) -> np.ndarray:
-    """Corners of {t : a_raw[i] . t <= b_raw[i]} inside [-box, box]^2.
-
-    Rows are normalized, degenerate (zero-normal) rows resolved, and
-    constraints sorted by offset before the clip so the early-out cull
-    in both kernels is exact.
-
-    Returns:
-        (k, 2) array of polygon corners in order along the boundary;
-        empty when the feasible region inside the box is empty.
-    """
-    a_raw = np.asarray(a_raw, dtype=float).reshape(-1, 2)
-    b_raw = np.asarray(b_raw, dtype=float).reshape(-1)
-    norms = np.sqrt((a_raw * a_raw).sum(axis=1))
-    live = norms > 1e-300
-    if not live.all():
-        if (b_raw[~live] < 0).any():
-            return np.zeros((0, 2))
-    a = a_raw[live] / norms[live, None]
-    b = b_raw[live] / norms[live]
-    order = np.argsort(b, kind="stable")
-    a = np.ascontiguousarray(a[order])
-    b = np.ascontiguousarray(b[order])
-    if _numba is not None:
-        return _clip_numba(a, b, float(box))
-    return _clip_numpy(a, b, float(box))
-
-
 # ===== flake pair scan =====
 #
 # A triangle (x, q_i, q_j) with nondegenerate edges is a flake exactly
@@ -159,11 +83,22 @@ def clip_power_cell(a_raw: np.ndarray, b_raw: np.ndarray, box: float) -> np.ndar
 # shortest edge reaches 2 * r_cap can never meet the radius bound.
 # Survivors are re-verified exactly downstream, hence the small slack.
 
-def _flake_pairs_numpy(x, q, g4, four_rcap_sq):
-    k = len(q)
+def flake_pair_candidates(x: np.ndarray, cand: np.ndarray,
+                          gamma0: float, r_cap: float) -> np.ndarray:
+    """Index pairs (i, j) into ``cand`` whose triangle with apex ``x``
+    might be a flake with some weighted circumradius below ``r_cap``.
+
+    A slightly permissive prefilter: every true hit is returned, plus
+    borderline near-misses that exact re-checks are expected to discard.
+    """
+    x = np.asarray(x, dtype=float)
+    cand = np.asarray(cand, dtype=float).reshape(-1, x.shape[0])
+    g4 = float(gamma0) ** 4
+    four_rcap_sq = 4.0 * float(r_cap) ** 2
+    k = len(cand)
     if k < 2:
         return np.zeros((0, 2), dtype=np.int64)
-    rel = q - x
+    rel = cand - x
     d_x = (rel * rel).sum(axis=1)
     gram = rel @ rel.T
     ii, jj = np.triu_indices(k, 1)
@@ -180,41 +115,6 @@ def _flake_pairs_numpy(x, q, g4, four_rcap_sq):
     return np.stack([ii[keep], jj[keep]], axis=1).astype(np.int64)
 
 
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _flake_pairs_numba(x, q, g4, four_rcap_sq):  # pragma: no cover
-        k = q.shape[0]
-        nd = q.shape[1]
-        out = np.empty((k * (k - 1) // 2, 2), dtype=np.int64)
-        m = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                dxi = 0.0
-                dxj = 0.0
-                dij = 0.0
-                dot = 0.0
-                for d in range(nd):
-                    e1 = q[i, d] - x[d]
-                    e2 = q[j, d] - x[d]
-                    dxi += e1 * e1
-                    dxj += e2 * e2
-                    dij += (e1 - e2) * (e1 - e2)
-                    dot += e1 * e2
-                lmin = min(min(dxi, dxj), dij)
-                if lmin <= 0.0 or lmin >= four_rcap_sq:
-                    continue
-                dmax = max(max(dxi, dxj), dij)
-                area_sq = 0.25 * (dxi * dxj - dot * dot)
-                if area_sq < 0.0:
-                    area_sq = 0.0
-                if area_sq < g4 * dmax * dmax * (1.0 + 1e-9):
-                    out[m, 0] = i
-                    out[m, 1] = j
-                    m += 1
-        return out[:m].copy()
-
-
 # ===== flake triple scan =====
 #
 # A 3-simplex (x, q_i, q_j, q_l) can only be a flake with a weighted
@@ -223,11 +123,21 @@ if _numba is not None:
 # 6 * volume = sqrt(det Gram) under (27/4)^(1/2) * gamma0^3 * Delta^3.
 # Both are cheap necessary conditions; survivors get exact re-checks.
 
-def _flake_triples_numpy(x, q, g3, four_rcap_sq):
-    k = len(q)
+def flake_triple_candidates(x: np.ndarray, cand: np.ndarray,
+                            gamma0: float, r_cap: float) -> np.ndarray:
+    """Index triples (i, j, l) into ``cand`` whose 3-simplex with apex
+    ``x`` might be a flake with some weighted circumradius below r_cap.
+
+    Permissive prefilter, same contract as ``flake_pair_candidates``.
+    """
+    x = np.asarray(x, dtype=float)
+    cand = np.asarray(cand, dtype=float).reshape(-1, x.shape[0])
+    g3 = float(gamma0) ** 3
+    four_rcap_sq = 4.0 * float(r_cap) ** 2
+    k = len(cand)
     if k < 3:
         return np.zeros((0, 3), dtype=np.int64)
-    rel = q - x
+    rel = cand - x
     d_x = (rel * rel).sum(axis=1)
     gram = rel @ rel.T
     out = []
@@ -252,86 +162,3 @@ def _flake_triples_numpy(x, q, g3, four_rcap_sq):
                     out.append((i, j, l))
     return (np.array(out, dtype=np.int64) if out
             else np.zeros((0, 3), dtype=np.int64))
-
-
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _flake_triples_numba(x, q, g3, four_rcap_sq):  # pragma: no cover
-        k = q.shape[0]
-        nd = q.shape[1]
-        d_x = np.empty(k)
-        gram = np.empty((k, k))
-        for i in range(k):
-            acc = 0.0
-            for d in range(nd):
-                e = q[i, d] - x[d]
-                acc += e * e
-            d_x[i] = acc
-        for i in range(k):
-            for j in range(i, k):
-                acc = 0.0
-                for d in range(nd):
-                    acc += (q[i, d] - x[d]) * (q[j, d] - x[d])
-                gram[i, j] = acc
-                gram[j, i] = acc
-        cap = k * (k - 1) * (k - 2) // 6 if k >= 3 else 0
-        out = np.empty((cap, 3), dtype=np.int64)
-        m = 0
-        det_cap_coef = (27.0 / 4.0) * g3 * g3 * (1.0 + 1e-9)
-        for i in range(k - 2):
-            for j in range(i + 1, k - 1):
-                d_ij = d_x[i] + d_x[j] - 2.0 * gram[i, j]
-                for l in range(j + 1, k):
-                    d_il = d_x[i] + d_x[l] - 2.0 * gram[i, l]
-                    d_jl = d_x[j] + d_x[l] - 2.0 * gram[j, l]
-                    lmin = min(min(min(d_x[i], d_x[j]), min(d_x[l], d_ij)),
-                               min(d_il, d_jl))
-                    if lmin <= 0.0 or lmin >= four_rcap_sq:
-                        continue
-                    dmax = max(max(max(d_x[i], d_x[j]), d_x[l]),
-                               max(max(d_ij, d_il), d_jl))
-                    det = (d_x[i] * (d_x[j] * d_x[l] - gram[j, l] * gram[j, l])
-                           - gram[i, j] * (gram[i, j] * d_x[l]
-                                           - gram[j, l] * gram[i, l])
-                           + gram[i, l] * (gram[i, j] * gram[j, l]
-                                           - d_x[j] * gram[i, l]))
-                    if det < det_cap_coef * dmax ** 3:
-                        out[m, 0] = i
-                        out[m, 1] = j
-                        out[m, 2] = l
-                        m += 1
-        return out[:m].copy()
-
-
-def flake_triple_candidates(x: np.ndarray, cand: np.ndarray,
-                            gamma0: float, r_cap: float) -> np.ndarray:
-    """Index triples (i, j, l) into ``cand`` whose 3-simplex with apex
-    ``x`` might be a flake with some weighted circumradius below r_cap.
-
-    Permissive prefilter, same contract as ``flake_pair_candidates``.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    cand = np.ascontiguousarray(cand, dtype=float).reshape(-1, x.shape[0])
-    g3 = float(gamma0) ** 3
-    four_rcap_sq = 4.0 * float(r_cap) ** 2
-    if _numba is not None:
-        return _flake_triples_numba(x, cand, g3, four_rcap_sq)
-    return _flake_triples_numpy(x, cand, g3, four_rcap_sq)
-
-
-def flake_pair_candidates(x: np.ndarray, cand: np.ndarray,
-                          gamma0: float, r_cap: float) -> np.ndarray:
-    """Index pairs (i, j) into ``cand`` whose triangle with apex ``x``
-    might be a flake with some weighted circumradius below ``r_cap``.
-
-    A slightly permissive prefilter: every true hit is returned, plus
-    borderline near-misses that exact re-checks are expected to discard.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    cand = np.ascontiguousarray(cand, dtype=float).reshape(-1, x.shape[0])
-    g4 = float(gamma0) ** 4
-    four_rcap_sq = 4.0 * float(r_cap) ** 2
-    if _numba is not None:
-        return _flake_pairs_numba(x, cand, g4, four_rcap_sq)
-    return _flake_pairs_numpy(x, cand, g4, four_rcap_sq)

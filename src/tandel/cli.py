@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from . import geometry, refine, stars, verify
 from .errors import TandelError
 from .manifolds import (Manifold, SampleSet, farthest_point_net,
-                        parse_manifold)
+                        parse_manifold, read_points, write_points)
 from .refine import Parameters, check_hypotheses, derive_constants
 
 REPORT_SCHEMA = "tandel-report/1"
@@ -55,14 +55,8 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_points(path, points):
-    with open(path, "w") as fh:
-        for row in np.asarray(points, dtype=float):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _load_points(path):
-    pts = np.loadtxt(path, ndmin=2)
+    pts = read_points(path)
     if pts.size == 0:
         raise ValueError(f"{path}: no points")
     return pts
@@ -116,7 +110,7 @@ def cmd_net(args) -> int:
     dense = manifold.sample(args.dense_n, args.seed)
     net = farthest_point_net(dense, eps=args.epsilon, seed=args.seed)
     pts = net.points
-    _write_points(args.out, pts)
+    write_points(args.out, pts)
 
     if len(pts) > 1:
         sparsity = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
@@ -220,7 +214,7 @@ def cmd_mesh(args) -> int:
         return 1
 
     pts = state.complex.points
-    _write_points(prefix + ".points.txt", pts)
+    write_points(prefix + ".points.txt", pts)
     stars.write_simplex_list(prefix + ".simplices.txt",
                              state.complex.simplices())
     if manifold.m == 2 and manifold.N == 3:

@@ -186,10 +186,6 @@ def lift_from_tangent(chart: TangentChart, y, max_radius: float | None = None):
     return chart.manifold._lift(chart, y)
 
 
-def reach(manifold: Manifold) -> float:
-    return manifold.reach
-
-
 # ===== builtin manifolds =====
 
 class UnitSphere(Manifold):

@@ -294,7 +294,6 @@ class RefinementState:
         self.constants = constants
         self.cosph = {}
         self.quality = {}
-        self.event_log: list[str] = []
         self.events: list[dict] = []
         self.counters = {
             "rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
@@ -304,6 +303,11 @@ class RefinementState:
         }
         self.pick_counter = 0
         self.final_audit = None
+
+    @property
+    def event_log(self) -> list[str]:
+        """One line per insertion, formatted from ``events``."""
+        return [_event_line(e) for e in self.events]
 
     @property
     def manifold(self):
@@ -662,6 +666,14 @@ def _witness_updates(state: RefinementState, p: int, x_idx: int):
         cs.entries = [(tau, best[tau]) for tau in sorted(best)]
 
 
+def _event_line(event: dict) -> str:
+    rule, base, d = event["rule"], event["base"], event["dist"]
+    simplex = event["simplex"]
+    ids = "synthetic" if simplex is None else ",".join(str(v) for v in simplex)
+    coords = ",".join(f"{v:.17g}" for v in event["x"])
+    return f"{rule} base={base} simplex={ids} inserted={coords} dist_to_P={d:.17g}"
+
+
 def insert(x, state: RefinementState, rule: str = "RULE2",
            base: int = -1, simplex=None) -> dict:
     """Insert x into the complex and keep every cache coherent.
@@ -684,10 +696,6 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     state.refresh_cosph(x_idx)
     for p in info["untouched"]:
         _witness_updates(state, p, x_idx)
-    ids = "synthetic" if simplex is None else ",".join(str(v) for v in simplex)
-    coords = ",".join(f"{v:.17g}" for v in x)
-    line = f"{rule} base={base} simplex={ids} inserted={coords} dist_to_P={d:.17g}"
-    state.event_log.append(line)
     state.events.append({"rule": rule, "base": base, "simplex": simplex,
                          "x": x, "dist": d, "index": x_idx,
                          "recomputed": info["recomputed"]})

@@ -343,17 +343,17 @@ class TangentialComplex:
     def n_points(self) -> int:
         return len(self.points)
 
-    def build(self, method: str = "auto"):
+    def build(self):
         for p in range(self.n_points):
             self.stars[p] = _build_star(
                 p, self.points, self.tree, self.manifold, self.epsilon,
-                self.prune_mult, method=method)
+                self.prune_mult)
         return self
 
-    def recompute_star(self, p: int, method: str = "auto"):
+    def recompute_star(self, p: int):
         self.stars[p] = _build_star(
             p, self.points, self.tree, self.manifold, self.epsilon,
-            self.prune_mult, method=method)
+            self.prune_mult)
         return self.stars[p]
 
     def simplices(self, max_dim: int | None = None) -> list:
@@ -432,10 +432,9 @@ class TangentialComplex:
 
 
 def assemble_complex(sample: SampleSet, manifold: Manifold,
-                     prune_mult: float = 8.0,
-                     method: str = "auto") -> TangentialComplex:
+                     prune_mult: float = 8.0) -> TangentialComplex:
     """Compute every star and return the union complex."""
-    return TangentialComplex(sample, manifold, prune_mult).build(method=method)
+    return TangentialComplex(sample, manifold, prune_mult).build()
 
 
 # ===== export =====

@@ -115,10 +115,6 @@ class ComplexDiff:
     only_first: dict
     only_second: dict
 
-    def total_mismatches(self) -> int:
-        return (sum(len(v) for v in self.only_first.values())
-                + sum(len(v) for v in self.only_second.values()))
-
 
 def complex_compare(first, second, max_dim: int | None = None) -> ComplexDiff:
     """Compare two complexes, optionally ignoring simplices above max_dim."""

@@ -122,6 +122,14 @@ class TestMesh:
                 for s in Delaunay(pts[:, :2]).simplices}
         assert got == want
 
+    def test_empty_net_in_is_usage_error(self, tmp_path, capsys):
+        net_path = tmp_path / "empty.txt"
+        net_path.write_text("# no rows\n\n")
+        code = run(*self.mesh_args(tmp_path / "e", **{"--net-in": net_path}))
+        assert code == 2
+        assert f"{net_path}: no points" in capsys.readouterr().err
+        assert not (tmp_path / "e.points.txt").exists()
+
     def test_strict_mode_refuses_and_reports_h5(self, tmp_path, capsys):
         prefix = tmp_path / "s"
         code = run(*self.mesh_args(prefix, **{"--mode": "strict"}))

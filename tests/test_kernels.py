@@ -1,17 +1,13 @@
-"""Parity between the numba kernels and their numpy fallbacks."""
-import subprocess
-import sys
-
+"""The 2-D cell clip and the flake prefilters against exact references."""
 import numpy as np
-import pytest
 
-from tandel import _kernels
 from tandel._kernels import (
     clip_power_cell,
     flake_pair_candidates,
     flake_triple_candidates,
 )
 from tandel.geometry import GammaClass, classify_gamma, min_weighted_radius
+from tandel.stars import _corners_by_enumeration
 
 
 def _canon(poly, decimals=9):
@@ -59,17 +55,15 @@ def test_degenerate_rows():
 
 
 def test_clip_paths_agree():
+    # the clip against corner enumeration, which solves every pair of
+    # constraints (the site rows 2u.t <= b, so u = a / 2) and the box walls
     rng = np.random.default_rng(17)
     for _ in range(200):
         k = int(rng.integers(1, 40))
         a = rng.normal(size=(k, 2))
         b = rng.uniform(-0.1, 3.0, size=k)
         box = float(rng.uniform(0.5, 4.0))
-        norms = np.linalg.norm(a, axis=1)
-        order = np.argsort(b / norms, kind="stable")
-        an = np.ascontiguousarray((a / norms[:, None])[order])
-        bn = np.ascontiguousarray((b / norms)[order])
-        ref = _kernels._clip_numpy(an, bn, box)
+        ref = _corners_by_enumeration(a / 2, b, box, 2)
         out = clip_power_cell(a, b, box)
         assert _canon(out, 7) == _canon(ref, 7)
 
@@ -99,17 +93,6 @@ def test_flake_pairs_match_exact_classification():
             assert classify_gamma(tri, gamma0 * 1.001, pts) is not GammaClass.GOOD
 
 
-def test_flake_pair_paths_agree():
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        n = int(rng.integers(2, 30))
-        x = rng.normal(size=4)
-        cand = x + rng.normal(size=(n, 4)) * 0.3
-        got = flake_pair_candidates(x, cand, 0.15, 0.8)
-        ref = _kernels._flake_pairs_numpy(x, cand, 0.15**4, 4 * 0.8**2)
-        assert np.array_equal(np.sort(got, axis=0), np.sort(ref, axis=0))
-
-
 def test_flake_triples_cover_exact_hits():
     rng = np.random.default_rng(41)
     gamma0 = 0.3
@@ -133,30 +116,3 @@ def test_flake_triples_cover_exact_hits():
                     r_min, _ = min_weighted_radius(tet, pts, 0.0)
                     if r_min < r_cap:
                         assert (i, j, l) in got
-
-
-def test_flake_triple_paths_agree():
-    rng = np.random.default_rng(43)
-    for _ in range(40):
-        n = int(rng.integers(3, 20))
-        x = rng.normal(size=3)
-        cand = x + rng.normal(size=(n, 3)) * 0.4
-        got = flake_triple_candidates(x, cand, 0.25, 1.0)
-        ref = _kernels._flake_triples_numpy(x, cand, 0.25**3, 4.0)
-        assert np.array_equal(got, ref)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import os; os.environ['TANDEL_DISABLE_NUMBA']='1'; "
-        "from tandel import _kernels; "
-        "print(_kernels.using_numba())"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-@pytest.mark.skipif(not _kernels.using_numba(), reason="numba disabled")
-def test_default_path_is_numba():
-    assert _kernels.using_numba()

@@ -6,7 +6,14 @@ Subcommands
     verify      structural and protection checks on exported artifacts
     hypotheses  evaluate the parameter conditions and derived constants
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 check failure or package error, 2 usage or
+parse error.
+
+Errors are reported by ``main`` alone; subcommands do not catch them.
+Every failure of the package raises a ``TandelError`` subclass, printed
+as the one stderr line ``error: <ClassName>: <message>`` with exit 1.
+``ValueError`` and ``OSError`` (bad arguments, unreadable or malformed
+files) print ``error: <message>`` and exit 2.
 """
 import argparse
 import json
@@ -207,11 +214,7 @@ def cmd_mesh(args) -> int:
     else:
         dense = manifold.sample(args.dense_n, params.seed)
         net = farthest_point_net(dense, eps=params.epsilon, seed=params.seed)
-    try:
-        state = refine.refine_sample(net, manifold, params)
-    except TandelError as exc:
-        print(f"refinement failed: {exc}", file=sys.stderr)
-        return 1
+    state = refine.refine_sample(net, manifold, params)
 
     pts = state.complex.points
     write_points(prefix + ".points.txt", pts)
@@ -238,6 +241,7 @@ def cmd_mesh(args) -> int:
             "rule2_inconsistent": state.counters["rule2_inconsistent"],
             "total": len(state.events),
         },
+        "counters": dict(state.counters),
         "final_audit": state.final_audit,
         "measurements": _mesh_measurements(state, manifold),
     }
@@ -410,6 +414,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TandelError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,15 +32,14 @@ from .errors import (
     SparsityViolation,
 )
 from .geometry import (
-    ElementaryWeight,
     GammaClass,
     _pair_indices,
     classify_gamma,
-    edge_extremes,
     min_weighted_radius,
 )
 from .manifolds import Manifold, SampleSet, lift_from_tangent
-from .stars import TangentialComplex, assemble_complex, cosph_star
+from .stars import (TangentialComplex, _cosph_entries_for_center,
+                    _merge_entries, assemble_complex, cosph_star)
 
 # how far past reach/2 a chart lift may be attempted before shrinking
 _CHART_SLACK = 2.0
@@ -53,7 +52,13 @@ EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
 
 @dataclass
 class Parameters:
-    """Run parameters.  Construction is lenient; check_hypotheses judges."""
+    """Run parameters.  Construction is lenient; check_hypotheses judges.
+
+    ``update_radius_mult * epsilon`` is the rebuild-candidate radius of an
+    insertion only: stars within it are rebuilt if the new site cuts
+    their cell.  Cosph witness updates use the smaller radius that
+    ``insert`` derives from epsilon and delta0.
+    """
     epsilon: float
     gamma0: float
     alpha: float
@@ -293,7 +298,6 @@ class RefinementState:
         self.params = params
         self.constants = constants
         self.cosph = {}
-        self.quality = {}
         self.events: list[dict] = []
         self.counters = {
             "rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
@@ -318,12 +322,7 @@ class RefinementState:
         return self.complex.epsilon
 
     def gamma_class(self, simplex) -> GammaClass:
-        got = self.quality.get(simplex)
-        if got is None:
-            got = classify_gamma(simplex, self.params.gamma0,
-                                 self.complex.points)
-            self.quality[simplex] = got
-        return got
+        return self.complex.gamma_class(simplex, self.params.gamma0)
 
     def refresh_cosph(self, p: int):
         self.cosph[p] = cosph_star(p, self.params.delta0, self.complex,
@@ -633,35 +632,33 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
 
 # ===== insertion =====
 
+def _witness_radius(epsilon: float, delta0: float) -> float:
+    """Farthest an inserted site can be from a star's base and still give
+    that star a new cosph entry.
+
+    An entry needs a good m-simplex sigma of St(p) with tangent ball
+    (c, r), r < epsilon and |c - p| = r, and a gap 0 <= |x - c|^2 - r^2
+    <= (delta0 * L)^2.  Every vertex of sigma lies at distance r from c,
+    so L <= 2r and |x - c| <= r * sqrt(1 + 4 delta0^2); hence
+    |x - p| < epsilon * (1 + sqrt(1 + 4 delta0^2)), about 2.005 epsilon
+    at delta0 = 0.05.  The factor 1 + 1e-6 covers the centre of a
+    degenerate corner, whose vertices are equidistant from it only up to
+    the 1e-7 residual that ``tangent_center`` accepts.
+    """
+    return epsilon * (1.0 + math.sqrt(1.0 + 4.0 * delta0 ** 2)) * (1.0 + 1e-6)
+
+
 def _witness_updates(state: RefinementState, p: int, x_idx: int):
     """Add the new site as a cosph witness to an untouched star."""
-    star = state.complex.stars[p]
     cs = state.cosph.get(p)
     if cs is None:
         return
-    params = state.params
-    m = state.manifold.m
-    pts = state.complex.points
-    x = pts[x_idx]
     best = dict(cs.entries)
     changed = False
-    for sigma, (c, r) in star.centers.items():
-        if len(sigma) != m + 1 or r >= state.epsilon:
-            continue
-        if state.gamma_class(sigma) is not GammaClass.GOOD:
-            continue
-        gap = float(((x - c) ** 2).sum() - r * r)
-        if gap < 0.0:
-            continue
-        ell_sigma, _ = edge_extremes(sigma, pts)
-        dq = np.linalg.norm(pts[list(sigma)] - x, axis=1)
-        ell_tau = min(ell_sigma, float(dq.min()))
-        if gap <= (params.delta0 * ell_tau) ** 2:
-            tau = tuple(sorted(sigma + (x_idx,)))
-            w = ElementaryWeight(x_idx, float(np.sqrt(gap)))
-            if tau not in best or w.weight < best[tau].weight:
-                best[tau] = w
-                changed = True
+    for sigma, (c, r) in state.complex.stars[p].centers.items():
+        changed |= _merge_entries(best, _cosph_entries_for_center(
+            state.complex, sigma, c, r, state.params.delta0,
+            state.params.gamma0, sites=(x_idx,)))
     if changed:
         cs.entries = [(tau, best[tau]) for tau in sorted(best)]
 
@@ -677,6 +674,11 @@ def _event_line(event: dict) -> str:
 def insert(x, state: RefinementState, rule: str = "RULE2",
            base: int = -1, simplex=None) -> dict:
     """Insert x into the complex and keep every cache coherent.
+
+    Stars within ``update_radius_mult * epsilon`` of x are the rebuild
+    candidates; those x cuts are rebuilt and get fresh cosph stars.  Of
+    the uncut ones, only those within ``_witness_radius`` of x can gain a
+    cosph entry with x as witness, so only they are scanned.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,
@@ -694,8 +696,12 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     for p in info["recomputed"]:
         state.refresh_cosph(p)
     state.refresh_cosph(x_idx)
-    for p in info["untouched"]:
-        _witness_updates(state, p, x_idx)
+    untouched = info["untouched"]
+    dist = np.linalg.norm(state.complex.points[untouched] - x, axis=1)
+    r_witness = _witness_radius(state.epsilon, state.params.delta0)
+    for p, d_p in zip(untouched, dist):
+        if d_p < r_witness:
+            _witness_updates(state, p, x_idx)
     state.events.append({"rule": rule, "base": base, "simplex": simplex,
                          "x": x, "dist": d, "index": x_idx,
                          "recomputed": info["recomputed"]})

@@ -279,29 +279,50 @@ class CosphStar:
         return [s for s, _w in self.entries]
 
 
-def _cosph_entries_for_center(cplx, star, sigma, c, r, delta0, gamma0):
+def _cosph_entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
+    """Entries tau = q * sigma seen through sigma's tangent ball (c, r).
+
+    sigma must be a good m-simplex with r below the sampling radius.  A
+    site q then gives an entry when its power gap |q - c|^2 - r^2 lies in
+    [0, (delta0 * L(tau))^2], with L(tau) = min(L(sigma), min |q - sigma|);
+    a gap down to -1e-9 r^2 is rounding of a site on the sphere and counts
+    as 0.  ``sites`` defaults to every sample point that can pass.
+    """
     m = cplx.manifold.m
     if len(sigma) != m + 1 or r >= cplx.epsilon:
         return []
-    if classify_gamma(sigma, gamma0, cplx.points) is not GammaClass.GOOD:
+    if cplx.gamma_class(sigma, gamma0) is not GammaClass.GOOD:
         return []
-    ell_sigma, _ = edge_extremes(sigma, cplx.points)
-    reach_out = r * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
-    near = cplx.tree.query_ball_point(c, reach_out)
+    pts = cplx.points
+    if sites is None:
+        reach_out = r * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
+        sites = sorted(cplx.tree.query_ball_point(c, reach_out))
+    ell_sigma, _ = edge_extremes(sigma, pts)
+    sigma_pts = pts[list(sigma)]
     out = []
-    for q in sorted(near):
+    for q in sites:
         if q in sigma:
             continue
-        gap = float(((cplx.points[q] - c) ** 2).sum() - r * r)
+        gap = float(((pts[q] - c) ** 2).sum() - r * r)
         if gap < -1e-9 * max(r * r, 1e-30):
             continue  # interference would have been caught upstream
         gap = max(gap, 0.0)
-        dq = np.linalg.norm(cplx.points[list(sigma)] - cplx.points[q], axis=1)
+        dq = np.linalg.norm(sigma_pts - pts[q], axis=1)
         ell_tau = min(ell_sigma, float(dq.min()))
         if gap <= (delta0 * ell_tau) ** 2:
             tau = tuple(sorted(sigma + (q,)))
             out.append((tau, ElementaryWeight(int(q), float(np.sqrt(gap)))))
     return out
+
+
+def _merge_entries(best: dict, entries) -> bool:
+    """Keep the smallest weight per tau in ``best``; True if it changed."""
+    changed = False
+    for tau, w in entries:
+        if tau not in best or w.weight < best[tau].weight:
+            best[tau] = w
+            changed = True
+    return changed
 
 
 def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
@@ -314,13 +335,10 @@ def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
     """
     if not 0.0 < delta0 < 0.25:
         raise ValueError("delta0 must lie in (0, 1/4)")
-    star = cplx.stars[p]
     best = {}
-    for sigma, (c, r) in star.centers.items():
-        for tau, w in _cosph_entries_for_center(
-                cplx, star, sigma, c, r, delta0, gamma0):
-            if tau not in best or w.weight < best[tau].weight:
-                best[tau] = w
+    for sigma, (c, r) in cplx.stars[p].centers.items():
+        _merge_entries(best, _cosph_entries_for_center(
+            cplx, sigma, c, r, delta0, gamma0))
     entries = [(tau, best[tau]) for tau in sorted(best)]
     return CosphStar(base=p, entries=entries)
 
@@ -338,6 +356,7 @@ class TangentialComplex:
         self.prune_mult = float(prune_mult)
         self.tree = cKDTree(self.points)
         self.stars: dict[int, Star] = {}
+        self._gamma_classes: dict = {}
 
     @property
     def n_points(self) -> int:
@@ -355,6 +374,19 @@ class TangentialComplex:
             p, self.points, self.tree, self.manifold, self.epsilon,
             self.prune_mult)
         return self.stars[p]
+
+    def gamma_class(self, simplex, gamma0: float) -> GammaClass:
+        """``classify_gamma`` of a simplex of sample points, cached.
+
+        Points are only ever appended, so a class never goes stale; the
+        key is (simplex, gamma0).
+        """
+        key = (simplex, gamma0)
+        got = self._gamma_classes.get(key)
+        if got is None:
+            got = classify_gamma(simplex, gamma0, self.points)
+            self._gamma_classes[key] = got
+        return got
 
     def simplices(self, max_dim: int | None = None) -> list:
         """All simplices of the complex (closure of the star union)."""
@@ -405,10 +437,11 @@ class TangentialComplex:
     def insert_point(self, x, update_radius: float) -> dict:
         """Append x, recompute every star its cell actually cuts.
 
-        Candidate stars are those with base within ``update_radius`` of
-        x; among them only the cut ones are rebuilt (the others are
-        provably unchanged).  Returns the new vertex id, the rebuilt
-        star ids, and the candidates that were left alone.
+        ``update_radius`` is the rebuild-candidate radius only: stars
+        with base within it of x are tested with ``star_is_cut_by`` and
+        the cut ones are rebuilt (the others are provably unchanged).
+        Returns the new vertex id, the rebuilt star ids, and the
+        candidates that were left alone.  Cosph caches are the caller's.
         """
         x = np.asarray(x, dtype=float)
         new_idx = self.n_points

@@ -6,7 +6,9 @@ import pytest
 from scipy.spatial import Delaunay
 
 from conftest import disk_points
+from tandel import cli
 from tandel.cli import main
+from tandel.errors import TandelError
 
 SPHERE = "sphere:m=2,N=3"
 FLAT = "flat:m=2,N=3"
@@ -93,6 +95,19 @@ class TestMesh:
         assert rep["insertions"]["total"] == sum(
             rep["insertions"][k] for k in
             ("rule1", "rule2_star", "rule2_cosph", "rule2_inconsistent"))
+        # every refinement counter reaches the report
+        counters = rep["counters"]
+        assert set(counters) == {
+            "rule1", "rule2_star", "rule2_cosph", "rule2_inconsistent",
+            "pick_attempts", "pick_audit_miss", "shrinks", "iterations",
+            "stale_big"}
+        assert all(isinstance(v, int) and v >= 0 for v in counters.values())
+        for key, count in rep["insertions"].items():
+            if key != "total":
+                assert counters[key] == count
+        assert counters["iterations"] > rep["insertions"]["total"]
+        assert counters["pick_attempts"] >= (
+            rep["insertions"]["total"] - counters["rule1"])
         # event log line per insertion, with the audited distance
         lines = (tmp_path / "m.events.log").read_text().splitlines()
         assert len(lines) == rep["insertions"]["total"]
@@ -181,6 +196,16 @@ class TestVerify:
         assert "manifold_complex: FAIL" in out
         assert any(v in out for v in removed)
 
+    def test_coarse_witness_sample_is_one_error_line(self, meshed, capsys):
+        code = main([
+            "verify", "--complex", str(meshed / "m.simplices.txt"),
+            "--points", str(meshed / "m.points.txt"),
+            "--manifold", SPHERE, "--delta2", "1e-8", "--dense-n", "5000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DenseSampleTooCoarse: ")
+        assert err.count("\n") == 1
+
     def test_cocircular_square_protection_margin_zero(self, tmp_path,
                                                       capsys):
         pts = tmp_path / "p.txt"
@@ -222,3 +247,25 @@ class TestHypotheses:
         h5 = next(it for it in rep["items"] if it["name"] == "H5")
         assert h5["satisfied"] is False
         assert h5["margin_ratio"] > 1.0
+
+
+# ===== error contract =====
+
+def _subclasses(cls):
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub] + _subclasses(sub)
+    return out
+
+
+@pytest.mark.parametrize("exc_type", _subclasses(TandelError),
+                         ids=lambda exc_type: exc_type.__name__)
+def test_tandel_error_exits_one_with_one_line(exc_type, monkeypatch, capsys):
+    def failing(_args):
+        raise exc_type("planted failure")
+
+    monkeypatch.setattr(cli, "cmd_hypotheses", failing)
+    assert main(["hypotheses", "--manifold", SPHERE]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc_type.__name__}: planted failure\n"
+    assert captured.out == ""

@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from tandel import refine as refine_module
 from tandel.errors import (
     AttemptBudgetExhausted,
     HypothesesFailed,
     SparsityViolation,
 )
-from tandel.geometry import GammaClass, classify_gamma, min_weighted_radius
+from tandel.geometry import (
+    ElementaryWeight,
+    GammaClass,
+    classify_gamma,
+    edge_extremes,
+    min_weighted_radius,
+)
 from tandel.manifolds import FlatPatch, SampleSet, UnitSphere, farthest_point_net
 from tandel.refine import (
     ConfigKind,
+    _witness_radius,
     Parameters,
     UnfitConfiguration,
     check_hypotheses,
@@ -32,7 +40,8 @@ from tandel.refine import (
     unit_ball_volume,
     write_parameters,
 )
-from tandel.stars import assemble_complex
+from tandel.stars import (TangentialComplex, _cosph_entries_for_center,
+                          assemble_complex)
 
 from conftest import disk_points
 
@@ -225,7 +234,6 @@ class TestHittingSet:
     def test_tiny_gamma0_sees_nothing(self):
         state = self.padded_state([(0.0, 0.0, 0.0), (0.2, 0.0, 0.0)])
         state.params.gamma0 = 0.001
-        state.quality.clear()
         x = np.array([0.1, 0.003, 0.0])
         assert find_hitting_set(x, 0.4, state) is None
 
@@ -269,6 +277,107 @@ def test_insert_sparsity_violation():
     state = make_state(sample, FLAT, params_ok(epsilon=0.5))
     with pytest.raises(SparsityViolation):
         insert(pts[4] + 1e-9, state)
+
+
+# ===== witness radius =====
+
+def _full_scan_witness_update(state, p, x_idx, entries):
+    """Reference: the cosph entries an uncut star p gains from the new
+    site x_idx, scanning every m-simplex with uncached classification
+    (the loop insert ran on every uncut candidate before the radius)."""
+    pts = state.complex.points
+    x = pts[x_idx]
+    m = state.manifold.m
+    delta0, gamma0 = state.params.delta0, state.params.gamma0
+    best = dict(entries)
+    for sigma, (c, r) in state.complex.stars[p].centers.items():
+        if len(sigma) != m + 1 or r >= state.epsilon:
+            continue
+        if classify_gamma(sigma, gamma0, pts) is not GammaClass.GOOD:
+            continue
+        gap = float(((x - c) ** 2).sum() - r * r)
+        if gap < 0.0:
+            continue
+        ell_sigma, _ = edge_extremes(sigma, pts)
+        dq = np.linalg.norm(pts[list(sigma)] - x, axis=1)
+        ell_tau = min(ell_sigma, float(dq.min()))
+        if gap <= (delta0 * ell_tau) ** 2:
+            tau = tuple(sorted(sigma + (x_idx,)))
+            w = ElementaryWeight(x_idx, float(np.sqrt(gap)))
+            if tau not in best or w.weight < best[tau].weight:
+                best[tau] = w
+    return [(tau, best[tau]) for tau in sorted(best)]
+
+
+@pytest.mark.parametrize("eps,seed", [(0.3, 2), (0.35, 1)])
+def test_witness_radius_matches_full_candidate_scan(monkeypatch, eps, seed):
+    real_insert = refine_module.insert
+    gains = []
+
+    def checked_insert(*args, **kwargs):
+        state = args[1]
+        before = {p: cs.entries for p, cs in state.cosph.items()}
+        info = real_insert(*args, **kwargs)
+        x_idx = info["index"]
+        pts = state.complex.points
+        for p in info["untouched"]:
+            want = _full_scan_witness_update(state, p, x_idx, before[p])
+            assert state.cosph[p].entries == want, (x_idx, p)
+            if want != before[p]:
+                gains.append(np.linalg.norm(pts[p] - pts[x_idx]) / eps)
+        candidates = set(info["recomputed"]) | set(info["untouched"])
+        for p in set(before) - candidates:
+            assert state.cosph[p].entries == before[p], (x_idx, p)
+        return info
+
+    monkeypatch.setattr(refine_module, "insert", checked_insert)
+    # delta0 near its 1/4 ceiling widens the cosph window, so these
+    # seeded runs add witness entries from stars beyond epsilon
+    params = params_ok(epsilon=eps, delta0=0.24, seed=seed)
+    dense = SPHERE.sample(8000, seed=seed)
+    state = refine_sample(farthest_point_net(dense, eps=eps, seed=seed),
+                          SPHERE, params)
+    assert state.final_audit["radius_ok"]
+    assert max(gains) > 1.0
+
+
+def test_site_beyond_witness_radius_adds_no_entry():
+    """Sampled over good triangles with r < eps and sites in the gap
+    window around their tangent ball: every site that gives an entry is
+    closer to the vertex than _witness_radius, and a site just past it on
+    the farthest ray (from the vertex through the centre) gives none."""
+    eps, delta0, gamma0 = 0.3, 0.24, 0.05
+    r_w = _witness_radius(eps, delta0)
+    assert r_w == pytest.approx(eps * (1 + math.sqrt(1 + 4 * delta0 ** 2)),
+                                rel=2e-6)
+    rng = np.random.default_rng(5)
+    n_entries = 0
+    for _ in range(200):
+        r = eps * rng.uniform(0.5, 1.0 - 1e-9)
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, 3))
+        sigma_pts = np.column_stack([r * np.cos(ang), r * np.sin(ang),
+                                     np.zeros(3)])
+        if classify_gamma((0, 1, 2), gamma0, sigma_pts) is not GammaClass.GOOD:
+            continue
+        c = np.zeros(3)
+        phi = rng.uniform(0.0, 2 * np.pi, 40)
+        rho = r * np.sqrt(1.0 + rng.uniform(0.0, 4 * delta0 ** 2, 40))
+        near = c + np.column_stack([rho * np.cos(phi), rho * np.sin(phi),
+                                    np.zeros(40)])
+        p = sigma_pts[0]
+        ray = (c - p) / np.linalg.norm(c - p)
+        beyond = p + r_w * (1.0 + 1e-9) * ray
+        pts = np.vstack([sigma_pts, near, beyond[None]])
+        cplx = TangentialComplex(
+            SampleSet(points=pts, epsilon=eps, sparsity=0.0), FLAT)
+        got = _cosph_entries_for_center(cplx, (0, 1, 2), c, r, delta0,
+                                        gamma0, sites=range(3, len(pts)))
+        for tau, w in got:
+            assert w.carrier != len(pts) - 1
+            for v in range(3):
+                assert np.linalg.norm(pts[w.carrier] - pts[v]) < r_w
+        n_entries += len(got)
+    assert n_entries > 100
 
 
 # ===== full runs =====

@@ -282,11 +282,12 @@ class CosphStar:
 def _cosph_entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
     """Entries tau = q * sigma seen through sigma's tangent ball (c, r).
 
-    sigma must be a good m-simplex with r below the sampling radius.  A
-    site q then gives an entry when its power gap |q - c|^2 - r^2 lies in
-    [0, (delta0 * L(tau))^2], with L(tau) = min(L(sigma), min |q - sigma|);
-    a gap down to -1e-9 r^2 is rounding of a site on the sphere and counts
-    as 0.  ``sites`` defaults to every sample point that can pass.
+    There are none unless sigma is a good m-simplex with r below the
+    sampling radius.  A site q then gives an entry when its power gap
+    |q - c|^2 - r^2 lies in [0, (delta0 * L(tau))^2], with
+    L(tau) = min(L(sigma), min |q - sigma|); a gap down to -1e-9 r^2 is
+    rounding of a site on the sphere and counts as 0.  ``sites``
+    defaults to every sample point that can pass.
     """
     m = cplx.manifold.m
     if len(sigma) != m + 1 or r >= cplx.epsilon:

@@ -113,6 +113,14 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
+def _edge_lengths(verts: np.ndarray) -> np.ndarray:
+    """Lengths of the k*(k-1)/2 edges of vertex arrays of shape (..., k, N)."""
+    diff = verts[..., :, None, :] - verts[..., None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    iu, ju = _pair_indices(verts.shape[-2])
+    return d[..., iu, ju]
+
+
 def edge_extremes(simplex, pts) -> tuple[float, float]:
     """Shortest and longest edge length (L, Delta) of a simplex.
 
@@ -121,10 +129,17 @@ def edge_extremes(simplex, pts) -> tuple[float, float]:
     verts = simplex_points(simplex, pts)
     if len(verts) <= 1:
         return 0.0, 0.0
-    diff = verts[:, None, :] - verts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    edges = d[_pair_indices(len(verts))]
+    edges = _edge_lengths(verts)
     return float(edges.min()), float(edges.max())
+
+
+def _rank(s: np.ndarray, scale):
+    """Number of singular values in ``s`` (last axis) above REL_TOL * scale.
+
+    This is the one rank rule of the package; ``scale`` is the simplex
+    diameter.
+    """
+    return (s > REL_TOL * np.maximum(scale, 1e-300)).sum(axis=-1)
 
 
 def _span_frame(vectors: np.ndarray, scale: float):
@@ -136,9 +151,30 @@ def _span_frame(vectors: np.ndarray, scale: float):
     if len(vectors) == 0:
         return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 0)), 0
     u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    cutoff = REL_TOL * max(scale, 1e-300)
-    rank = int((s > cutoff).sum())
+    rank = int(_rank(s, scale))
     return vt[:rank], rank
+
+
+def affine_ranks(taus, pts) -> np.ndarray:
+    """Affine rank of every simplex in ``taus``, an (n, k) index array.
+
+    The rank is the one ``min_weighted_radius`` and ``circumsphere``
+    test: singular values of ``verts[1:] - verts[0]`` above REL_TOL times
+    the simplex diameter.  All rows share one stacked SVD, whose
+    singular values equal those of per-simplex calls, so a row has rank
+    ``k - 1`` here exactly when those functions accept the simplex.
+    """
+    taus = np.asarray(taus, dtype=np.intp)
+    if taus.ndim != 2:
+        raise ValueError("taus must be an (n, k) index array")
+    n, k = taus.shape
+    if n == 0 or k <= 1:
+        return np.zeros(n, dtype=np.intp)
+    verts = np.asarray(pts, dtype=float)[taus]
+    delta = _edge_lengths(verts).max(axis=-1)
+    # compute_uv=False gives singular values that differ in the last bits
+    _, s, _ = np.linalg.svd(verts[:, 1:] - verts[:, :1], full_matrices=False)
+    return _rank(s, delta[:, None])
 
 
 def simplex_frame(simplex, pts) -> AffineFrame:
@@ -210,6 +246,20 @@ def thickness(simplex, pts) -> float:
 
 # ===== circumspheres and weighted centers =====
 
+def _full_rank_frame(vecs: np.ndarray, delta: float) -> np.ndarray:
+    """Orthonormal basis of the hull directions ``vecs`` of a simplex
+    with diameter ``delta``.
+
+    Raises:
+        DegenerateSimplex: when the rank falls below ``len(vecs)``.
+    """
+    basis, rank = _span_frame(vecs, delta)
+    if rank < len(vecs):
+        raise DegenerateSimplex(
+            f"affine rank {rank} < combinatorial dimension {len(vecs)}")
+    return basis
+
+
 def _equidistance_solve(verts: np.ndarray, rhs: np.ndarray, delta: float):
     """Solve for the point of the vertex affine hull with prescribed
     power differences.
@@ -218,11 +268,7 @@ def _equidistance_solve(verts: np.ndarray, rhs: np.ndarray, delta: float):
     hull directions v_i = verts[i] - verts[0].  Returns (t, basis).
     """
     vecs = verts[1:] - verts[0]
-    j = len(vecs)
-    basis, rank = _span_frame(vecs, delta)
-    if rank < j:
-        raise DegenerateSimplex(
-            f"affine rank {rank} < combinatorial dimension {j}")
+    basis = _full_rank_frame(vecs, delta)
     a = 2.0 * (vecs @ basis.T)
     try:
         t = np.linalg.solve(a, rhs)
@@ -318,10 +364,7 @@ def min_weighted_radius(simplex, pts, delta0: float):
         return 0.0, ElementaryWeight(simplex[0], 0.0)
     vecs = verts[1:] - verts[0]
     rhs0 = (vecs * vecs).sum(axis=1)
-    basis, rank = _span_frame(vecs, delta)
-    if rank < j:
-        raise DegenerateSimplex(
-            f"affine rank {rank} < combinatorial dimension {j}")
+    basis = _full_rank_frame(vecs, delta)
     a_mat = 2.0 * (vecs @ basis.T)
     lu_solve = np.linalg.solve  # small systems; direct solve per rhs
     t0 = lu_solve(a_mat, rhs0)

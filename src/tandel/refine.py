@@ -13,7 +13,6 @@ until it is not a vertex of any small thin simplex (a "hitting set").
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from scipy.spatial import cKDTree
 from ._kernels import flake_pair_candidates, flake_triple_candidates
 from .errors import (
     AttemptBudgetExhausted,
-    DegenerateSimplex,
     HypothesesFailed,
     IterationCap,
     NoConvergence,
@@ -33,7 +31,7 @@ from .errors import (
 )
 from .geometry import (
     GammaClass,
-    _pair_indices,
+    affine_ranks,
     classify_gamma,
     min_weighted_radius,
 )
@@ -499,13 +497,42 @@ def picking_region(config: UnfitConfiguration,
                          radius=r, volume=vol)
 
 
+def _close_subsets(close: np.ndarray, k: int) -> np.ndarray:
+    """Every k-subset of range(len(close)) whose members are pairwise
+    ``close``, as rows of ascending indices in lexicographic order.
+
+    Subsets grow one index at a time and only from rows that already
+    pass, so no subset with a far pair is ever formed.
+    """
+    n = len(close)
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    later = np.arange(n)[None, :]
+    common = close  # common[i]: the indices close to every member of row i
+    for _ in range(k - 1):
+        r, extra = np.nonzero(common & (later > rows[:, -1:]))
+        rows = np.column_stack([rows[r], extra])
+        common = common[r] & close[extra]
+    return rows
+
+
 def find_hitting_set(x, r_ref: float, state: RefinementState):
     """Smallest-lex simplex sigma of sample points such that x * sigma
     is a gamma0 flake carrying a small weighted ball (radius < beta*R).
 
     Returns the vertex tuple or None.  Candidate pairs and triples come
     from the vectorized prefilter kernels; larger subsets (needed only
-    for m >= 3) use a direct scan.
+    for m >= 3) are the subsets with every edge short enough.
+
+    Candidates are judged degenerate-first: one batched ``affine_ranks``
+    call per subset size drops every tau = sigma + (x,) below full
+    affine rank, and only the survivors get the gamma0 classification
+    and the weighted radius, in the same order as the candidates.  The
+    verdict is the one a classify-first scan gives: a degenerate tau has
+    no sphere in its affine hull, so ``min_weighted_radius`` raises
+    ``DegenerateSimplex`` on it by the same rank rule, and such a tau
+    was never a hit; ``classify_gamma`` has no side effects.  On the
+    flat patch every tau with four vertices is coplanar, so this skips
+    all of them without a single SVD per face.
     """
     params = state.params
     pts = state.complex.points
@@ -524,49 +551,40 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
                 params.epsilon / (1.0 - 4.0 * params.delta0 ** 2))
     edge_scale = 1.0 / math.sqrt(1.0 - 4.0 * params.delta0 ** 2)
     r_query = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
-    cand = sorted(state.complex.tree.query_ball_point(np.asarray(x), r_query))
-    if not cand:
+    cand = np.array(
+        sorted(state.complex.tree.query_ball_point(np.asarray(x), r_query)),
+        dtype=np.int64)
+    if not len(cand):
         return None
     cand_pts = pts[cand]
     x = np.asarray(x, dtype=float)
     pts_aug = np.vstack([pts, x[None]])
     x_idx = len(pts)
 
-    def confirmed(local_sigma):
-        sigma = tuple(int(cand[i]) for i in local_sigma)
-        tau = tuple(sorted(sigma)) + (x_idx,)
-        if classify_gamma(tau, params.gamma0, pts_aug) is not GammaClass.FLAKE:
-            return None
-        try:
-            rmin, _w = min_weighted_radius(tau, pts_aug, params.delta0)
-        except DegenerateSimplex:
-            # affinely degenerate: no circumscribing sphere in the span,
-            # so no small ball either
-            return None
-        return sigma if rmin < r_cap else None
+    def candidate_rows():
+        yield flake_pair_candidates(x, cand_pts, params.gamma0,
+                                    r_cap * edge_scale)
+        if m + 1 >= 3:
+            yield flake_triple_candidates(x, cand_pts, params.gamma0,
+                                          r_cap * edge_scale)
+        if m + 1 >= 4:
+            d_edge = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
+            dmat = np.linalg.norm(cand_pts[:, None] - cand_pts[None], axis=2)
+            close = ~(dmat > d_edge)
+            for k in range(4, m + 2):
+                yield _close_subsets(close, k)
 
-    for row in flake_pair_candidates(x, cand_pts, params.gamma0,
-                                     r_cap * edge_scale):
-        got = confirmed(row)
-        if got:
-            return got
-    if m + 1 >= 3:
-        for row in flake_triple_candidates(x, cand_pts, params.gamma0,
-                                           r_cap * edge_scale):
-            got = confirmed(row)
-            if got:
-                return got
-    if m + 1 >= 4:
-        d_edge = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
-        dmat = np.linalg.norm(cand_pts[:, None] - cand_pts[None], axis=2)
-        for k in range(4, m + 2):
-            for combo in itertools.combinations(range(len(cand)), k):
-                sub = dmat[np.ix_(combo, combo)]
-                if sub[_pair_indices(k)].max() > d_edge:
-                    continue
-                got = confirmed(combo)
-                if got:
-                    return got
+    for rows in candidate_rows():
+        taus = np.column_stack([cand[rows], np.full(len(rows), x_idx)])
+        full_rank = affine_ranks(taus, pts_aug) == rows.shape[1]
+        for row in taus[full_rank].tolist():
+            tau = tuple(row)
+            if classify_gamma(tau, params.gamma0,
+                              pts_aug) is not GammaClass.FLAKE:
+                continue
+            rmin, _w = min_weighted_radius(tau, pts_aug, params.delta0)
+            if rmin < r_cap:
+                return tau[:-1]
     return None
 
 

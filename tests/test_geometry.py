@@ -13,6 +13,8 @@ from tandel.geometry import (
     AffineFrame,
     ElementaryWeight,
     GammaClass,
+    _span_frame,
+    affine_ranks,
     altitude,
     as_simplex,
     circumsphere,
@@ -278,6 +280,46 @@ def test_min_weighted_radius_matches_grid_search():
             )
             assert r_closed <= r_grid + 1e-12
             assert r_closed == pytest.approx(r_grid, abs=1e-4 * max(ell, 1.0))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_affine_ranks_match_per_simplex_rank(j):
+    """The batched rank equals the per-simplex ``_span_frame`` rank, and
+    ``min_weighted_radius`` rejects exactly the rank-deficient rows."""
+    rng = np.random.default_rng(61 + j)
+    for n_ambient in (j, j + 1, j + 2):
+        blocks = []
+        for _ in range(150):
+            make = (_near_degenerate_simplex if rng.uniform() < 0.7
+                    else rand_simplex)
+            blocks.append(make(rng, j, n_ambient)[1])
+        pts = np.vstack(blocks)
+        taus = np.arange(len(pts)).reshape(-1, j + 1)
+        got = affine_ranks(taus, pts)
+        assert got.shape == (len(taus),)
+        deficient = 0
+        for tau, rank in zip(taus.tolist(), got.tolist()):
+            _, delta = edge_extremes(tau, pts)
+            _, ref = _span_frame(pts[tau[1:]] - pts[tau[0]], delta)
+            assert rank == ref
+            if rank < j:
+                deficient += 1
+                with pytest.raises(DegenerateSimplex):
+                    min_weighted_radius(tau, pts, 0.05)
+            else:
+                min_weighted_radius(tau, pts, 0.05)
+        if j > 1:
+            # both sides of the cutoff are exercised
+            assert 0 < deficient < len(taus)
+
+
+def test_affine_ranks_trivial_shapes():
+    pts = RIGHT
+    assert affine_ranks(np.zeros((0, 3), dtype=int), pts).shape == (0,)
+    assert affine_ranks([[0], [2]], pts).tolist() == [0, 0]
+    assert affine_ranks([[0, 1, 2], [0, 0, 1]], pts).tolist() == [2, 1]
+    with pytest.raises(ValueError):
+        affine_ranks([0, 1, 2], pts)
 
 
 # ===== subspace angles =====

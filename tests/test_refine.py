@@ -1,4 +1,5 @@
 """Refinement: derived constants, hypotheses, picking, hitting sets, the loop."""
+import itertools
 import math
 import re
 
@@ -7,8 +8,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from tandel import refine as refine_module
+from tandel._kernels import flake_pair_candidates, flake_triple_candidates
 from tandel.errors import (
     AttemptBudgetExhausted,
+    DegenerateSimplex,
     HypothesesFailed,
     SparsityViolation,
 )
@@ -19,7 +22,8 @@ from tandel.geometry import (
     edge_extremes,
     min_weighted_radius,
 )
-from tandel.manifolds import FlatPatch, SampleSet, UnitSphere, farthest_point_net
+from tandel.manifolds import (FlatPatch, SampleSet, UnitSphere, closest_point,
+                              farthest_point_net)
 from tandel.refine import (
     ConfigKind,
     _witness_radius,
@@ -236,6 +240,182 @@ class TestHittingSet:
         state.params.gamma0 = 0.001
         x = np.array([0.1, 0.003, 0.0])
         assert find_hitting_set(x, 0.4, state) is None
+
+
+# ===== hitting sets: degenerate-first order =====
+#
+# find_hitting_set drops affinely degenerate candidates in one batched
+# rank test before any gamma0 classification.  The reference below is
+# the classify-first scan it replaced; both must give the same answer.
+
+def classify_first_hitting_set(x, r_ref, state):
+    params = state.params
+    pts = state.complex.points
+    m = state.manifold.m
+    r_cap = min(params.beta * r_ref,
+                params.epsilon / (1.0 - 4.0 * params.delta0 ** 2))
+    edge_scale = 1.0 / math.sqrt(1.0 - 4.0 * params.delta0 ** 2)
+    r_query = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
+    cand = sorted(state.complex.tree.query_ball_point(np.asarray(x), r_query))
+    if not cand:
+        return None
+    cand_pts = pts[cand]
+    x = np.asarray(x, dtype=float)
+    pts_aug = np.vstack([pts, x[None]])
+    x_idx = len(pts)
+
+    def confirmed(local_sigma):
+        sigma = tuple(int(cand[i]) for i in local_sigma)
+        tau = tuple(sorted(sigma)) + (x_idx,)
+        if classify_gamma(tau, params.gamma0, pts_aug) is not GammaClass.FLAKE:
+            return None
+        try:
+            rmin, _w = min_weighted_radius(tau, pts_aug, params.delta0)
+        except DegenerateSimplex:
+            return None
+        return sigma if rmin < r_cap else None
+
+    rows = [flake_pair_candidates(x, cand_pts, params.gamma0,
+                                  r_cap * edge_scale)]
+    if m + 1 >= 3:
+        rows.append(flake_triple_candidates(x, cand_pts, params.gamma0,
+                                            r_cap * edge_scale))
+    for block in rows:
+        for row in block:
+            got = confirmed(row)
+            if got:
+                return got
+    if m + 1 >= 4:
+        d_edge = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
+        dmat = np.linalg.norm(cand_pts[:, None] - cand_pts[None], axis=2)
+        for k in range(4, m + 2):
+            for combo in itertools.combinations(range(len(cand)), k):
+                sub = dmat[np.ix_(combo, combo)]
+                if sub[np.triu_indices(k, 1)].max() > d_edge:
+                    continue
+                got = confirmed(combo)
+                if got:
+                    return got
+    return None
+
+
+def draws_near_edges(state, seed, n):
+    """Seeded points on the manifold near short sample edges, where thin
+    simplices with x as a vertex (hits and near-misses) are common."""
+    rng = np.random.default_rng(seed)
+    pts = state.complex.points
+    m = state.manifold.m
+    _, nbrs = state.complex.tree.query(pts, k=min(4, len(pts)))
+    for _ in range(n):
+        i = int(rng.integers(len(pts)))
+        a, b = pts[i], pts[int(rng.choice(nbrs[i][1:]))]
+        span = np.linalg.norm(b - a)
+        off = np.zeros(len(a))
+        off[:m] = rng.normal(size=m)
+        off *= span * 10.0 ** rng.uniform(-3.0, -0.3) / np.linalg.norm(off)
+        x = a + rng.uniform(0.2, 0.8) * (b - a) + off
+        yield closest_point(state.manifold, x), state.epsilon * rng.uniform(0.3, 1.0)
+
+
+def hexagon_lattice_state():
+    """Flat triangular lattice with its centre removed: the hexagonal rim
+    is cocircular and every sample quadruple is coplanar."""
+    s = 0.4
+    pts = [(s * (i + 0.5 * j), s * math.sqrt(3.0) / 2.0 * j, 0.0)
+           for j in range(-4, 5) for i in range(-6, 7)]
+    pts = np.array([p for p in pts if 0.1 < math.hypot(p[0], p[1]) < 1.3])
+    sample = SampleSet(points=pts, epsilon=0.5, sparsity=0.0)
+    return make_state(sample, FLAT, params_ok(epsilon=0.5, gamma0=0.3))
+
+
+@pytest.fixture(scope="module")
+def hexagon_state():
+    return hexagon_lattice_state()
+
+
+FLAT3 = FlatPatch(3, 4)
+
+
+@pytest.fixture(scope="module")
+def flat3_state():
+    sample = SampleSet(points=FLAT3.sample(14, seed=1), epsilon=0.5,
+                       sparsity=0.0)
+    return make_state(sample, FLAT3, params_ok(epsilon=0.5, gamma0=0.3))
+
+
+def assert_same_answers(state, draws):
+    answers = []
+    for x, r_ref in draws:
+        got = find_hitting_set(x, r_ref, state)
+        assert got == classify_first_hitting_set(x, r_ref, state)
+        answers.append(got)
+    return answers
+
+
+class TestDegenerateFirstHittingSet:
+    def test_hexagon_lattice(self, hexagon_state):
+        answers = assert_same_answers(
+            hexagon_state, draws_near_edges(hexagon_state, 5, 30))
+        assert any(a is None for a in answers)
+        assert any(a is not None for a in answers)
+
+    def test_refined_sphere(self, sphere_cap_state):
+        answers = assert_same_answers(
+            sphere_cap_state, draws_near_edges(sphere_cap_state, 6, 40))
+        assert any(a is None for a in answers)
+        assert any(a is not None for a in answers)
+
+    @pytest.mark.parametrize("beta,gamma0", [(4.5, 0.15), (0.5, 0.15),
+                                             (4.5, 0.001)])
+    def test_padded_states(self, beta, gamma0):
+        state = TestHittingSet().padded_state([(0.0, 0.0, 0.0),
+                                               (0.2, 0.0, 0.0)])
+        state.params.beta = beta
+        state.params.gamma0 = gamma0
+        rng = np.random.default_rng(7)
+        draws = [(np.array([rng.uniform(-0.1, 0.3),
+                            10.0 ** rng.uniform(-4.0, -0.3), 0.0]), 0.4)
+                 for _ in range(40)]
+        assert_same_answers(state, draws)
+
+    def test_k4_branch_on_flat_3_patch(self, flat3_state, monkeypatch):
+        widths = []
+        ranks = refine_module.affine_ranks
+
+        def spy(taus, pts):
+            widths.append(np.shape(taus))
+            return ranks(taus, pts)
+
+        monkeypatch.setattr(refine_module, "affine_ranks", spy)
+        answers = assert_same_answers(
+            flat3_state, draws_near_edges(flat3_state, 8, 30))
+        # 4-subsets of sample points reached the shared rank filter
+        assert any(k == 5 and n > 0 for n, k in widths)
+        assert any(a is not None for a in answers)
+
+    def test_no_coplanar_tetrahedron_is_classified(self, hexagon_state,
+                                                   monkeypatch):
+        sizes = []
+        widths = []
+        classify = refine_module.classify_gamma
+        ranks = refine_module.affine_ranks
+
+        def spy_classify(tau, gamma0, pts):
+            sizes.append(len(tau))
+            return classify(tau, gamma0, pts)
+
+        def spy_ranks(taus, pts):
+            widths.append(np.shape(taus))
+            return ranks(taus, pts)
+
+        monkeypatch.setattr(refine_module, "classify_gamma", spy_classify)
+        monkeypatch.setattr(refine_module, "affine_ranks", spy_ranks)
+        for x, r_ref in draws_near_edges(hexagon_state, 9, 40):
+            find_hitting_set(x, r_ref, hexagon_state)
+        # tetrahedra with x as a vertex were candidates, none was classified
+        assert any(k == 4 and n > 0 for n, k in widths)
+        assert 3 in sizes
+        assert 4 not in sizes
 
 
 # ===== pick_valid =====

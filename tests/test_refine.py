@@ -317,7 +317,8 @@ def draws_near_edges(state, seed, n):
         yield closest_point(state.manifold, x), state.epsilon * rng.uniform(0.3, 1.0)
 
 
-def hexagon_lattice_state():
+@pytest.fixture(scope="module")
+def hexagon_state():
     """Flat triangular lattice with its centre removed: the hexagonal rim
     is cocircular and every sample quadruple is coplanar."""
     s = 0.4
@@ -326,11 +327,6 @@ def hexagon_lattice_state():
     pts = np.array([p for p in pts if 0.1 < math.hypot(p[0], p[1]) < 1.3])
     sample = SampleSet(points=pts, epsilon=0.5, sparsity=0.0)
     return make_state(sample, FLAT, params_ok(epsilon=0.5, gamma0=0.3))
-
-
-@pytest.fixture(scope="module")
-def hexagon_state():
-    return hexagon_lattice_state()
 
 
 FLAT3 = FlatPatch(3, 4)

@@ -1,19 +1,12 @@
-"""Hot numeric kernels of the star build and the rule-2 hitting set.
+"""Hot numeric kernels of the rule-2 hitting set.
 
-Two operations dominate profile time:
-
-* clipping a 2-D power cell (intersection of half-planes ``a . t <= b``
-  with a bounding box) down to its corner polygon, and
-* scanning candidate point pairs and triples around a prospective
-  insertion for thin ("flake") simplices.
-
-Each has one numpy implementation.
+The flake scans go over candidate point pairs and triples around a
+prospective insertion and keep the thin ("flake") simplices.  Each
+has one numpy implementation.
 """
 from __future__ import annotations
 
 import numpy as np
-
-_BOX_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
 def using_numba() -> bool:
@@ -22,57 +15,6 @@ def using_numba() -> bool:
     Kept because the benchmark records it in its environment line.
     """
     return False
-
-
-# ===== 2-D cell clipping =====
-#
-# Half-planes are normalized to unit normals and sorted by offset.
-# Because offsets ascend and clipping never pushes a corner farther from
-# the origin, a constraint whose offset reaches the current max corner
-# norm cannot cut, and neither can any later one -- hence the break.
-
-def clip_power_cell(a_raw: np.ndarray, b_raw: np.ndarray, box: float) -> np.ndarray:
-    """Corners of {t : a_raw[i] . t <= b_raw[i]} inside [-box, box]^2.
-
-    Rows are normalized, degenerate (zero-normal) rows resolved, and
-    constraints sorted by offset before the clip so its early-out cull
-    is exact.
-
-    Returns:
-        (k, 2) array of polygon corners in order along the boundary;
-        empty when the feasible region inside the box is empty.
-    """
-    a_raw = np.asarray(a_raw, dtype=float).reshape(-1, 2)
-    b_raw = np.asarray(b_raw, dtype=float).reshape(-1)
-    norms = np.sqrt((a_raw * a_raw).sum(axis=1))
-    live = norms > 1e-300
-    if not live.all():
-        if (b_raw[~live] < 0).any():
-            return np.zeros((0, 2))
-    a = a_raw[live] / norms[live, None]
-    b = b_raw[live] / norms[live]
-    order = np.argsort(b, kind="stable")
-    a = a[order]
-    b = b[order]
-    poly = _BOX_CORNERS * float(box)
-    for k in range(len(a)):
-        n = len(poly)
-        if n == 0:
-            break
-        if b[k] >= np.sqrt((poly * poly).sum(axis=1)).max():
-            break
-        d = poly @ a[k] - b[k]
-        inside = d <= 0.0
-        out = []
-        for i in range(n):
-            j = i + 1 if i + 1 < n else 0
-            if inside[i]:
-                out.append(poly[i])
-            if inside[i] != inside[j]:
-                s = d[i] / (d[i] - d[j])
-                out.append(poly[i] + s * (poly[j] - poly[i]))
-        poly = np.array(out) if out else np.zeros((0, 2))
-    return np.asarray(poly, dtype=float).reshape(-1, 2)
 
 
 # ===== flake pair scan =====

@@ -56,8 +56,9 @@ class NeighborhoodTooSparse(TandelError):
 
 
 class SingularSystem(TandelError):
-    """The equidistance system for a tangent-plane center is numerically
-    singular (condition estimate above threshold)."""
+    """A tangent-plane system is numerically singular: the equidistance
+    system for a center (condition estimate above threshold), or a power
+    cell whose base nearly coincides with a site."""
 
 
 # ---- refinement ----
@@ -67,9 +68,10 @@ class AttemptBudgetExhausted(TandelError):
 
 
 class SparsityViolation(TandelError):
-    """An insertion would land closer than the sparsity floor to an
-    existing sample point.  This breaks the termination invariant and is
-    always a hard error."""
+    """Two sample points are too close: an insertion would land closer
+    than the sparsity floor to an existing sample point, or two points of
+    a sample coincide (a repeated point has no power cell).  This breaks
+    the termination invariant and is always a hard error."""
 
 
 class IterationCap(TandelError):

@@ -12,7 +12,9 @@ and the sites tight at t*: the ball centred at c_p = p + B^T t* with
 radius R_p = |t*| passes through them and contains no other site.
 Corners therefore correspond exactly to the m-simplices of the star.
 
-Cells are intersected with a bounding box; corners supported by box
+Cells are intersected with a bounding box, and the corners of the
+result come from one Qhull halfspace intersection for every m (Barber,
+Dobkin & Huhdanpaa, ACM TOMS 1996).  Corners supported by box
 walls ("synthetic" corners) mark directions where the true cell runs
 past the box, which on a compact manifold can only happen when the
 sampling radius is violated there.
@@ -23,10 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
-from ._kernels import clip_power_cell
-from .errors import NeighborhoodTooSparse, SingularSystem
+from .errors import NeighborhoodTooSparse, SingularSystem, SparsityViolation
 from .geometry import (
     ElementaryWeight,
     GammaClass,
@@ -105,39 +106,36 @@ def weighted_sites(p: int, sample: SampleSet, manifold: Manifold,
 
 # ===== corner extraction =====
 
-def _corners_by_clipping(u, b, box):
-    poly = clip_power_cell(2.0 * u, b, box)
-    return np.asarray(poly, dtype=float)
+def _cell_corners(u, b, box):
+    """Corners of the cell {t : 2u.t <= b} inside the box [-box, box]^m.
 
+    One Qhull halfspace intersection over the site rows and the 2m box
+    walls.  t = 0 is the interior point: it is strictly inside every
+    site row because each b > 0 (no site coincides with the base).
 
-def _corners_by_enumeration(u, b, box, m):
-    """All feasible corners of the cell inside the box, any dimension.
-
-    Rows are the site constraints 2u.t <= b plus the 2m box walls;
-    every feasible m-subset intersection is a corner candidate.
+    Raises:
+        SingularSystem: a site so close to the base, against the box,
+            that Qhull fails or returns a corner at infinity.
     """
-    k = len(u)
-    a_full = np.vstack([2.0 * u, np.eye(m), -np.eye(m)])
-    b_full = np.concatenate([b, np.full(2 * m, box)])
-    tol = 1e-9 * max(b_full.max(), 1.0)
-    out = []
-    for rows in itertools.combinations(range(len(a_full)), m):
-        mat = a_full[list(rows)]
-        try:
-            t = np.linalg.solve(mat, b_full[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(t).all():
-            continue
-        if (a_full @ t <= b_full + tol).all():
-            out.append(t)
-    if not out:
-        return np.zeros((0, m))
-    # dedupe by rounded coordinates
-    arr = np.array(out)
-    scale = max(box, 1.0)
-    _, keep = np.unique(np.round(arr / scale, 9), axis=0, return_index=True)
-    return arr[np.sort(keep)]
+    m = u.shape[1]
+    walls = np.full((m, 1), -float(box))
+    eye = np.eye(m)
+    halfspaces = np.vstack([np.column_stack([2.0 * u, -b]),
+                            np.hstack([eye, walls]),
+                            np.hstack([-eye, walls])])
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corners = HalfspaceIntersection(
+                halfspaces, np.zeros(m)).intersections
+    except QhullError as exc:
+        reason = str(exc).splitlines()[0]
+    else:
+        if np.isfinite(corners).all():
+            return corners
+        reason = "a corner at infinity"
+    raise SingularSystem(
+        f"power cell with its nearest site at distance "
+        f"{np.sqrt(b.min()):.3g} in a box of {box:.3g}: {reason}")
 
 
 def tangent_center(simplex, p: int, pts, chart: TangentChart):
@@ -171,7 +169,7 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
     return c, float(np.linalg.norm(t))
 
 
-def _build_star(p, pts, tree, manifold, epsilon, prune_mult, method="auto"):
+def _build_star(p, pts, tree, manifold, epsilon, prune_mult):
     m = manifold.m
     chart = tangent_chart(manifold, pts[p])
     prune_r = prune_mult * epsilon
@@ -183,14 +181,11 @@ def _build_star(p, pts, tree, manifold, epsilon, prune_mult, method="auto"):
             raise NeighborhoodTooSparse(
                 f"vertex {p} has {len(idx)} neighbors within {prune_r:.4g}")
         u, b, _w2 = _site_arrays(p, pts, idx, chart)
+        if b.min() <= 0.0:
+            raise SparsityViolation(
+                f"sample points {p} and {idx[np.argmin(b)]} coincide")
         box = prune_r
-        if method == "clip" or (method == "auto" and m == 2):
-            corners = _corners_by_clipping(u, b, box)
-        else:
-            corners = _corners_by_enumeration(u, b, box, m)
-        if len(corners) == 0:
-            raise NeighborhoodTooSparse(
-                f"empty clipped cell for vertex {p} (degenerate input?)")
+        corners = _cell_corners(u, b, box)
         # tight sets per corner, in power units
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
@@ -246,20 +241,20 @@ def _build_star(p, pts, tree, manifold, epsilon, prune_mult, method="auto"):
 
 
 def compute_star(p: int, sample: SampleSet, manifold: Manifold,
-                 prune_mult: float = 8.0, method: str = "auto") -> Star:
+                 prune_mult: float = 8.0) -> Star:
     """Star of vertex p in the tangent-plane weighted Delaunay complex.
 
-    ``method`` selects the corner extraction: "clip" (2-D kernel),
-    "enumerate" (subset enumeration, any m), or "auto".
+    The cell corners come from one halfspace intersection (Qhull) in
+    any intrinsic dimension m.
 
     Raises:
         NeighborhoodTooSparse: no m-simplex exists around p, which
             signals that the claimed sampling radius does not hold.
+        SparsityViolation: another sample point coincides with p.
     """
     pts = np.asarray(sample.points, dtype=float)
     tree = cKDTree(pts)
-    return _build_star(p, pts, tree, manifold, sample.epsilon, prune_mult,
-                       method=method)
+    return _build_star(p, pts, tree, manifold, sample.epsilon, prune_mult)
 
 
 # ===== cosphericity stars =====

@@ -1,13 +1,24 @@
-"""Shared fixtures: reference samples and session-scoped refinement runs."""
+"""Shared fixtures: reference samples, the reference power-cell corners
+and session-scoped refinement runs."""
+import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from tandel import stars
 from tandel.geometry import as_simplex, circumsphere
 from tandel.manifolds import (FlatPatch, TorusOfRevolution, UnitSphere,
                               farthest_point_net)
 from tandel.refine import Parameters, refine_sample
+
+# Property tests draw the same examples on every run (no example database
+# replays earlier failures first), and a slow example is not a failure.
+settings.register_profile("tandel", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tandel")
 
 # Both end-to-end runs share one parameter set; they are expensive, so
 # each is built at most once per session and only when a test asks.
@@ -57,6 +68,48 @@ def exact_flat_member(tri, sites):
     others = np.setdiff1d(np.arange(len(sites)), list(tri))
     dmin = np.linalg.norm(sites[others, :2] - sp.center, axis=1).min()
     return dmin >= sp.radius * (1 - 1e-9)
+
+
+def corners_by_enumeration(u, b, box, m):
+    """All feasible corners of the cell {t : 2u.t <= b} inside the box.
+
+    The reference for ``stars._cell_corners``: rows are the site
+    constraints plus the 2m box walls, and every feasible m-subset
+    intersection is a corner candidate.
+    """
+    a_full = np.vstack([2.0 * u, np.eye(m), -np.eye(m)])
+    b_full = np.concatenate([b, np.full(2 * m, box)])
+    tol = 1e-9 * max(b_full.max(), 1.0)
+    out = []
+    for rows in itertools.combinations(range(len(a_full)), m):
+        mat = a_full[list(rows)]
+        # dependent rows meet in no single point (a solve of repeated
+        # rows returns an arbitrary point on their common plane)
+        with np.errstate(divide="ignore"):
+            det = np.linalg.det(mat)
+        if abs(det) <= 1e-12 * np.prod(np.linalg.norm(mat, axis=1)):
+            continue
+        t = np.linalg.solve(mat, b_full[list(rows)])
+        if not np.isfinite(t).all():
+            continue
+        if (a_full @ t <= b_full + tol).all():
+            out.append(t)
+    if not out:
+        return np.zeros((0, m))
+    # dedupe by rounded coordinates
+    arr = np.array(out)
+    scale = max(box, 1.0)
+    _, keep = np.unique(np.round(arr / scale, 9), axis=0, return_index=True)
+    return arr[np.sort(keep)]
+
+
+def reference_star(p, sample, manifold):
+    """``compute_star`` with its cell corners from the enumeration."""
+    def enumerate_corners(u, b, box):
+        return corners_by_enumeration(u, b, box, u.shape[1])
+
+    with mock.patch.object(stars, "_cell_corners", enumerate_corners):
+        return stars.compute_star(p, sample, manifold)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from conftest import disk_points
 from tandel import cli
 from tandel.cli import main
 from tandel.errors import TandelError
+from tandel.manifolds import UnitSphere, farthest_point_net
 
 SPHERE = "sphere:m=2,N=3"
 FLAT = "flat:m=2,N=3"
@@ -144,6 +145,19 @@ class TestMesh:
         assert code == 2
         assert f"{net_path}: no points" in capsys.readouterr().err
         assert not (tmp_path / "e.points.txt").exists()
+
+    def test_repeated_net_point_is_one_error_line(self, tmp_path, capsys):
+        net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),
+                                 eps=0.35, seed=5)
+        pts_in = np.vstack([net.points, net.points[3]])
+        net_path = tmp_path / "net.txt"
+        np.savetxt(net_path, pts_in, fmt="%.17g")
+        code = run(*self.mesh_args(tmp_path / "r", **{"--net-in": net_path}))
+        assert code == 1
+        err = capsys.readouterr().err
+        last = len(pts_in) - 1
+        assert err == (f"error: SparsityViolation: sample points 3 and "
+                       f"{last} coincide\n")
 
     def test_strict_mode_refuses_and_reports_h5(self, tmp_path, capsys):
         prefix = tmp_path / "s"

@@ -1,38 +1,42 @@
-"""The 2-D cell clip and the flake prefilters against exact references."""
+"""The power-cell corners and the flake prefilters against exact references."""
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tandel._kernels import (
-    clip_power_cell,
-    flake_pair_candidates,
-    flake_triple_candidates,
-)
+from conftest import corners_by_enumeration
+from tandel._kernels import flake_pair_candidates, flake_triple_candidates
+from tandel.errors import SingularSystem, SparsityViolation
 from tandel.geometry import GammaClass, classify_gamma, min_weighted_radius
-from tandel.stars import _corners_by_enumeration
+from tandel.manifolds import FlatPatch, SampleSet
+from tandel.stars import _cell_corners, compute_star
 
 
 def _canon(poly, decimals=9):
-    """Polygon corners as a set of rounded tuples (order-insensitive)."""
+    """Cell corners as a set of rounded tuples (order-insensitive)."""
     return {tuple(np.round(p, decimals)) for p in poly}
+
+
+def _same_corners(got, want, tol):
+    """Every corner of each set lies within tol of one of the other."""
+    if len(got) == 0 or len(want) == 0:
+        return len(got) == len(want)
+    d = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+    return d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol
 
 
 def test_square_cell():
     a = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
     b = np.array([1.0, 1.0, 1.0, 1.0])
-    poly = clip_power_cell(a, b, 5.0)
+    poly = _cell_corners(a / 2, b, 5.0)
     assert _canon(poly) == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
 
 
 def test_unclipped_cell_is_box():
     a = np.array([[1.0, 0.0]])
     b = np.array([100.0])
-    poly = clip_power_cell(a, b, 2.0)
+    poly = _cell_corners(a / 2, b, 2.0)
     assert _canon(poly) == {(2.0, 2.0), (2.0, -2.0), (-2.0, 2.0), (-2.0, -2.0)}
-
-
-def test_empty_cell():
-    a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    b = np.array([-1.0, -1.0])
-    assert len(clip_power_cell(a, b, 10.0)) == 0
 
 
 def test_far_constraint_is_culled_without_changing_result():
@@ -41,31 +45,69 @@ def test_far_constraint_is_culled_without_changing_result():
         k = int(rng.integers(3, 12))
         a = rng.normal(size=(k, 2))
         b = rng.uniform(0.2, 2.0, size=k)
-        base = _canon(clip_power_cell(a, b, 3.0))
+        base = _canon(_cell_corners(a / 2, b, 3.0))
         far = np.vstack([a, rng.normal(size=(1, 2))])
         far_b = np.append(b, 1e6)
-        assert _canon(clip_power_cell(far, far_b, 3.0)) == base
+        assert _canon(_cell_corners(far / 2, far_b, 3.0)) == base
 
 
 def test_degenerate_rows():
+    # a zero-normal row with b > 0 holds everywhere and changes nothing
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    poly = clip_power_cell(a, np.array([4.0, 1.0]), 2.0)
+    poly = _cell_corners(a / 2, np.array([4.0, 1.0]), 2.0)
     assert _canon(poly) == {(1.0, 2.0), (1.0, -2.0), (-2.0, 2.0), (-2.0, -2.0)}
-    assert len(clip_power_cell(a, np.array([-4.0, 1.0]), 2.0)) == 0
 
 
-def test_clip_paths_agree():
-    # the clip against corner enumeration, which solves every pair of
-    # constraints (the site rows 2u.t <= b, so u = a / 2) and the box walls
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        k = int(rng.integers(1, 40))
-        a = rng.normal(size=(k, 2))
-        b = rng.uniform(-0.1, 3.0, size=k)
-        box = float(rng.uniform(0.5, 4.0))
-        ref = _corners_by_enumeration(a / 2, b, box, 2)
-        out = clip_power_cell(a, b, box)
-        assert _canon(out, 7) == _canon(ref, 7)
+def _flat_with_neighbor(offset):
+    """A flat sample whose vertex 0 is the origin and vertex 40 lies at
+    ``offset`` from it along the first axis."""
+    pts = FlatPatch(2, 3).sample(40, seed=3)
+    pts[0] = 0.0
+    pts = np.vstack([pts, [[offset, 0.0, 0.0]]])
+    return SampleSet(points=pts, epsilon=0.5, sparsity=0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-170])
+def test_coincident_base_is_named(offset):
+    # exactly equal, or so close that the squared distance underflows
+    sample = _flat_with_neighbor(offset)
+    with pytest.raises(SparsityViolation, match="points 0 and 40 coincide"):
+        compute_star(0, sample, FlatPatch(2, 3))
+    with pytest.raises(SparsityViolation, match="points 40 and 0 coincide"):
+        compute_star(40, sample, FlatPatch(2, 3))
+
+
+@pytest.mark.parametrize("offset,message", [
+    (1e-160, "Qhull precision error"),
+    (1e-16, "Qhull precision error"),
+    (1e-14, "corner at infinity"),
+])
+def test_near_coincident_base_is_singular(offset, message):
+    # Qhull works on the dual points 2u/b of the cell rows: this site's
+    # lies about 2/offset from the origin, the others within a few units,
+    # and Qhull either fails or returns a corner at infinity
+    with pytest.raises(SingularSystem, match=message):
+        compute_star(0, _flat_with_neighbor(offset), FlatPatch(2, 3))
+
+
+def _cells(m, max_sites):
+    """Random cells {t : 2u.t <= b} in R^m: site rows, offsets, box."""
+    return st.integers(1, max_sites).flatmap(lambda k: st.tuples(
+        hnp.arrays(float, (k, m), elements=st.floats(-2.0, 2.0)),
+        hnp.arrays(float, k, elements=st.floats(0.05, 4.0)),
+        st.floats(0.5, 4.0)))
+
+
+@pytest.mark.parametrize("m,max_sites", [(2, 40), (3, 14)])
+def test_qhull_matches_enumeration(m, max_sites):
+    @given(_cells(m, max_sites))
+    def check(cell):
+        u, b, box = cell
+        got = _cell_corners(u, b, box)
+        want = corners_by_enumeration(u, b, box, m)
+        assert _same_corners(got, want, 1e-7 * max(box, 1.0))
+
+    check()
 
 
 def test_flake_pairs_match_exact_classification():

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
+from conftest import reference_star
 from tandel.errors import NeighborhoodTooSparse, SingularSystem
+from tandel.geometry import as_simplex, circumsphere
 from tandel.manifolds import (
     FlatPatch,
     SampleSet,
@@ -22,6 +24,15 @@ from tandel.stars import (
     write_off,
     write_simplex_list,
 )
+from tandel.verify import (
+    ambient_delaunay_bruteforce,
+    euler_characteristic,
+    manifold_complex_check,
+)
+
+# the star under test, and the same star from the reference corners
+BUILDS = pytest.mark.parametrize(
+    "build", [compute_star, reference_star], ids=["qhull", "enumerate"])
 
 OCTA = np.array([
     [0.0, 0.0, 1.0],
@@ -40,9 +51,9 @@ def octa_sample(eps=1.0):
 # ===== star of a vertex =====
 
 class TestOctahedronStar:
-    @pytest.mark.parametrize("method", ["clip", "enumerate"])
-    def test_north_pole_star(self, method):
-        star = compute_star(0, octa_sample(), UnitSphere(2, 3), method=method)
+    @BUILDS
+    def test_north_pole_star(self, build):
+        star = build(0, octa_sample(), UnitSphere(2, 3))
         assert sorted(star.m_simplices()) == [
             (0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4)]
         for s, (c, r) in star.centers.items():
@@ -129,7 +140,16 @@ class TestFlatDelaunay:
         assert cplx.consistency_report() == {}
 
 
-# ===== the two corner-extraction routes agree =====
+# ===== Qhull corners agree with the enumeration reference =====
+
+def _assert_same_star(a, b):
+    assert sorted(a.centers) == sorted(b.centers)
+    for s in a.centers:
+        ca, ra = a.centers[s]
+        cb, rb = b.centers[s]
+        assert ra == pytest.approx(rb, rel=1e-9)
+        assert np.allclose(ca, cb, atol=1e-9)
+
 
 class TestDualRoutes:
     def sphere_net(self):
@@ -140,22 +160,16 @@ class TestDualRoutes:
     def test_sphere_stars_agree(self):
         M, net = self.sphere_net()
         for p in range(0, len(net.points), 7):
-            a = compute_star(p, net, M, method="clip")
-            b = compute_star(p, net, M, method="enumerate")
-            assert sorted(a.centers) == sorted(b.centers)
-            for s in a.centers:
-                ca, ra = a.centers[s]
-                cb, rb = b.centers[s]
-                assert ra == pytest.approx(rb, rel=1e-9)
-                assert np.allclose(ca, cb, atol=1e-9)
+            _assert_same_star(compute_star(p, net, M),
+                              reference_star(p, net, M))
 
     def test_torus_stars_agree(self):
         M = TorusOfRevolution()
         dense = M.sample(4000, seed=5)
         net = farthest_point_net(dense, 0.12, seed=0)
         for p in range(0, len(net.points), 37):
-            a = compute_star(p, net, M, method="clip")
-            b = compute_star(p, net, M, method="enumerate")
+            a = compute_star(p, net, M)
+            b = reference_star(p, net, M)
             assert sorted(a.centers) == sorted(b.centers)
 
     def test_flat_corner_sets_agree(self):
@@ -163,11 +177,48 @@ class TestDualRoutes:
         pts = M.sample(30, seed=21)
         sample = SampleSet(points=pts, epsilon=0.6, sparsity=0.0)
         for p in range(0, 30, 5):
-            a = compute_star(p, sample, M, method="clip")
-            b = compute_star(p, sample, M, method="enumerate")
+            a = compute_star(p, sample, M)
+            b = reference_star(p, sample, M)
             ka = sorted(tuple(np.round(t, 8)) for t in a.corners)
             kb = sorted(tuple(np.round(t, 8)) for t in b.corners)
             assert ka == kb
+
+    def test_three_sphere_stars_agree(self):
+        M = UnitSphere(3, 4)
+        net = farthest_point_net(M.sample(20000, seed=1), 0.6, seed=1)
+        for p in (0, len(net.points) // 2, len(net.points) - 1):
+            a = compute_star(p, net, M)
+            b = reference_star(p, net, M)
+            _assert_same_star(a, b)
+            assert a.m_simplices()
+
+
+# ===== three-manifolds =====
+
+def test_three_sphere_complex_is_closed_manifold():
+    M = UnitSphere(3, 4)
+    net = farthest_point_net(M.sample(20000, seed=1), 0.45, seed=1)
+    cplx = assemble_complex(net, M)
+    assert cplx.is_consistent()
+    ok, diagnostics = manifold_complex_check(cplx.m_simplices(), 3)
+    assert ok, diagnostics
+    assert euler_characteristic(cplx.m_simplices()) == 0
+
+
+def test_flat_three_patch_matches_ambient_delaunay():
+    M = FlatPatch(3, 4)
+    net = farthest_point_net(M.sample(4000, seed=3), 0.3, seed=3)
+    cplx = assemble_complex(net, M)
+    tets = set(cplx.m_simplices())
+    assert tets
+    flat = net.points[:, :3]
+    ambient = set(ambient_delaunay_bruteforce(flat).of_dim(3))
+    assert tets <= ambient
+    # a corner within the 8 epsilon cell box in norm is inside the box,
+    # so only ambient tetrahedra of larger circumradius may be missing
+    box = 8.0 * net.epsilon
+    for t in ambient - tets:
+        assert circumsphere(as_simplex(t), flat).radius > box
 
 
 def test_radius_bound_on_sphere_net():
@@ -190,9 +241,9 @@ class TestCocircularSquare:
     def sample(self):
         return SampleSet(points=SQUARE, epsilon=1.0, sparsity=1.0)
 
-    @pytest.mark.parametrize("method", ["clip", "enumerate"])
-    def test_degenerate_corner_emits_all_subsets(self, method):
-        star = compute_star(0, self.sample(), FlatPatch(2, 3), method=method)
+    @BUILDS
+    def test_degenerate_corner_emits_all_subsets(self, build):
+        star = build(0, self.sample(), FlatPatch(2, 3))
         assert sorted(star.centers, key=lambda s: (len(s), s)) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
         for s, (c, r) in star.centers.items():

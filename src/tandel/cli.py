@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry, refine, stars, verify
-from .errors import TandelError
+from .errors import SparsityViolation, TandelError
 from .manifolds import (Manifold, SampleSet, farthest_point_net,
                         parse_manifold, read_points, write_points)
 from .refine import Parameters, check_hypotheses, derive_constants
@@ -207,10 +207,19 @@ def cmd_mesh(args) -> int:
             raise ValueError(
                 f"{args.net_in}: {pts_in.shape[1]} columns, "
                 f"manifold is embedded in dimension {manifold.N}")
-        tree = cKDTree(pts_in)
-        gaps = tree.query(pts_in, k=2)[0][:, 1]
-        net = SampleSet(points=pts_in, epsilon=params.epsilon,
-                        sparsity=float(gaps.min()))
+        gaps, nbrs = cKDTree(pts_in).query(pts_in, k=2)
+        i = int(np.argmin(gaps[:, 1]))
+        # with repeated rows the query may list i itself second
+        j = int(nbrs[i, 1] if nbrs[i, 1] != i else nbrs[i, 0])
+        gap = float(gaps[i, 1])
+        floor = constants.mu0 * params.epsilon
+        if gap <= floor:
+            i, j = sorted((i, j))
+            raise SparsityViolation(
+                f"sample points {i} and {j} coincide" if gap == 0.0 else
+                f"sample points {i} and {j} are {gap:.6g} apart, "
+                f"within mu0*eps = {floor:.6g}")
+        net = SampleSet(points=pts_in, epsilon=params.epsilon, sparsity=gap)
     else:
         dense = manifold.sample(args.dense_n, params.seed)
         net = farthest_point_net(dense, eps=params.epsilon, seed=params.seed)
@@ -381,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--dense-n", type=int, default=20000)
     p_mesh.add_argument("--net-in", default=None,
                         help="start from this point file instead of "
-                             "sampling a fresh net")
+                             "sampling a fresh net; no two points may lie "
+                             "within eps/9")
     p_mesh.add_argument("--out-prefix", required=True)
     _add_param_flags(p_mesh)
     p_mesh.set_defaults(func=cmd_mesh)

@@ -69,9 +69,10 @@ class AttemptBudgetExhausted(TandelError):
 
 class SparsityViolation(TandelError):
     """Two sample points are too close: an insertion would land closer
-    than the sparsity floor to an existing sample point, or two points of
-    a sample coincide (a repeated point has no power cell).  This breaks
-    the termination invariant and is always a hard error."""
+    than the sparsity floor to an existing sample point, two points of an
+    input net lie within that floor, or two points of a sample coincide
+    (a repeated point has no power cell).  This breaks the termination
+    invariant and is always a hard error."""
 
 
 class IterationCap(TandelError):

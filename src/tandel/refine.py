@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._kernels import flake_pair_candidates, flake_triple_candidates
+from ._kernels import flake_candidates
 from .errors import (
     AttemptBudgetExhausted,
     HypothesesFailed,
@@ -340,7 +340,6 @@ class RefinementState:
 
 
 def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
-               prune_mult: float = 8.0,
                constants: DerivedConstants | None = None) -> RefinementState:
     """Assemble the complex, the cosph stars, and gate on the hypotheses."""
     if constants is None:
@@ -352,7 +351,7 @@ def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
     if abs(sample.epsilon - params.epsilon) > 1e-12 * params.epsilon:
         sample = SampleSet(points=sample.points, epsilon=params.epsilon,
                            sparsity=sample.sparsity)
-    cplx = assemble_complex(sample, manifold, prune_mult=prune_mult)
+    cplx = assemble_complex(sample, manifold)
     state = RefinementState(cplx, params, constants)
     for p in cplx.stars:
         state.refresh_cosph(p)
@@ -497,31 +496,17 @@ def picking_region(config: UnfitConfiguration,
                          radius=r, volume=vol)
 
 
-def _close_subsets(close: np.ndarray, k: int) -> np.ndarray:
-    """Every k-subset of range(len(close)) whose members are pairwise
-    ``close``, as rows of ascending indices in lexicographic order.
-
-    Subsets grow one index at a time and only from rows that already
-    pass, so no subset with a far pair is ever formed.
-    """
-    n = len(close)
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    later = np.arange(n)[None, :]
-    common = close  # common[i]: the indices close to every member of row i
-    for _ in range(k - 1):
-        r, extra = np.nonzero(common & (later > rows[:, -1:]))
-        rows = np.column_stack([rows[r], extra])
-        common = common[r] & close[extra]
-    return rows
-
-
 def find_hitting_set(x, r_ref: float, state: RefinementState):
     """Smallest-lex simplex sigma of sample points such that x * sigma
     is a gamma0 flake carrying a small weighted ball (radius < beta*R).
 
-    Returns the vertex tuple or None.  Candidate pairs and triples come
-    from the vectorized prefilter kernels; larger subsets (needed only
-    for m >= 3) are the subsets with every edge short enough.
+    Returns the vertex tuple or None.  For every subset size k from 2
+    to m + 1, one ``flake_candidates`` call gives the k-subsets whose
+    simplex with x has every edge short enough and is thin enough to be
+    a flake, in lexicographic order; smaller k are scanned first.  The
+    weights are capped at delta0 * L, so every edge of a hit with
+    weighted radius r < r_cap is at most 2r / sqrt(1 - 4 delta0^2), and
+    the prefilter drops no hit.
 
     Candidates are judged degenerate-first: one batched ``affine_ranks``
     call per subset size drops every tau = sigma + (x,) below full
@@ -561,20 +546,9 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
     pts_aug = np.vstack([pts, x[None]])
     x_idx = len(pts)
 
-    def candidate_rows():
-        yield flake_pair_candidates(x, cand_pts, params.gamma0,
-                                    r_cap * edge_scale)
-        if m + 1 >= 3:
-            yield flake_triple_candidates(x, cand_pts, params.gamma0,
-                                          r_cap * edge_scale)
-        if m + 1 >= 4:
-            d_edge = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
-            dmat = np.linalg.norm(cand_pts[:, None] - cand_pts[None], axis=2)
-            close = ~(dmat > d_edge)
-            for k in range(4, m + 2):
-                yield _close_subsets(close, k)
-
-    for rows in candidate_rows():
+    for k in range(2, m + 2):
+        rows = flake_candidates(x, cand_pts, params.gamma0,
+                                r_cap * edge_scale, k)
         taus = np.column_stack([cand[rows], np.full(len(rows), x_idx)])
         full_rank = affine_ranks(taus, pts_aug) == rows.shape[1]
         for row in taus[full_rank].tolist():

@@ -38,6 +38,8 @@ from .geometry import (
 from .manifolds import Manifold, SampleSet, TangentChart, tangent_chart
 
 COND_LIMIT = 1e12
+# sites within PRUNE_MULT * epsilon of a base enter its first cell attempt
+PRUNE_MULT = 8.0
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,12 @@ def _site_arrays(p_idx, pts, neighbor_idx, chart):
     return u, b, w2
 
 
-def weighted_sites(p: int, sample: SampleSet, manifold: Manifold,
-                   prune_mult: float = 8.0):
+def weighted_sites(p: int, sample: SampleSet, manifold: Manifold):
     """The pruned neighbor sites of p as weighted chart points."""
     pts = np.asarray(sample.points, dtype=float)
     chart = tangent_chart(manifold, pts[p])
     tree = cKDTree(pts)
-    idx = [i for i in tree.query_ball_point(pts[p], prune_mult * sample.epsilon)
+    idx = [i for i in tree.query_ball_point(pts[p], PRUNE_MULT * sample.epsilon)
            if i != p]
     idx.sort()
     u, b, w2 = _site_arrays(p, pts, idx, chart)
@@ -169,10 +170,10 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
     return c, float(np.linalg.norm(t))
 
 
-def _build_star(p, pts, tree, manifold, epsilon, prune_mult):
+def _build_star(p, pts, tree, manifold, epsilon):
     m = manifold.m
     chart = tangent_chart(manifold, pts[p])
-    prune_r = prune_mult * epsilon
+    prune_r = PRUNE_MULT * epsilon
     for _attempt in range(4):
         idx = np.array(sorted(
             i for i in tree.query_ball_point(pts[p], prune_r) if i != p),
@@ -240,8 +241,7 @@ def _build_star(p, pts, tree, manifold, epsilon, prune_mult):
         f"pruning radius for vertex {p} kept growing without closure")
 
 
-def compute_star(p: int, sample: SampleSet, manifold: Manifold,
-                 prune_mult: float = 8.0) -> Star:
+def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
     """Star of vertex p in the tangent-plane weighted Delaunay complex.
 
     The cell corners come from one halfspace intersection (Qhull) in
@@ -254,7 +254,7 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold,
     """
     pts = np.asarray(sample.points, dtype=float)
     tree = cKDTree(pts)
-    return _build_star(p, pts, tree, manifold, sample.epsilon, prune_mult)
+    return _build_star(p, pts, tree, manifold, sample.epsilon)
 
 
 # ===== cosphericity stars =====
@@ -344,12 +344,10 @@ def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
 class TangentialComplex:
     """Union of the tangent-plane stars of every sample point."""
 
-    def __init__(self, sample: SampleSet, manifold: Manifold,
-                 prune_mult: float = 8.0):
+    def __init__(self, sample: SampleSet, manifold: Manifold):
         self.points = np.array(sample.points, dtype=float)
         self.epsilon = float(sample.epsilon)
         self.manifold = manifold
-        self.prune_mult = float(prune_mult)
         self.tree = cKDTree(self.points)
         self.stars: dict[int, Star] = {}
         self._gamma_classes: dict = {}
@@ -361,14 +359,12 @@ class TangentialComplex:
     def build(self):
         for p in range(self.n_points):
             self.stars[p] = _build_star(
-                p, self.points, self.tree, self.manifold, self.epsilon,
-                self.prune_mult)
+                p, self.points, self.tree, self.manifold, self.epsilon)
         return self
 
     def recompute_star(self, p: int):
         self.stars[p] = _build_star(
-            p, self.points, self.tree, self.manifold, self.epsilon,
-            self.prune_mult)
+            p, self.points, self.tree, self.manifold, self.epsilon)
         return self.stars[p]
 
     def gamma_class(self, simplex, gamma0: float) -> GammaClass:
@@ -454,16 +450,15 @@ class TangentialComplex:
             else:
                 untouched.append(p)
         self.stars[new_idx] = _build_star(
-            new_idx, self.points, self.tree, self.manifold, self.epsilon,
-            self.prune_mult)
+            new_idx, self.points, self.tree, self.manifold, self.epsilon)
         return {"index": new_idx, "recomputed": recomputed,
                 "untouched": untouched}
 
 
-def assemble_complex(sample: SampleSet, manifold: Manifold,
-                     prune_mult: float = 8.0) -> TangentialComplex:
+def assemble_complex(sample: SampleSet,
+                     manifold: Manifold) -> TangentialComplex:
     """Compute every star and return the union complex."""
-    return TangentialComplex(sample, manifold, prune_mult).build()
+    return TangentialComplex(sample, manifold).build()
 
 
 # ===== export =====

@@ -9,7 +9,7 @@ from conftest import disk_points
 from tandel import cli
 from tandel.cli import main
 from tandel.errors import TandelError
-from tandel.manifolds import UnitSphere, farthest_point_net
+from tandel.manifolds import FlatPatch, UnitSphere, farthest_point_net
 
 SPHERE = "sphere:m=2,N=3"
 FLAT = "flat:m=2,N=3"
@@ -158,6 +158,21 @@ class TestMesh:
         last = len(pts_in) - 1
         assert err == (f"error: SparsityViolation: sample points 3 and "
                        f"{last} coincide\n")
+
+    def test_close_net_points_are_one_error_line(self, tmp_path, capsys):
+        pts = FlatPatch(2, 3).sample(40, seed=3)
+        pts_in = np.vstack([pts, pts[0] + [1e-8, 0.0, 0.0]])
+        net_path = tmp_path / "net.txt"
+        np.savetxt(net_path, pts_in, fmt="%.17g")
+        prefix = tmp_path / "c"
+        code = run("mesh", "--manifold", FLAT, "--net-in", net_path,
+                   "--epsilon", 0.5, "--out-prefix", prefix)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SparsityViolation: sample points 0 "
+                              "and 40 are 1e-08 apart")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "c.points.txt").exists()
 
     def test_strict_mode_refuses_and_reports_h5(self, tmp_path, capsys):
         prefix = tmp_path / "s"

@@ -1,13 +1,16 @@
-"""The power-cell corners and the flake prefilters against exact references."""
+"""The power-cell corners and the flake prefilter against exact references."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import corners_by_enumeration
-from tandel._kernels import flake_pair_candidates, flake_triple_candidates
+from tandel._kernels import flake_candidates
 from tandel.errors import SingularSystem, SparsityViolation
-from tandel.geometry import GammaClass, classify_gamma, min_weighted_radius
+from tandel.geometry import (GammaClass, classify_gamma, edge_extremes,
+                             min_weighted_radius)
 from tandel.manifolds import FlatPatch, SampleSet
 from tandel.stars import _cell_corners, compute_star
 
@@ -110,51 +113,60 @@ def test_qhull_matches_enumeration(m, max_sites):
     check()
 
 
-def test_flake_pairs_match_exact_classification():
-    rng = np.random.default_rng(29)
-    gamma0 = 0.2
-    for _ in range(60):
-        n = int(rng.integers(2, 25))
-        x = rng.normal(size=3)
-        cand = x + rng.normal(size=(n, 3)) * rng.uniform(0.05, 1.0)
-        r_cap = float(rng.uniform(0.3, 1.5))
-        got = {tuple(p) for p in flake_pair_candidates(x, cand, gamma0, r_cap)}
-        pts = np.vstack([x[None], cand])
-        for i in range(n):
-            for j in range(i + 1, n):
-                tri = (0, i + 1, j + 1)
-                if classify_gamma(tri, gamma0, pts) is not GammaClass.FLAKE:
-                    continue
-                r_min, _ = min_weighted_radius(tri, pts, 0.0)
-                if r_min < r_cap:
-                    # every exact hit must survive the prefilter
-                    assert (i, j) in got
-        # and every prefilter hit must at least be a thin triangle
-        for (i, j) in got:
-            tri = (0, i + 1, j + 1)
-            assert classify_gamma(tri, gamma0 * 1.001, pts) is not GammaClass.GOOD
+def _near_tight_flake(rng, k, dim, gamma0):
+    """A regular (k-1)-simplex of diameter delta plus an apex above its
+    centroid whose altitude puts the thickness a hair below gamma0^k:
+    det G sits just under the kernel's bound, which the regular face
+    makes tight."""
+    delta = float(rng.uniform(0.1, 0.4))
+    face = np.eye(k) * delta / np.sqrt(2.0)  # regular, in the first k axes
+    centroid = face.mean(axis=0)
+    normal = np.ones(k) / np.sqrt(k)  # orthogonal to the face's hull
+    h = k * delta * gamma0 ** k * (1.0 - 1e-4)
+    x = np.zeros(dim)
+    x[:k] = centroid + h * normal
+    cand = np.zeros((k, dim))
+    cand[:, :k] = face
+    return x, cand
 
 
-def test_flake_triples_cover_exact_hits():
-    rng = np.random.default_rng(41)
+@pytest.mark.parametrize("delta0", [0.0, 0.05])
+@pytest.mark.parametrize("k,max_n", [(2, 25), (3, 13), (4, 9)])
+def test_flake_candidates_cover_exact_hits(k, max_n, delta0):
+    rng = np.random.default_rng(29 + k)
     gamma0 = 0.3
-    for _ in range(25):
-        n = int(rng.integers(3, 14))
-        x = rng.normal(size=3)
-        cand = x + rng.normal(size=(n, 3)) * rng.uniform(0.1, 0.6)
-        # flatten a little so near-degenerate 3-simplices actually occur
-        cand[:, 2] *= 0.05
-        x = x * np.array([1.0, 1.0, 0.05])
+    dim = max(3, k)
+    edge_scale = 1.0 / np.sqrt(1.0 - 4.0 * delta0 ** 2)
+    for trial in range(30):
         r_cap = float(rng.uniform(0.5, 2.0))
-        got = {tuple(t) for t in
-               flake_triple_candidates(x, cand, gamma0, r_cap)}
+        if trial % 5 == 0:
+            x, cand = _near_tight_flake(rng, k, dim, gamma0)
+        else:
+            n = int(rng.integers(k, max_n + 1))
+            x = rng.normal(size=dim)
+            cand = x + rng.normal(size=(n, dim)) * rng.uniform(0.05, 0.6)
+            if trial % 2:
+                # flatten so near-degenerate k-simplices actually occur
+                cand[:, -1] = x[-1] + 0.05 * (cand[:, -1] - x[-1])
+        rows = flake_candidates(x, cand, gamma0, r_cap * edge_scale, k)
+        assert rows.shape[1] == k
+        assert [tuple(r) for r in rows] == sorted(tuple(r) for r in rows)
+        got = {tuple(r) for r in rows}
         pts = np.vstack([x[None], cand])
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(j + 1, n):
-                    tet = (0, i + 1, j + 1, l + 1)
-                    if classify_gamma(tet, gamma0, pts) is not GammaClass.FLAKE:
-                        continue
-                    r_min, _ = min_weighted_radius(tet, pts, 0.0)
-                    if r_min < r_cap:
-                        assert (i, j, l) in got
+        for sigma in itertools.combinations(range(len(cand)), k):
+            tau = (0,) + tuple(i + 1 for i in sigma)
+            if classify_gamma(tau, gamma0, pts) is not GammaClass.FLAKE:
+                continue
+            # the thinness test holds for every flake; the edge test for
+            # every flake with short edges, which every hit has
+            if edge_extremes(tau, pts)[1] <= 2.0 * r_cap * edge_scale:
+                assert sigma in got
+            r_min, _ = min_weighted_radius(tau, pts, delta0)
+            if r_min < r_cap:
+                assert sigma in got
+        if k == 2:
+            # and every pair that survives is at least a thin triangle
+            for (i, j) in got:
+                tri = (0, i + 1, j + 1)
+                assert classify_gamma(tri, gamma0 * 1.001,
+                                      pts) is not GammaClass.GOOD

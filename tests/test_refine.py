@@ -8,7 +8,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 from tandel import refine as refine_module
-from tandel._kernels import flake_pair_candidates, flake_triple_candidates
 from tandel.errors import (
     AttemptBudgetExhausted,
     DegenerateSimplex,
@@ -46,6 +45,7 @@ from tandel.refine import (
 )
 from tandel.stars import (TangentialComplex, _cosph_entries_for_center,
                           assemble_complex)
+from tandel.verify import euler_characteristic, manifold_complex_check
 
 from conftest import disk_points
 
@@ -245,8 +245,71 @@ class TestHittingSet:
 # ===== hitting sets: degenerate-first order =====
 #
 # find_hitting_set drops affinely degenerate candidates in one batched
-# rank test before any gamma0 classification.  The reference below is
-# the classify-first scan it replaced; both must give the same answer.
+# rank test before any gamma0 classification, and takes every subset
+# size from one prefilter kernel.  The reference below is the
+# classify-first scan it replaced, with its own pair and triple
+# prefilters and an unfiltered walk over larger subsets; both must give
+# the same answer.
+
+def flake_pair_candidates(x, cand, gamma0, r_cap):
+    """Pairs (i, j) whose triangle with apex x has its shortest edge
+    below 2 * r_cap and area / diameter^2 below gamma0^2."""
+    g4 = float(gamma0) ** 4
+    four_rcap_sq = 4.0 * float(r_cap) ** 2
+    k = len(cand)
+    if k < 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    rel = cand - x
+    d_x = (rel * rel).sum(axis=1)
+    gram = rel @ rel.T
+    ii, jj = np.triu_indices(k, 1)
+    d_ij = d_x[ii] + d_x[jj] - 2.0 * gram[ii, jj]
+    lmin = np.minimum(np.minimum(d_x[ii], d_x[jj]), d_ij)
+    dmax = np.maximum(np.maximum(d_x[ii], d_x[jj]), d_ij)
+    area_sq = np.maximum(
+        0.25 * (d_x[ii] * d_x[jj] - gram[ii, jj] ** 2), 0.0)
+    keep = (
+        (lmin > 0.0)
+        & (lmin < four_rcap_sq)
+        & (area_sq < g4 * dmax * dmax * (1.0 + 1e-9))
+    )
+    return np.stack([ii[keep], jj[keep]], axis=1).astype(np.int64)
+
+
+def flake_triple_candidates(x, cand, gamma0, r_cap):
+    """Triples (i, j, l) whose 3-simplex with apex x has its shortest
+    edge below 2 * r_cap and det Gram below (27/4) gamma0^6 Delta^6."""
+    g3 = float(gamma0) ** 3
+    four_rcap_sq = 4.0 * float(r_cap) ** 2
+    k = len(cand)
+    if k < 3:
+        return np.zeros((0, 3), dtype=np.int64)
+    rel = cand - x
+    d_x = (rel * rel).sum(axis=1)
+    gram = rel @ rel.T
+    out = []
+    det_cap_coef = (27.0 / 4.0) * g3 * g3 * (1.0 + 1e-9)
+    for i in range(k - 2):
+        for j in range(i + 1, k - 1):
+            d_ij = d_x[i] + d_x[j] - 2.0 * gram[i, j]
+            for l in range(j + 1, k):
+                d_il = d_x[i] + d_x[l] - 2.0 * gram[i, l]
+                d_jl = d_x[j] + d_x[l] - 2.0 * gram[j, l]
+                edges = (d_x[i], d_x[j], d_x[l], d_ij, d_il, d_jl)
+                lmin = min(edges)
+                if lmin <= 0.0 or lmin >= four_rcap_sq:
+                    continue
+                dmax = max(edges)
+                g_ii, g_jj, g_ll = d_x[i], d_x[j], d_x[l]
+                g_ij, g_il, g_jl = gram[i, j], gram[i, l], gram[j, l]
+                det = (g_ii * (g_jj * g_ll - g_jl * g_jl)
+                       - g_ij * (g_ij * g_ll - g_jl * g_il)
+                       + g_il * (g_ij * g_jl - g_jj * g_il))
+                if det < det_cap_coef * dmax ** 3:
+                    out.append((i, j, l))
+    return (np.array(out, dtype=np.int64) if out
+            else np.zeros((0, 3), dtype=np.int64))
+
 
 def classify_first_hitting_set(x, r_ref, state):
     params = state.params
@@ -289,10 +352,13 @@ def classify_first_hitting_set(x, r_ref, state):
         d_edge = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
         dmat = np.linalg.norm(cand_pts[:, None] - cand_pts[None], axis=2)
         for k in range(4, m + 2):
-            for combo in itertools.combinations(range(len(cand)), k):
-                sub = dmat[np.ix_(combo, combo)]
-                if sub[np.triu_indices(k, 1)].max() > d_edge:
-                    continue
+            combos = np.array(list(itertools.combinations(range(len(cand)),
+                                                          k)),
+                              dtype=np.int64).reshape(-1, k)
+            iu, ju = np.triu_indices(k, 1)
+            longest = dmat[combos[:, iu], combos[:, ju]].max(axis=1,
+                                                             initial=0.0)
+            for combo in combos[longest <= d_edge]:
                 got = confirmed(combo)
                 if got:
                     return got
@@ -337,6 +403,33 @@ def flat3_state():
     sample = SampleSet(points=FLAT3.sample(14, seed=1), epsilon=0.5,
                        sparsity=0.0)
     return make_state(sample, FLAT3, params_ok(epsilon=0.5, gamma0=0.3))
+
+
+THREE_SPHERE = UnitSphere(3, 4)
+
+
+@pytest.fixture(scope="module")
+def three_sphere_net():
+    """126 points: every star sees the whole sphere."""
+    return farthest_point_net(THREE_SPHERE.sample(20000, seed=1), 0.45,
+                              seed=1)
+
+
+@pytest.fixture(scope="module")
+def three_sphere_state(three_sphere_net):
+    return make_state(three_sphere_net, THREE_SPHERE,
+                      params_ok(epsilon=0.45))
+
+
+def short_subsets(x, cand, r_cap, k):
+    """How many k-subsets of cand have every edge of their simplex with
+    x at most 2 * r_cap (the edge test alone, by brute force)."""
+    verts = np.vstack([x[None], cand])
+    d = np.linalg.norm(verts[:, None] - verts[None], axis=2)
+    d_edge = 2.0 * r_cap * (1.0 + 1e-9)
+    return sum(d[np.ix_(tau, tau)].max() <= d_edge
+               for tau in ((0,) + sigma for sigma in
+                           itertools.combinations(range(1, len(verts)), k)))
 
 
 def assert_same_answers(state, draws):
@@ -388,6 +481,26 @@ class TestDegenerateFirstHittingSet:
         # 4-subsets of sample points reached the shared rank filter
         assert any(k == 5 and n > 0 for n, k in widths)
         assert any(a is not None for a in answers)
+
+    def test_k4_thinness_on_three_sphere(self, three_sphere_state,
+                                         monkeypatch):
+        counts = []
+        kernel = refine_module.flake_candidates
+
+        def spy(x, cand, gamma0, r_cap, k):
+            rows = kernel(x, cand, gamma0, r_cap, k)
+            if k == 4:
+                counts.append((len(rows), short_subsets(x, cand, r_cap, k)))
+            return rows
+
+        monkeypatch.setattr(refine_module, "flake_candidates", spy)
+        answers = assert_same_answers(
+            three_sphere_state, draws_near_edges(three_sphere_state, 2, 4))
+        # curved 4-simplices are mostly thick, so unlike on the flat
+        # 3-patch the thinness test drops most short 4-subsets
+        assert sum(kept for kept, _ in counts) < sum(s for _, s in counts) / 10
+        assert any(a is not None and len(a) == 4 for a in answers)
+        assert any(a is None for a in answers)
 
     def test_no_coplanar_tetrahedron_is_classified(self, hexagon_state,
                                                    monkeypatch):
@@ -674,6 +787,24 @@ def sphere_cap_state():
     sample = SampleSet(points=keep, epsilon=0.35, sparsity=net.sparsity)
     params = params_ok(epsilon=0.35, gamma0=0.02, seed=4)
     return refine_sample(sample, SPHERE, params)
+
+
+def test_three_sphere_refinement(three_sphere_net):
+    state = refine_sample(three_sphere_net, THREE_SPHERE,
+                          params_ok(epsilon=0.45, seed=1))
+    assert len(three_sphere_net.points) == 126
+    assert state.complex.n_points == 191
+    assert state.counters["rule1"] == 65 == len(state.events)
+    assert first_unfit(state) is None
+    audit = state.final_audit
+    assert audit["radius_ok"] and audit["sparsity_ok"]
+    assert audit["bad_m_simplices"] == 0
+    assert audit["bad_cosph_entries"] == 0
+    assert audit["inconsistencies"] == 0
+    tets = state.complex.m_simplices()
+    ok, diagnostics = manifold_complex_check(tets, 3)
+    assert ok, diagnostics
+    assert euler_characteristic(tets) == 0
 
 
 class TestSphereCapRun:

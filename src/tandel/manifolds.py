@@ -498,31 +498,49 @@ def farthest_point_net(dense, eps: float, seed: int = 0) -> SampleSet:
 
     Starting from the (seed mod n)-th point, repeatedly adds the input
     point farthest from the current selection until that distance drops
-    to eps.  Every selected point is > eps from the earlier ones and
-    every input point ends within eps of the selection.
+    to eps (Gonzalez, TCS 1985).  Every selected point is > eps from the
+    earlier ones and every input point ends within eps of the selection.
+
+    A step that adds the point nxt at distance far = dist[nxt] updates
+    the distances to the selection only inside the ball of radius far
+    around nxt: a point x outside it has |x - nxt| > far >= dist[x], so
+    its distance cannot drop.  One KD-tree on the input answers those
+    ball queries; the margin 1 + 1e-9 covers rounding between its
+    distances and the norms computed here, which are the same per row as
+    a full scan's, so the net is the full scan's bit for bit.  A step
+    costs the points in its ball, not all n: once the selection spreads
+    out, far is about eps and the ball holds the points near nxt.
 
     Raises:
         EmptyInput: no input points.
+        ValueError: eps is negative or NaN, or an input row is not
+            finite (either would make the loop run forever).
     """
     dense = np.asarray(dense, dtype=float)
     if dense.ndim != 2 or len(dense) == 0:
         raise EmptyInput("farthest_point_net needs at least one point")
-    n = len(dense)
-    start = int(seed) % n
+    if not eps >= 0:
+        raise ValueError(f"farthest_point_net needs eps >= 0, got {eps}")
+    finite = np.isfinite(dense).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"input point {bad} is not finite: {dense[bad]}")
+    tree = cKDTree(dense)
+    start = int(seed) % len(dense)
     chosen = [start]
     dist = np.linalg.norm(dense - dense[start], axis=1)
-    min_gap = math.inf
     while True:
         nxt = int(np.argmax(dist))
-        if dist[nxt] <= eps:
+        far = dist[nxt]
+        if far <= eps:
             break
-        min_gap = min(min_gap, float(dist[nxt]))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(dense - dense[nxt], axis=1))
+        near = np.asarray(tree.query_ball_point(dense[nxt], far * (1 + 1e-9)))
+        dist[near] = np.minimum(
+            dist[near], np.linalg.norm(dense[near] - dense[nxt], axis=1))
     pts = dense[chosen]
     if len(pts) > 1:
-        tree = cKDTree(pts)
-        d2, _ = tree.query(pts, k=2)
+        d2, _ = cKDTree(pts).query(pts, k=2)
         sparsity = float(d2[:, 1].min())
     else:
         sparsity = math.inf

@@ -293,22 +293,23 @@ def _cosph_entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
     if sites is None:
         reach_out = r * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
         sites = sorted(cplx.tree.query_ball_point(c, reach_out))
+    sites = np.array([q for q in sites if q not in sigma], dtype=np.intp)
+    site_pts = pts[sites]
+    gap = ((site_pts - c) ** 2).sum(axis=1) - r * r
+    # interference (a site inside the ball) would have been caught upstream
+    outside = gap >= -1e-9 * max(r * r, 1e-30)
+    if not outside.any():
+        return []
+    gap = np.maximum(gap, 0.0)
     ell_sigma, _ = edge_extremes(sigma, pts)
-    sigma_pts = pts[list(sigma)]
-    out = []
-    for q in sites:
-        if q in sigma:
-            continue
-        gap = float(((pts[q] - c) ** 2).sum() - r * r)
-        if gap < -1e-9 * max(r * r, 1e-30):
-            continue  # interference would have been caught upstream
-        gap = max(gap, 0.0)
-        dq = np.linalg.norm(sigma_pts - pts[q], axis=1)
-        ell_tau = min(ell_sigma, float(dq.min()))
-        if gap <= (delta0 * ell_tau) ** 2:
-            tau = tuple(sorted(sigma + (q,)))
-            out.append((tau, ElementaryWeight(int(q), float(np.sqrt(gap)))))
-    return out
+    dq = np.linalg.norm(site_pts[:, None, :] - pts[list(sigma)], axis=2)
+    ell_tau = np.minimum(ell_sigma, dq.min(axis=1))
+    # C pow, as the scalar (delta0 * ell) ** 2 was: ** 2 on an array
+    # squares, which rounds differently in about one case in a thousand
+    hit = outside & (gap <= np.float_power(delta0 * ell_tau, 2))
+    return [(tuple(sorted(sigma + (q,))),
+             ElementaryWeight(q, float(np.sqrt(g))))
+            for q, g in zip(sites[hit].tolist(), gap[hit])]
 
 
 def _merge_entries(best: dict, entries) -> bool:

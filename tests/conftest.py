@@ -1,12 +1,14 @@
 """Shared fixtures: reference samples, the reference power-cell corners
-and session-scoped refinement runs."""
+and farthest-point net, and session-scoped refinement runs."""
 import itertools
+import math
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.spatial import cKDTree
 
 from tandel import stars
 from tandel.geometry import as_simplex, circumsphere
@@ -101,6 +103,29 @@ def corners_by_enumeration(u, b, box, m):
     scale = max(box, 1.0)
     _, keep = np.unique(np.round(arr / scale, 9), axis=0, return_index=True)
     return arr[np.sort(keep)]
+
+
+def farthest_point_net_reference(dense, eps, seed=0):
+    """The greedy farthest-point net by a full scan per step.
+
+    The reference for ``manifolds.farthest_point_net``: every step
+    recomputes the distance from all n points to the new one, so a net
+    costs O(n * |net|).  Returns (points, sparsity).
+    """
+    dense = np.asarray(dense, dtype=float)
+    start = int(seed) % len(dense)
+    chosen = [start]
+    dist = np.linalg.norm(dense - dense[start], axis=1)
+    while True:
+        nxt = int(np.argmax(dist))
+        if dist[nxt] <= eps:
+            break
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(dense - dense[nxt], axis=1))
+    pts = dense[chosen]
+    if len(pts) == 1:
+        return pts, math.inf
+    return pts, float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
 
 
 def reference_star(p, sample, manifold):

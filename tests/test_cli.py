@@ -50,6 +50,12 @@ class TestNet:
                    "--out", tmp_path / "x.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["-0.3", "nan"])
+    def test_negative_or_nan_epsilon_is_usage_error(self, tmp_path, eps):
+        code = run("net", "--manifold", SPHERE, "--epsilon", eps,
+                   "--dense-n", 200, "--out", tmp_path / "x.txt")
+        assert code == 2
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from conftest import farthest_point_net_reference
 
 from tandel.errors import (
     DisconnectedGraph,
@@ -347,6 +351,77 @@ def test_net_single_point_when_eps_huge():
 def test_net_empty_input():
     with pytest.raises(EmptyInput):
         farthest_point_net(np.zeros((0, 3)), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_net_rejects_non_finite_row(bad):
+    dense = np.random.default_rng(71).normal(size=(50, 3))
+    dense[17, 1] = bad
+    with pytest.raises(ValueError, match="input point 17 is not finite"):
+        farthest_point_net(dense, 0.5)
+
+
+@pytest.mark.parametrize("eps", [-0.1, np.nan])
+def test_net_rejects_negative_or_nan_eps(eps):
+    dense = np.random.default_rng(73).normal(size=(50, 3))
+    with pytest.raises(ValueError, match="eps >= 0"):
+        farthest_point_net(dense, eps)
+
+
+def _square_lattice():
+    """An exact integer grid: many points tie for farthest at each step."""
+    g = np.arange(25, dtype=float)
+    x, y = np.meshgrid(g, g)
+    return np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+
+
+def _duplicated_cloud():
+    cloud = np.random.default_rng(79).normal(size=(400, 3))
+    return np.vstack([cloud, cloud[::3], cloud[:50]])
+
+
+def _flat_cloud():
+    return FlatPatch(2, 3).sample(2500, seed=3, extent=1.3)
+
+
+NET_REFERENCE_CASES = {
+    # the benchmark's torus net and the end-to-end test's sphere net
+    "torus-60k": (lambda: TorusOfRevolution(2.0, 0.5).sample(60000, seed=11),
+                  0.3, 11),
+    "sphere-20k": (lambda: UnitSphere(2, 3).sample(20000, seed=11), 0.3, 11),
+    "three-sphere-20k": (lambda: UnitSphere(3, 4).sample(20000, seed=1),
+                         0.45, 1),
+    "flat": (_flat_cloud, 0.11, 3),
+    "lattice": (_square_lattice, 2.5, 0),
+    "lattice-eps-on-tie": (_square_lattice, 3.0, 312),
+    "duplicates": (_duplicated_cloud, 0.7, 5),
+    "duplicates-eps-zero": (_duplicated_cloud, 0.0, 5),
+    "eps-above-diameter": (_flat_cloud, 10.0, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NET_REFERENCE_CASES))
+def test_net_equals_full_scan_reference(case):
+    make, eps, seed = NET_REFERENCE_CASES[case]
+    dense = make()
+    net = farthest_point_net(dense, eps, seed=seed)
+    want_pts, want_sparsity = farthest_point_net_reference(dense, eps, seed)
+    assert np.array_equal(net.points, want_pts)
+    assert net.sparsity == want_sparsity
+
+
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.integers(1, 4).flatmap(
+           lambda d: hnp.arrays(float, (n, d), elements=_coord))),
+       st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)),
+       st.integers(0, 100))
+def test_net_equals_reference_on_small_clouds(dense, eps, seed):
+    net = farthest_point_net(dense, eps, seed=seed)
+    want_pts, want_sparsity = farthest_point_net_reference(dense, eps, seed)
+    assert np.array_equal(net.points, want_pts)
+    assert net.sparsity == want_sparsity
 
 
 def test_covering_radius_estimate_tracks_density():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import farthest_point_net_reference
-
 from tandel.errors import (
     DisconnectedGraph,
     EmptyInput,

@@ -52,10 +52,9 @@ EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
 class Parameters:
     """Run parameters.  Construction is lenient; check_hypotheses judges.
 
-    ``update_radius_mult * epsilon`` is the rebuild-candidate radius of an
-    insertion only: stars within it are rebuilt if the new site cuts
-    their cell.  Cosph witness updates use the smaller radius that
-    ``insert`` derives from epsilon and delta0.
+    No parameter sets how far an insertion reaches: ``insert`` rebuilds
+    exactly the stars whose cells the new site cuts, and derives its
+    cosph witness radius from epsilon and delta0.
     """
     epsilon: float
     gamma0: float
@@ -66,7 +65,6 @@ class Parameters:
     seed: int = 0
     pick_attempt_budget: int = 1000
     iteration_cap: int = 10 ** 6
-    update_radius_mult: float = 12.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -84,17 +82,13 @@ class Parameters:
             raise ValueError("mode must be 'strict' or 'practical'")
         if self.pick_attempt_budget < 1 or self.iteration_cap < 1:
             raise ValueError("budgets must be at least 1")
-        if self.update_radius_mult <= 0:
-            raise ValueError("update_radius_mult must be positive")
 
 
 _PARAM_ORDER = ("epsilon", "gamma0", "alpha", "beta", "delta0", "mode",
-                "seed", "pick_attempt_budget", "iteration_cap",
-                "update_radius_mult")
+                "seed", "pick_attempt_budget", "iteration_cap")
 _PARAM_TYPES = {"epsilon": float, "gamma0": float, "alpha": float,
                 "beta": float, "delta0": float, "mode": str, "seed": int,
-                "pick_attempt_budget": int, "iteration_cap": int,
-                "update_radius_mult": float}
+                "pick_attempt_budget": int, "iteration_cap": int}
 
 
 def read_parameters(path) -> Parameters:
@@ -301,7 +295,7 @@ class RefinementState:
             "rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
             "rule2_inconsistent": 0,
             "pick_attempts": 0, "pick_audit_miss": 0, "shrinks": 0,
-            "iterations": 0, "stale_big": 0,
+            "iterations": 0,
         }
         self.pick_counter = 0
         self.final_audit = None
@@ -325,18 +319,6 @@ class RefinementState:
     def refresh_cosph(self, p: int):
         self.cosph[p] = cosph_star(p, self.params.delta0, self.complex,
                                    self.params.gamma0)
-
-    def summary(self) -> dict:
-        radii = [r for star in self.complex.stars.values()
-                 for _s, (_c, r) in star.centers.items()]
-        n_entries = sum(len(cs.entries) for cs in self.cosph.values())
-        return {
-            "n_points": self.complex.n_points,
-            "insertions": len(self.events),
-            "max_center_radius": max(radii) if radii else 0.0,
-            "cosph_entries": n_entries,
-            "counters": dict(self.counters),
-        }
 
 
 def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
@@ -475,26 +457,6 @@ def first_unfit(state: RefinementState) -> UnfitConfiguration | None:
 
 
 # ===== picking =====
-
-@dataclass(frozen=True)
-class PickingRegion:
-    center: np.ndarray        # ambient coordinates
-    center_tangent: np.ndarray
-    radius: float
-    volume: float
-
-
-def picking_region(config: UnfitConfiguration,
-                   state: RefinementState) -> PickingRegion:
-    """Ball around the driving center with radius alpha * R."""
-    star = state.complex.stars[config.base]
-    m = state.manifold.m
-    r = state.params.alpha * config.radius
-    c = star.chart.base + star.chart.frame.basis.T @ config.target
-    vol = unit_ball_volume(m) * r ** m
-    return PickingRegion(center=c, center_tangent=np.array(config.target),
-                         radius=r, volume=vol)
-
 
 def find_hitting_set(x, r_ref: float, state: RefinementState):
     """Smallest-lex simplex sigma of sample points such that x * sigma
@@ -641,7 +603,7 @@ def _witness_radius(epsilon: float, delta0: float) -> float:
 
 
 def _witness_updates(state: RefinementState, p: int, x_idx: int):
-    """Add the new site as a cosph witness to an untouched star."""
+    """Add the new site as a cosph witness to a star it did not cut."""
     cs = state.cosph.get(p)
     if cs is None:
         return
@@ -667,10 +629,10 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
            base: int = -1, simplex=None) -> dict:
     """Insert x into the complex and keep every cache coherent.
 
-    Stars within ``update_radius_mult * epsilon`` of x are the rebuild
-    candidates; those x cuts are rebuilt and get fresh cosph stars.  Of
-    the uncut ones, only those within ``_witness_radius`` of x can gain a
-    cosph entry with x as witness, so only they are scanned.
+    ``insert_point`` rebuilds exactly the stars x cuts; they and the new
+    star get fresh cosph stars.  Of the others, only those within
+    ``_witness_radius`` of x can gain a cosph entry with x as witness, so
+    only they are scanned.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,
@@ -682,18 +644,19 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     if d <= floor:
         raise SparsityViolation(
             f"insertion at distance {d:.6g} <= mu0*eps = {floor:.6g}")
-    info = state.complex.insert_point(
-        x, update_radius=state.params.update_radius_mult * state.epsilon)
+    info = state.complex.insert_point(x)
     x_idx = info["index"]
     for p in info["recomputed"]:
         state.refresh_cosph(p)
     state.refresh_cosph(x_idx)
-    untouched = info["untouched"]
-    dist = np.linalg.norm(state.complex.points[untouched] - x, axis=1)
     r_witness = _witness_radius(state.epsilon, state.params.delta0)
-    for p, d_p in zip(untouched, dist):
-        if d_p < r_witness:
-            _witness_updates(state, p, x_idx)
+    skip = set(info["recomputed"]) | {x_idx}
+    # the query is a hair wider so that the strict test below decides
+    hits = state.complex.tree.query_ball_point(x, r_witness * (1.0 + 1e-9))
+    near = np.array(sorted(p for p in hits if p not in skip), dtype=np.intp)
+    dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
+    for p in near[dist < r_witness].tolist():
+        _witness_updates(state, p, x_idx)
     state.events.append({"rule": rule, "base": base, "simplex": simplex,
                          "x": x, "dist": d, "index": x_idx,
                          "recomputed": info["recomputed"]})
@@ -729,17 +692,6 @@ def _rule1(state: RefinementState, config: UnfitConfiguration):
         f"rule 1 failed to land inside the corner ball at base {config.base}")
 
 
-def _revalidated_big(state: RefinementState, p: int):
-    """Big corners can go stale when an insertion lands outside the
-    update radius but still cuts a far-flung cell; rebuild before use."""
-    state.complex.recompute_star(p)
-    state.refresh_cosph(p)
-    got = _star_bigs(state, p)
-    if not got:
-        state.counters["stale_big"] += 1
-    return got[0] if got else None
-
-
 def refine(state: RefinementState) -> RefinementState:
     """Run the two rules to quiescence (rule 1 always first).
 
@@ -756,10 +708,7 @@ def refine(state: RefinementState) -> RefinementState:
             state.final_audit = _final_audit(state)
             return state
         if config.kind is ConfigKind.BIG:
-            fresh = _revalidated_big(state, config.base)
-            if fresh is None:
-                continue
-            _rule1(state, fresh)
+            _rule1(state, config)
         else:
             x = pick_valid(config, state)
             key = {ConfigKind.BAD_STAR: "rule2_star",

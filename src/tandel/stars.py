@@ -22,6 +22,7 @@ sampling radius is violated there.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,18 +43,6 @@ COND_LIMIT = 1e12
 PRUNE_MULT = 8.0
 
 
-@dataclass(frozen=True)
-class WeightedSite:
-    """A sample point as seen from a tangent chart.
-
-    ``squared_weight`` is minus the squared distance from the site to
-    its chart projection (always <= 0).
-    """
-    index: int
-    tangent_coords: np.ndarray
-    squared_weight: float
-
-
 @dataclass
 class Star:
     """Star of one vertex: its cell corners and incident m-simplices.
@@ -66,21 +55,20 @@ class Star:
     """
     base: int
     chart: TangentChart
-    neighbors: np.ndarray
     centers: dict = field(default_factory=dict)
     simplices: set = field(default_factory=set)
     corners: np.ndarray = None
     corner_simplex: list = field(default_factory=list)
-    box_radius: float = 0.0
 
     def m_simplices(self):
         m = self.chart.manifold.m
         return [s for s in self.centers if len(s) == m + 1]
 
     def max_radius(self) -> float:
-        """Largest corner norm, synthetic corners included."""
+        """Largest corner norm, synthetic corners included; infinite
+        for a star without corners, whose cell extent is unknown."""
         if self.corners is None or len(self.corners) == 0:
-            return 0.0
+            return math.inf
         return float(np.sqrt((self.corners ** 2).sum(axis=1).max()))
 
 
@@ -90,19 +78,6 @@ def _site_arrays(p_idx, pts, neighbor_idx, chart):
     b = (rel * rel).sum(axis=1)
     w2 = b - (u * u).sum(axis=1)
     return u, b, w2
-
-
-def weighted_sites(p: int, sample: SampleSet, manifold: Manifold):
-    """The pruned neighbor sites of p as weighted chart points."""
-    pts = np.asarray(sample.points, dtype=float)
-    chart = tangent_chart(manifold, pts[p])
-    tree = cKDTree(pts)
-    idx = [i for i in tree.query_ball_point(pts[p], PRUNE_MULT * sample.epsilon)
-           if i != p]
-    idx.sort()
-    u, b, w2 = _site_arrays(p, pts, idx, chart)
-    return [WeightedSite(int(i), u[k].copy(), float(-w2[k]))
-            for k, i in enumerate(idx)]
 
 
 # ===== corner extraction =====
@@ -192,8 +167,7 @@ def _build_star(p, pts, tree, manifold, epsilon):
         tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
         tights = [idx[np.abs(slack[i]) <= tol] for i in range(len(corners))]
 
-        star = Star(base=p, chart=chart, neighbors=idx,
-                    corners=corners, box_radius=box)
+        star = Star(base=p, chart=chart, corners=corners)
         ok = True
         seen = {}
         for i, tight in enumerate(tights):
@@ -351,22 +325,28 @@ class TangentialComplex:
         self.manifold = manifold
         self.tree = cKDTree(self.points)
         self.stars: dict[int, Star] = {}
+        # max_radius() of every built star, in step with self.stars
+        self.cell_radii = np.zeros(self.n_points)
         self._gamma_classes: dict = {}
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
+    def _store_star(self, p: int) -> Star:
+        star = _build_star(p, self.points, self.tree, self.manifold,
+                           self.epsilon)
+        self.stars[p] = star
+        self.cell_radii[p] = star.max_radius()
+        return star
+
     def build(self):
         for p in range(self.n_points):
-            self.stars[p] = _build_star(
-                p, self.points, self.tree, self.manifold, self.epsilon)
+            self._store_star(p)
         return self
 
     def recompute_star(self, p: int):
-        self.stars[p] = _build_star(
-            p, self.points, self.tree, self.manifold, self.epsilon)
-        return self.stars[p]
+        return self._store_star(p)
 
     def gamma_class(self, simplex, gamma0: float) -> GammaClass:
         """``classify_gamma`` of a simplex of sample points, cached.
@@ -427,31 +407,38 @@ class TangentialComplex:
         margin = b_x - 2.0 * (star.corners @ u_x)
         return bool(margin.min() <= 1e-9 * max(b_x, 1e-30))
 
-    def insert_point(self, x, update_radius: float) -> dict:
-        """Append x, recompute every star its cell actually cuts.
+    def insert_point(self, x) -> dict:
+        """Append x and rebuild exactly the stars whose cells it cuts.
 
-        ``update_radius`` is the rebuild-candidate radius only: stars
-        with base within it of x are tested with ``star_is_cut_by`` and
-        the cut ones are rebuilt (the others are provably unchanged).
-        Returns the new vertex id, the rebuilt star ids, and the
-        candidates that were left alone.  Cosph caches are the caller's.
+        x cuts the cell of p only if some corner t has
+        2 u_x . t >= |x - p|^2 (1 - 1e-9) (``star_is_cut_by``), and
+        |u_x| <= |x - p| with |t| <= rho_p = ``Star.max_radius()``, so
+        only stars with |x - p| <= 2 rho_p can be cut (the factor
+        1 + 1e-6 covers rounding).  Those candidates are tested with
+        ``star_is_cut_by`` and the cut ones rebuilt; every other star is
+        provably unchanged.  Returns the new vertex id, the rebuilt star
+        ids, and the candidates that were left alone.  Cosph caches are
+        the caller's.
         """
         x = np.asarray(x, dtype=float)
         new_idx = self.n_points
         self.points = np.vstack([self.points, x[None]])
         self.tree = cKDTree(self.points)
-        candidates = [i for i in self.tree.query_ball_point(x, update_radius)
-                      if i != new_idx and i in self.stars]
+        reach = 2.0 * self.cell_radii * (1.0 + 1e-6)
+        near = np.array(sorted(
+            i for i in self.tree.query_ball_point(x, reach.max())
+            if i != new_idx and i in self.stars), dtype=np.intp)
+        dist = np.linalg.norm(self.points[near] - x, axis=1)
         recomputed = []
         untouched = []
-        for p in sorted(candidates):
+        for p in near[dist <= reach[near]].tolist():
             if self.star_is_cut_by(p, x):
                 self.recompute_star(p)
                 recomputed.append(p)
             else:
                 untouched.append(p)
-        self.stars[new_idx] = _build_star(
-            new_idx, self.points, self.tree, self.manifold, self.epsilon)
+        self.cell_radii = np.append(self.cell_radii, 0.0)
+        self._store_star(new_idx)
         return {"index": new_idx, "recomputed": recomputed,
                 "untouched": untouched}
 

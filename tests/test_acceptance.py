@@ -47,7 +47,6 @@ from tandel.refine import (
     MU0,
     ConfigKind,
     Parameters,
-    _revalidated_big,
     _rule1,
     _star_bigs,
     find_hitting_set,
@@ -708,10 +707,7 @@ def _instrumented_replay(sample, manifold, params):
         if config is None:
             break
         if config.kind is ConfigKind.BIG:
-            fresh = _revalidated_big(state, config.base)
-            if fresh is None:
-                continue
-            _rule1(state, fresh)
+            _rule1(state, config)
             fired["rule1"] += 1
         else:
             for p in sorted(state.complex.stars):

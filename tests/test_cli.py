@@ -106,8 +106,7 @@ class TestMesh:
         counters = rep["counters"]
         assert set(counters) == {
             "rule1", "rule2_star", "rule2_cosph", "rule2_inconsistent",
-            "pick_attempts", "pick_audit_miss", "shrinks", "iterations",
-            "stale_big"}
+            "pick_attempts", "pick_audit_miss", "shrinks", "iterations"}
         assert all(isinstance(v, int) and v >= 0 for v in counters.values())
         for key, count in rep["insertions"].items():
             if key != "total":
@@ -190,6 +189,23 @@ class TestMesh:
         assert rep["status"] == "refused"
         names = {it["name"]: it["satisfied"] for it in rep["hypotheses"]}
         assert names["H5"] is False
+
+    def test_removed_update_radius_key_is_usage_error(self, tmp_path,
+                                                      capsys):
+        # insertion has no radius to set any more; an old parameters file
+        # naming it is refused like any other unknown key
+        params_path = tmp_path / "old.params"
+        params_path.write_text("epsilon = 0.35\ngamma0 = 0.05\nalpha = 0.25\n"
+                               "beta = 4.5\ndelta0 = 0.05\n"
+                               "update_radius_mult = 12\n")
+        prefix = tmp_path / "u"
+        code = run("mesh", "--manifold", SPHERE, "--dense-n", 2000,
+                   "--params", params_path, "--out-prefix", prefix)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {params_path}:6: unknown parameter "
+                       f"'update_radius_mult'\n")
+        assert not (tmp_path / "u.points.txt").exists()
 
 
 # ===== verify =====

@@ -21,8 +21,8 @@ from tandel.geometry import (
     edge_extremes,
     min_weighted_radius,
 )
-from tandel.manifolds import (FlatPatch, SampleSet, UnitSphere, closest_point,
-                              farthest_point_net)
+from tandel.manifolds import (FlatPatch, SampleSet, TorusOfRevolution,
+                              UnitSphere, closest_point, farthest_point_net)
 from tandel.refine import (
     ConfigKind,
     _witness_radius,
@@ -36,7 +36,6 @@ from tandel.refine import (
     insert,
     make_state,
     pick_valid,
-    picking_region,
     read_parameters,
     refine,
     refine_sample,
@@ -179,21 +178,6 @@ class TestParameterIO:
 # ===== picking region =====
 
 class TestPickingRegion:
-    def flat_state(self):
-        pts = FLAT.sample(30, seed=1)
-        sample = SampleSet(points=pts, epsilon=0.5, sparsity=0.0)
-        return make_state(sample, FLAT, params_ok(epsilon=0.5))
-
-    def test_volume_m2(self):
-        state = self.flat_state()
-        cfg = UnfitConfiguration(ConfigKind.BAD_STAR, 0, (0, 1, 2), 1.0,
-                                 np.array([0.3, 0.4]))
-        region = picking_region(cfg, state)
-        assert region.radius == pytest.approx(0.25)
-        assert region.volume == pytest.approx(math.pi / 16.0, rel=1e-12)
-        base = state.complex.points[state.complex.stars[0].base]
-        assert region.center[2] == pytest.approx(0.0, abs=1e-12)
-
     def test_volume_m3_value(self):
         # nu_3 * (alpha R)^3 at alpha=1/4, R=1/2
         vol = unit_ball_volume(3) * (0.25 * 0.5) ** 3
@@ -609,14 +593,11 @@ def test_witness_radius_matches_full_candidate_scan(monkeypatch, eps, seed):
         info = real_insert(*args, **kwargs)
         x_idx = info["index"]
         pts = state.complex.points
-        for p in info["untouched"]:
+        for p in set(before) - set(info["recomputed"]):
             want = _full_scan_witness_update(state, p, x_idx, before[p])
             assert state.cosph[p].entries == want, (x_idx, p)
             if want != before[p]:
                 gains.append(np.linalg.norm(pts[p] - pts[x_idx]) / eps)
-        candidates = set(info["recomputed"]) | set(info["untouched"])
-        for p in set(before) - candidates:
-            assert state.cosph[p].entries == before[p], (x_idx, p)
         return info
 
     monkeypatch.setattr(refine_module, "insert", checked_insert)
@@ -628,6 +609,33 @@ def test_witness_radius_matches_full_candidate_scan(monkeypatch, eps, seed):
                           SPHERE, params)
     assert state.final_audit["radius_ok"]
     assert max(gains) > 1.0
+
+
+def test_rebuilt_stars_are_exactly_the_cut_ones(monkeypatch):
+    """At every insertion of a seeded torus refinement (rule 1 and both
+    kinds of rule-2 pick), the rebuilt stars are those whose cells the
+    new site cuts, over all stars."""
+    real_insert_point = TangentialComplex.insert_point
+    seen = []
+
+    def spied(cplx, x):
+        cut = {p for p in cplx.stars if cplx.star_is_cut_by(p, x)}
+        info = real_insert_point(cplx, x)
+        assert set(info["recomputed"]) == cut, info["index"]
+        assert len(info["recomputed"]) == len(cut)
+        seen.append(len(cut))
+        return info
+
+    monkeypatch.setattr(TangentialComplex, "insert_point", spied)
+    torus = TorusOfRevolution(2.0, 0.5)
+    dense = torus.sample(20000, seed=3)
+    state = refine_sample(farthest_point_net(dense, eps=0.3, seed=3),
+                          torus, params_ok(seed=3))
+    assert state.counters["rule1"] > 0
+    assert state.counters["rule2_cosph"] > 0
+    assert state.counters["rule2_inconsistent"] > 0
+    assert len(seen) == len(state.events)
+    assert min(seen) > 0
 
 
 def test_site_beyond_witness_radius_adds_no_entry():

@@ -15,12 +15,13 @@ from tandel.manifolds import (
     tangent_chart,
 )
 from tandel.stars import (
+    PRUNE_MULT,
     TangentialComplex,
+    _site_arrays,
     assemble_complex,
     compute_star,
     cosph_star,
     tangent_center,
-    weighted_sites,
     write_off,
     write_simplex_list,
 )
@@ -74,12 +75,18 @@ class TestOctahedronStar:
         assert star.max_radius() == pytest.approx(np.sqrt(2.0))
 
     def test_neighbors_and_weights(self):
-        sites = weighted_sites(0, octa_sample(), UnitSphere(2, 3))
-        assert [s.index for s in sites] == [1, 2, 3, 4, 5]
-        weights = sorted(s.squared_weight for s in sites)
-        assert weights == pytest.approx([-4.0, -1.0, -1.0, -1.0, -1.0])
-        norms = sorted(np.linalg.norm(s.tangent_coords) for s in sites)
+        # the pruned sites of the north pole as the star build sees them
+        sample = octa_sample()
+        idx = sorted(i for i in cKDTree(OCTA).query_ball_point(
+            OCTA[0], PRUNE_MULT * sample.epsilon) if i != 0)
+        assert idx == [1, 2, 3, 4, 5]
+        chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
+        u, b, w2 = _site_arrays(0, OCTA, idx, chart)
+        # squared weight = minus the squared normal part of each site
+        assert sorted(-w2) == pytest.approx([-4.0, -1.0, -1.0, -1.0, -1.0])
+        norms = sorted(np.linalg.norm(u, axis=1))
         assert norms == pytest.approx([0.0, 1.0, 1.0, 1.0, 1.0])
+        assert sorted(b) == pytest.approx([2.0, 2.0, 2.0, 2.0, 4.0])
 
     def test_simplices_closure(self):
         star = compute_star(0, octa_sample(), UnitSphere(2, 3))
@@ -343,44 +350,86 @@ class TestInsertPoint:
         return assemble_complex(
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), M)
 
-    def test_insert_matches_full_rebuild(self):
-        M, pts, cplx = self.build_flat()
-        x = np.array([0.431, 0.277, 0.0])
-        info = cplx.insert_point(x, update_radius=12 * 0.5)
-        assert info["index"] == 40
-        ref = self.fresh(M, cplx.points, 0.5)
+    def assert_same_stars(self, cplx, ref):
         assert cplx.m_simplices() == ref.m_simplices()
-        for p in range(41):
-            assert sorted(cplx.stars[p].centers) == sorted(ref.stars[p].centers)
+        for p in range(cplx.n_points):
+            assert sorted(cplx.stars[p].centers) == \
+                sorted(ref.stars[p].centers), p
             for s in cplx.stars[p].centers:
                 ca, ra = cplx.stars[p].centers[s]
                 cb, rb = ref.stars[p].centers[s]
                 assert ra == pytest.approx(rb, rel=1e-9)
                 assert np.allclose(ca, cb, atol=1e-9)
+            assert cplx.cell_radii[p] == ref.stars[p].max_radius()
+
+    def test_insert_matches_full_rebuild(self):
+        M, pts, cplx = self.build_flat()
+        x = np.array([0.431, 0.277, 0.0])
+        info = cplx.insert_point(x)
+        assert info["index"] == 40
+        self.assert_same_stars(cplx, self.fresh(M, cplx.points, 0.5))
 
     def test_far_insert_leaves_far_stars_alone(self):
         M, pts, cplx = self.build_flat(n=120, seed=4, extent=8.0, eps=0.6)
         x = np.array([7.8, 7.8, 0.0])
         before = {p: cplx.stars[p] for p in range(120)}
-        info = cplx.insert_point(x, update_radius=12 * 0.6)
-        far = [p for p in range(120)
-               if np.linalg.norm(pts[p] - x) > 12 * 0.6]
-        assert far, "fixture should contain stars outside the update radius"
+        far = [p for p in range(120) if np.linalg.norm(pts[p] - x)
+               > 2.0 * before[p].max_radius() * (1.0 + 1e-6)]
+        assert far, "fixture should contain stars beyond twice their radius"
+        cplx.insert_point(x)
         for p in far:
             assert cplx.stars[p] is before[p]
         # and the result still equals a full rebuild
         ref = self.fresh(M, cplx.points, 0.6)
         assert cplx.m_simplices() == ref.m_simplices()
 
+    def test_star_without_corners_is_always_rebuilt(self):
+        M, pts, cplx = self.build_flat(n=120, seed=4, extent=8.0, eps=0.6)
+        x = np.array([7.8, 7.8, 0.0])
+        far = int(np.argmax(np.linalg.norm(pts - x, axis=1)))
+        cplx.stars[far].corners = np.zeros((0, 2))
+        cplx.cell_radii[far] = cplx.stars[far].max_radius()
+        assert cplx.cell_radii[far] == np.inf
+        info = cplx.insert_point(x)
+        assert far in info["recomputed"]
+        assert cplx.cell_radii[far] == cplx.stars[far].max_radius() < np.inf
+
     def test_uncut_candidates_are_skipped_but_correct(self):
         M, pts, cplx = self.build_flat(n=60, seed=9)
         x = np.array([0.912, 0.104, 0.0])
-        info = cplx.insert_point(x, update_radius=100.0)
+        info = cplx.insert_point(x)
         assert info["untouched"], "some candidate cells should be uncut"
         assert info["recomputed"], "the new site must cut someone's cell"
         ref = self.fresh(M, cplx.points, 0.5)
         for p in info["untouched"]:
             assert sorted(cplx.stars[p].centers) == sorted(ref.stars[p].centers)
+
+    def test_cut_far_across_an_empty_disk(self):
+        """A rim vertex of a hole of radius about 7 eps has a cell corner
+        near the hole's centre, so a site on the far side of the hole cuts
+        its cell from more than 12 eps away: a fixed rebuild radius of
+        12 eps would leave that star stale."""
+        eps = 0.1
+        rng = np.random.default_rng(3)
+        rings = []
+        for k, (r, n) in enumerate([(0.7, 44), (0.8, 50), (0.9, 57)]):
+            t = 2 * np.pi * (np.arange(n) + 0.5 * k) / n
+            rr = r * (1 + 0.02 * rng.uniform(-1, 1, n)) if k == 0 \
+                else np.full(n, r)
+            rings.append(np.column_stack([rr * np.cos(t), rr * np.sin(t),
+                                          np.zeros(n)]))
+        pts = np.vstack(rings)
+        M = FlatPatch(2, 3)
+        cplx = self.fresh(M, pts, eps)
+        rim = int(np.argmax(cplx.cell_radii[:44]))
+        x = -0.55 * pts[rim] / np.linalg.norm(pts[rim])
+        far_cut = [p for p in cplx.stars
+                   if np.linalg.norm(pts[p] - x) > 12 * eps
+                   and cplx.star_is_cut_by(p, x)]
+        assert far_cut == [rim]
+        info = cplx.insert_point(x)
+        assert rim in info["recomputed"]
+        self.assert_same_stars(cplx, self.fresh(M, cplx.points, eps))
 
 
 # ===== exports =====

@@ -119,10 +119,7 @@ def cmd_net(args) -> int:
     pts = net.points
     write_points(args.out, pts)
 
-    if len(pts) > 1:
-        sparsity = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
-    else:
-        sparsity = math.inf
+    sparsity = net.sparsity
     covering = float(cKDTree(pts).query(dense)[0].max())
     sparsity_ok = sparsity > args.epsilon
     covering_ok = covering <= args.epsilon

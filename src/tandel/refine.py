@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._kernels import flake_candidates
 from .errors import (
@@ -36,8 +35,8 @@ from .geometry import (
     min_weighted_radius,
 )
 from .manifolds import Manifold, SampleSet, lift_from_tangent
-from .stars import (TangentialComplex, _cosph_entries_for_center,
-                    _merge_entries, assemble_complex, cosph_star)
+from .stars import (TangentialComplex, _cosph_scan, assemble_complex,
+                    cosph_star)
 
 # how far past reach/2 a chart lift may be attempted before shrinking
 _CHART_SLACK = 2.0
@@ -282,7 +281,7 @@ class UnfitConfiguration:
 
 
 class RefinementState:
-    """Everything the loop mutates: complex, cosph stars, logs, caches."""
+    """Everything the loop mutates: complex, cosph records, logs, caches."""
 
     def __init__(self, cplx: TangentialComplex, params: Parameters,
                  constants: DerivedConstants):
@@ -323,7 +322,7 @@ class RefinementState:
 
 def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
                constants: DerivedConstants | None = None) -> RefinementState:
-    """Assemble the complex, the cosph stars, and gate on the hypotheses."""
+    """Assemble the complex, the cosph records, and gate on the hypotheses."""
     if constants is None:
         constants = derive_constants(params, manifold)
     report = check_hypotheses(params, manifold, constants)
@@ -377,34 +376,20 @@ def _star_bad_stars(state: RefinementState, p: int):
     return out
 
 
-def _cosph_generator(state: RefinementState, p: int, tau):
-    """The star m-simplex whose tangent ball exhibits tau, smallest gap."""
-    star = state.complex.stars[p]
-    m = state.manifold.m
-    tau_set = set(tau)
-    best = None
-    for sigma in sorted(star.centers):
-        if len(sigma) != m + 1 or not set(sigma) <= tau_set:
-            continue
-        (q,) = tau_set - set(sigma)
-        c, r = star.centers[sigma]
-        gap = float(((state.complex.points[q] - c) ** 2).sum() - r * r)
-        if best is None or gap < best[0]:
-            best = (gap, sigma, c, r)
-    if best is None:
-        raise KeyError(f"no generator for {tau} in the star of {p}")
-    return best[1], best[2], best[3]
-
-
 def _star_bad_cosph(state: RefinementState, p: int):
     # Every cosphericity entry is unfit, not only the thin ones: on a
     # curved manifold a near-cocircular quadruple lifts into a perfectly
     # thick (m+1)-simplex, yet leaving it in place lets neighboring
     # stars disagree about the diagonal and the union complex pinches.
+    # The pick is driven by the tangent ball of the entry's generator
+    # sigma.  first_unfit reaches this scan only once no star has a big
+    # or bad m-simplex, so every sigma under tau was scanned and the
+    # generator is the smallest-gap one among all of them.
+    star = state.complex.stars[p]
+    entries = state.cosph[p]
     out = []
-    for tau, _w in state.cosph[p].entries:
-        star = state.complex.stars[p]
-        _sigma, c, r = _cosph_generator(state, p, tau)
+    for tau in sorted(entries):
+        c, r = star.centers[entries[tau][1]]
         out.append(UnfitConfiguration(
             ConfigKind.BAD_COSPH, p, tau, r, _tangent_of(star, c)))
     return out
@@ -602,21 +587,6 @@ def _witness_radius(epsilon: float, delta0: float) -> float:
     return epsilon * (1.0 + math.sqrt(1.0 + 4.0 * delta0 ** 2)) * (1.0 + 1e-6)
 
 
-def _witness_updates(state: RefinementState, p: int, x_idx: int):
-    """Add the new site as a cosph witness to a star it did not cut."""
-    cs = state.cosph.get(p)
-    if cs is None:
-        return
-    best = dict(cs.entries)
-    changed = False
-    for sigma, (c, r) in state.complex.stars[p].centers.items():
-        changed |= _merge_entries(best, _cosph_entries_for_center(
-            state.complex, sigma, c, r, state.params.delta0,
-            state.params.gamma0, sites=(x_idx,)))
-    if changed:
-        cs.entries = [(tau, best[tau]) for tau in sorted(best)]
-
-
 def _event_line(event: dict) -> str:
     rule, base, d = event["rule"], event["base"], event["dist"]
     simplex = event["simplex"]
@@ -630,9 +600,10 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     """Insert x into the complex and keep every cache coherent.
 
     ``insert_point`` rebuilds exactly the stars x cuts; they and the new
-    star get fresh cosph stars.  Of the others, only those within
+    star get fresh cosph records.  Of the others, only those within
     ``_witness_radius`` of x can gain a cosph entry with x as witness, so
-    only they are scanned.
+    only they are scanned, against x alone.  Every entry that scan adds
+    contains x, so it joins the record without meeting an old one.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,
@@ -655,8 +626,10 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     hits = state.complex.tree.query_ball_point(x, r_witness * (1.0 + 1e-9))
     near = np.array(sorted(p for p in hits if p not in skip), dtype=np.intp)
     dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
+    params = state.params
     for p in near[dist < r_witness].tolist():
-        _witness_updates(state, p, x_idx)
+        state.cosph[p].update(_cosph_scan(
+            state.complex, p, params.delta0, params.gamma0, sites=(x_idx,)))
     state.events.append({"rule": rule, "base": base, "simplex": simplex,
                          "x": x, "dist": d, "index": x_idx,
                          "recomputed": info["recomputed"]})
@@ -737,13 +710,12 @@ def _final_audit(state: RefinementState) -> dict:
             radii.append(r)
             if state.gamma_class(s) is not GammaClass.GOOD:
                 bad += 1
-    entries = [(p, tau, w) for p, cs in state.cosph.items()
-               for tau, w in cs.entries]
-    bad_entries = [t for _p, t, _w in entries
+    taus = [tau for entries in state.cosph.values() for tau in entries]
+    bad_entries = [t for t in taus
                    if state.gamma_class(t) is not GammaClass.GOOD]
     pts = state.complex.points
     if len(pts) > 1:
-        d_nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
+        d_nn = state.complex.tree.query(pts, k=2)[0][:, 1]
         min_pair = float(d_nn.min())
     else:
         min_pair = float("inf")
@@ -751,7 +723,7 @@ def _final_audit(state: RefinementState) -> dict:
         "max_center_radius": max(radii) if radii else 0.0,
         "radius_ok": (not radii) or max(radii) < eps,
         "bad_m_simplices": bad,
-        "cosph_entries": len(entries),
+        "cosph_entries": len(taus),
         "bad_cosph_entries": len(bad_entries),
         "inconsistencies": len(state.complex.consistency_report()),
         "min_pairwise_distance": min_pair,

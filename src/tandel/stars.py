@@ -32,8 +32,8 @@ from .errors import NeighborhoodTooSparse, SingularSystem, SparsityViolation
 from .geometry import (
     ElementaryWeight,
     GammaClass,
+    _edge_lengths,
     classify_gamma,
-    edge_extremes,
     faces,
 )
 from .manifolds import Manifold, SampleSet, TangentChart, tangent_chart
@@ -56,7 +56,6 @@ class Star:
     base: int
     chart: TangentChart
     centers: dict = field(default_factory=dict)
-    simplices: set = field(default_factory=set)
     corners: np.ndarray = None
     corner_simplex: list = field(default_factory=list)
 
@@ -206,10 +205,6 @@ def _build_star(p, pts, tree, manifold, epsilon):
         if not star.m_simplices():
             raise NeighborhoodTooSparse(
                 f"no {m}-simplex in the star of vertex {p}")
-        for s in star.centers:
-            for f in faces(s):
-                if p in f:
-                    star.simplices.add(f)
         return star
     raise NeighborhoodTooSparse(
         f"pruning radius for vertex {p} kept growing without closure")
@@ -233,85 +228,82 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
 
 # ===== cosphericity stars =====
 
-@dataclass
-class CosphStar:
-    """Almost-cospherical (m+1)-simplices seen from one vertex.
+def _cosph_scan(cplx, p, delta0, gamma0, sites=None) -> dict:
+    """Almost-cospherical (m+1)-simplices tau = q * sigma seen from p.
 
-    Each entry pairs a simplex q * sigma^m (sigma^m in the star, with a
-    small circumradius and good quality) with the elementary weight on
-    q that would make q exactly cospherical with sigma^m's tangent ball.
-    """
-    base: int
-    entries: list = field(default_factory=list)
+    sigma runs over the good m-simplices of St(p) whose tangent ball
+    (c, r) has r below the sampling radius.  A site q gives an entry
+    when its power gap |q - c|^2 - r^2 lies in [0, (delta0 * L(tau))^2],
+    with L(tau) = min(L(sigma), min |q - sigma|); a gap down to
+    -1e-9 r^2 is rounding of a site on the sphere and counts as 0.  A
+    site farther than r (1 + delta0^2) / (1 - delta0^2) from c has a gap
+    above 4 delta0^2 r^2 >= (delta0 * L)^2 and is skipped.  ``sites``
+    defaults to every sample point; the gaps of all (centre, site)
+    pairs are one array.
 
-    def simplices(self):
-        return [s for s, _w in self.entries]
-
-
-def _cosph_entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
-    """Entries tau = q * sigma seen through sigma's tangent ball (c, r).
-
-    There are none unless sigma is a good m-simplex with r below the
-    sampling radius.  A site q then gives an entry when its power gap
-    |q - c|^2 - r^2 lies in [0, (delta0 * L(tau))^2], with
-    L(tau) = min(L(sigma), min |q - sigma|); a gap down to -1e-9 r^2 is
-    rounding of a site on the sphere and counts as 0.  ``sites``
-    defaults to every sample point that can pass.
+    Returns {tau: (ElementaryWeight(q, sqrt(gap)), sigma)}.  Per tau the
+    generator sigma is the one with the smallest gap, the smaller sigma
+    on a tie.
     """
     m = cplx.manifold.m
-    if len(sigma) != m + 1 or r >= cplx.epsilon:
-        return []
-    if cplx.gamma_class(sigma, gamma0) is not GammaClass.GOOD:
-        return []
     pts = cplx.points
+    chosen = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
+              if len(s) == m + 1 and r < cplx.epsilon
+              and cplx.gamma_class(s, gamma0) is GammaClass.GOOD]
+    if not chosen:
+        return {}
+    sig = np.array([s for s, _c, _r in chosen], dtype=np.intp)
+    cen = np.array([c for _s, c, _r in chosen])
+    rad = np.array([r for _s, _c, r in chosen])
+    reach = rad * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
     if sites is None:
-        reach_out = r * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
-        sites = sorted(cplx.tree.query_ball_point(c, reach_out))
-    sites = np.array([q for q in sites if q not in sigma], dtype=np.intp)
-    site_pts = pts[sites]
-    gap = ((site_pts - c) ** 2).sum(axis=1) - r * r
+        near = cplx.tree.query_ball_point(cen, reach)
+        ci = np.repeat(np.arange(len(sig)), [len(h) for h in near])
+        qi = np.array([q for h in near for q in h], dtype=np.intp)
+    else:
+        qs = np.asarray(sites, dtype=np.intp)
+        ci = np.repeat(np.arange(len(sig)), len(qs))
+        qi = np.tile(qs, len(sig))
+        within = np.linalg.norm(pts[qi] - cen[ci], axis=1) <= reach[ci]
+        ci, qi = ci[within], qi[within]
+    keep = (sig[ci] != qi[:, None]).all(axis=1)
+    ci, qi = ci[keep], qi[keep]
+    r2 = rad[ci] * rad[ci]
+    gap = ((pts[qi] - cen[ci]) ** 2).sum(axis=1) - r2
     # interference (a site inside the ball) would have been caught upstream
-    outside = gap >= -1e-9 * max(r * r, 1e-30)
+    outside = gap >= -1e-9 * np.maximum(r2, 1e-30)
     if not outside.any():
-        return []
-    gap = np.maximum(gap, 0.0)
-    ell_sigma, _ = edge_extremes(sigma, pts)
-    dq = np.linalg.norm(site_pts[:, None, :] - pts[list(sigma)], axis=2)
-    ell_tau = np.minimum(ell_sigma, dq.min(axis=1))
+        return {}
+    ci, qi, gap = ci[outside], qi[outside], gap[outside]
+    ell_sigma = _edge_lengths(pts[sig]).min(axis=1)
+    dq = np.linalg.norm(pts[qi][:, None, :] - pts[sig[ci]], axis=2)
+    ell_tau = np.minimum(ell_sigma[ci], dq.min(axis=1))
     # C pow, as the scalar (delta0 * ell) ** 2 was: ** 2 on an array
     # squares, which rounds differently in about one case in a thousand
-    hit = outside & (gap <= np.float_power(delta0 * ell_tau, 2))
-    return [(tuple(sorted(sigma + (q,))),
-             ElementaryWeight(q, float(np.sqrt(g))))
-            for q, g in zip(sites[hit].tolist(), gap[hit])]
-
-
-def _merge_entries(best: dict, entries) -> bool:
-    """Keep the smallest weight per tau in ``best``; True if it changed."""
-    changed = False
-    for tau, w in entries:
-        if tau not in best or w.weight < best[tau].weight:
-            best[tau] = w
-            changed = True
-    return changed
+    hit = gap <= np.float_power(delta0 * ell_tau, 2)
+    best = {}
+    for i, q, g, w in zip(ci[hit].tolist(), qi[hit].tolist(),
+                          gap[hit].tolist(),
+                          np.sqrt(np.maximum(gap[hit], 0.0)).tolist()):
+        sigma = chosen[i][0]
+        tau = tuple(sorted(sigma + (q,)))
+        if tau not in best or (g, sigma) < best[tau][:2]:
+            best[tau] = (g, sigma, ElementaryWeight(q, w))
+    return {tau: (w, sigma) for tau, (_g, sigma, w) in best.items()}
 
 
 def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
-               gamma0: float) -> CosphStar:
+               gamma0: float) -> dict:
     """Entries tau = q * sigma^m that are almost cospherical at p.
 
-    Scans every good m-simplex of St(p) whose tangent-ball radius is
-    below the sampling radius, and every site q whose power gap against
-    that ball is within delta0^2 * L(tau)^2.
+    Each maps tau to (ElementaryWeight, sigma): the weight on q that
+    would make q exactly cospherical with the tangent ball of sigma^m,
+    a good m-simplex of St(p) with radius below the sampling radius.
+    See ``_cosph_scan``.
     """
     if not 0.0 < delta0 < 0.25:
         raise ValueError("delta0 must lie in (0, 1/4)")
-    best = {}
-    for sigma, (c, r) in cplx.stars[p].centers.items():
-        _merge_entries(best, _cosph_entries_for_center(
-            cplx, sigma, c, r, delta0, gamma0))
-    entries = [(tau, best[tau]) for tau in sorted(best)]
-    return CosphStar(base=p, entries=entries)
+    return _cosph_scan(cplx, p, delta0, gamma0)
 
 
 # ===== the union complex =====

@@ -251,7 +251,7 @@ def _delaunay_by_lifting(points: np.ndarray) -> AbstractComplex:
     return AbstractComplex.from_simplices(groups)
 
 
-def ambient_delaunay_bruteforce(points, method: str = "auto") -> AbstractComplex:
+def ambient_delaunay_bruteforce(points) -> AbstractComplex:
     """Delaunay complex of a small point set, degenerate simplices included.
 
     A simplex belongs to the complex exactly when some sphere through all
@@ -261,11 +261,12 @@ def ambient_delaunay_bruteforce(points, method: str = "auto") -> AbstractComplex
     form a 3-simplex, and every subset of a point set lying on a common
     empty sphere is included.
 
+    Up to 10 points, every vertex subset is tested by linear
+    feasibility; larger inputs use a Delaunay triangulation of the
+    lifted points with cospherical merging.
+
     Args:
         points: (n, N) array with n <= 200 and N <= 4.
-        method: "enumerate" tests every vertex subset by linear
-            feasibility (n <= 12), "lift" uses a Delaunay triangulation
-            with cospherical merging, "auto" picks by size.
 
     Returns:
         AbstractComplex over indices into ``points``.
@@ -284,13 +285,9 @@ def ambient_delaunay_bruteforce(points, method: str = "auto") -> AbstractComplex
     if dim > MAX_BRUTE_AMBIENT_DIM:
         raise TooLarge(f"ambient dimension {dim} exceeds the brute-force "
                        f"cap {MAX_BRUTE_AMBIENT_DIM}")
-    if method == "auto":
-        method = "enumerate" if n <= 10 else "lift"
-    if method == "enumerate":
+    if n <= 10:
         return _delaunay_by_sphere_enumeration(points)
-    if method == "lift":
-        return _delaunay_by_lifting(points)
-    raise ValueError(f"unknown method {method!r}")
+    return _delaunay_by_lifting(points)
 
 
 # ===== Scan oracles over dense witness samples =====

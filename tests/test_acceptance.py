@@ -610,7 +610,7 @@ def _end_to_end_battery(state, manifold, params, elapsed, witness_n, chi):
             _c, r = star.centers[sx]
             assert r < eps
             assert classify_gamma(sx, params.gamma0, pts) is GammaClass.GOOD
-    assert all(not cs.entries for cs in state.cosph.values())
+    assert all(not entries for entries in state.cosph.values())
     audit = state.final_audit
     assert audit["cosph_entries"] == 0
     assert audit["inconsistencies"] == 0

@@ -22,7 +22,8 @@ from tandel.geometry import (
     min_weighted_radius,
 )
 from tandel.manifolds import (FlatPatch, SampleSet, TorusOfRevolution,
-                              UnitSphere, closest_point, farthest_point_net)
+                              UnitSphere, closest_point, farthest_point_net,
+                              tangent_chart)
 from tandel.refine import (
     ConfigKind,
     _witness_radius,
@@ -42,7 +43,7 @@ from tandel.refine import (
     unit_ball_volume,
     write_parameters,
 )
-from tandel.stars import (TangentialComplex, _cosph_entries_for_center,
+from tandel.stars import (Star, TangentialComplex, _cosph_scan,
                           assemble_complex)
 from tandel.verify import euler_characteristic, manifold_complex_check
 
@@ -589,14 +590,23 @@ def test_witness_radius_matches_full_candidate_scan(monkeypatch, eps, seed):
 
     def checked_insert(*args, **kwargs):
         state = args[1]
-        before = {p: cs.entries for p, cs in state.cosph.items()}
+        before = {p: dict(cs) for p, cs in state.cosph.items()}
         info = real_insert(*args, **kwargs)
         x_idx = info["index"]
         pts = state.complex.points
         for p in set(before) - set(info["recomputed"]):
-            want = _full_scan_witness_update(state, p, x_idx, before[p])
-            assert state.cosph[p].entries == want, (x_idx, p)
-            if want != before[p]:
+            old = [(tau, w) for tau, (w, _s) in sorted(before[p].items())]
+            want = _full_scan_witness_update(state, p, x_idx, old)
+            got = state.cosph[p]
+            assert [(tau, got[tau][0]) for tau in sorted(got)] == want, \
+                (x_idx, p)
+            # old entries keep their generator; a new one is tau minus x
+            for tau, (w, sigma) in got.items():
+                if tau in before[p]:
+                    assert (w, sigma) == before[p][tau]
+                else:
+                    assert sigma == tuple(v for v in tau if v != x_idx)
+            if want != old:
                 gains.append(np.linalg.norm(pts[p] - pts[x_idx]) / eps)
         return info
 
@@ -667,9 +677,12 @@ def test_site_beyond_witness_radius_adds_no_entry():
         pts = np.vstack([sigma_pts, near, beyond[None]])
         cplx = TangentialComplex(
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), FLAT)
-        got = _cosph_entries_for_center(cplx, (0, 1, 2), c, r, delta0,
-                                        gamma0, sites=range(3, len(pts)))
-        for tau, w in got:
+        cplx.stars[0] = Star(base=0, chart=tangent_chart(FLAT, p),
+                             centers={(0, 1, 2): (c, r)})
+        got = _cosph_scan(cplx, 0, delta0, gamma0,
+                          sites=range(3, len(pts)))
+        for tau, (w, sigma) in got.items():
+            assert sigma == (0, 1, 2)
             assert w.carrier != len(pts) - 1
             for v in range(3):
                 assert np.linalg.norm(pts[w.carrier] - pts[v]) < r_w

@@ -5,7 +5,8 @@ from scipy.spatial import Delaunay, cKDTree
 
 from conftest import reference_star
 from tandel.errors import NeighborhoodTooSparse, SingularSystem
-from tandel.geometry import as_simplex, circumsphere
+from tandel.geometry import (ElementaryWeight, GammaClass, as_simplex,
+                             circumsphere, edge_extremes, faces)
 from tandel.manifolds import (
     FlatPatch,
     SampleSet,
@@ -17,6 +18,7 @@ from tandel.manifolds import (
 from tandel.stars import (
     PRUNE_MULT,
     TangentialComplex,
+    _cosph_scan,
     _site_arrays,
     assemble_complex,
     compute_star,
@@ -90,11 +92,11 @@ class TestOctahedronStar:
 
     def test_simplices_closure(self):
         star = compute_star(0, octa_sample(), UnitSphere(2, 3))
-        assert (0,) in star.simplices
-        assert (0, 1) in star.simplices
-        assert (0, 1, 2) in star.simplices
-        assert all(0 in s for s in star.simplices)
-        assert (1, 2) not in star.simplices
+        assert all(0 in s for s in star.centers)
+        assert sorted(star.centers) == sorted(star.m_simplices())
+        closure = {f for s in star.centers for f in faces(s) if 0 in f}
+        assert {(0,), (0, 1), (0, 1, 2)} <= closure
+        assert (1, 2) not in closure
 
 
 def test_too_sparse_raises():
@@ -269,11 +271,11 @@ class TestCocircularSquare:
 
     def test_cosph_witness_weight_zero(self):
         cplx = assemble_complex(self.sample(), FlatPatch(2, 3))
-        cs = cosph_star(0, 0.2, cplx, gamma0=0.1)
-        assert cs.base == 0
-        assert len(cs.entries) == 1
-        tau, w = cs.entries[0]
-        assert tau == (0, 1, 2, 3)
+        entries = cosph_star(0, 0.2, cplx, gamma0=0.1)
+        assert list(entries) == [(0, 1, 2, 3)]
+        w, sigma = entries[(0, 1, 2, 3)]
+        assert 0 in sigma and w.carrier not in sigma
+        assert tuple(sorted(sigma + (w.carrier,))) == (0, 1, 2, 3)
         assert w.weight == pytest.approx(0.0, abs=1e-9)
 
 
@@ -285,19 +287,18 @@ class TestCosphGaps:
 
     def test_small_gap_entry_value(self):
         cplx = assemble_complex(self.almost_square(1.02), FlatPatch(2, 3))
-        cs = cosph_star(0, 0.2, cplx, gamma0=0.1)
-        assert len(cs.entries) == 1
-        tau, w = cs.entries[0]
-        assert tau == (0, 1, 2, 3)
+        entries = cosph_star(0, 0.2, cplx, gamma0=0.1)
+        assert list(entries) == [(0, 1, 2, 3)]
+        w, sigma = entries[(0, 1, 2, 3)]
         # two star simplices see the same tau; the smaller gap wins:
         # sigma=(0,2,3) has center (0.49, 0.51) and the witness is site 1
+        assert sigma == (0, 2, 3)
         assert w.carrier == 1
         assert w.weight == pytest.approx(np.sqrt(0.02), rel=1e-9)
 
     def test_gap_beyond_threshold_is_ignored(self):
         cplx = assemble_complex(self.almost_square(1.2), FlatPatch(2, 3))
-        cs = cosph_star(0, 0.2, cplx, gamma0=0.1)
-        assert cs.entries == []
+        assert cosph_star(0, 0.2, cplx, gamma0=0.1) == {}
 
     def test_delta0_domain(self):
         cplx = assemble_complex(self.almost_square(1.2), FlatPatch(2, 3))
@@ -311,8 +312,125 @@ class TestCosphGaps:
         net = farthest_point_net(dense, 0.3, seed=0)
         cplx = assemble_complex(net, M)
         for p in range(0, len(net.points), 11):
-            cs = cosph_star(p, 0.001, cplx, gamma0=0.01)
-            assert cs.entries == []
+            assert cosph_star(p, 0.001, cplx, gamma0=0.01) == {}
+
+
+# ===== one scan against the per-centre reference =====
+
+def _entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
+    """Reference: the per-centre scan the stacked one replaced.  With
+    ``sites`` it has no reach filter, as the one-site witness path had."""
+    m = cplx.manifold.m
+    if len(sigma) != m + 1 or r >= cplx.epsilon:
+        return []
+    if cplx.gamma_class(sigma, gamma0) is not GammaClass.GOOD:
+        return []
+    pts = cplx.points
+    if sites is None:
+        reach_out = r * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
+        sites = sorted(cplx.tree.query_ball_point(c, reach_out))
+    sites = np.array([q for q in sites if q not in sigma], dtype=np.intp)
+    site_pts = pts[sites]
+    gap = ((site_pts - c) ** 2).sum(axis=1) - r * r
+    outside = gap >= -1e-9 * max(r * r, 1e-30)
+    if not outside.any():
+        return []
+    gap = np.maximum(gap, 0.0)
+    ell_sigma, _ = edge_extremes(sigma, pts)
+    dq = np.linalg.norm(site_pts[:, None, :] - pts[list(sigma)], axis=2)
+    ell_tau = np.minimum(ell_sigma, dq.min(axis=1))
+    hit = outside & (gap <= np.float_power(delta0 * ell_tau, 2))
+    return [(tuple(sorted(sigma + (q,))),
+             ElementaryWeight(q, float(np.sqrt(g))))
+            for q, g in zip(sites[hit].tolist(), gap[hit])]
+
+
+def _merged_entries(cplx, p, delta0, gamma0, sites=None):
+    """Reference: the smallest weight per tau over every centre of St(p)."""
+    best = {}
+    for sigma, (c, r) in cplx.stars[p].centers.items():
+        for tau, w in _entries_for_center(cplx, sigma, c, r, delta0,
+                                          gamma0, sites):
+            if tau not in best or w.weight < best[tau].weight:
+                best[tau] = w
+    return best
+
+
+def _generator(cplx, p, tau):
+    """Reference: the star m-simplex whose tangent ball exhibits tau,
+    smallest gap, the first in sorted order on a tie."""
+    star = cplx.stars[p]
+    best = None
+    for sigma in sorted(star.centers):
+        if len(sigma) != cplx.manifold.m + 1 or not set(sigma) <= set(tau):
+            continue
+        (q,) = set(tau) - set(sigma)
+        c, r = star.centers[sigma]
+        gap = float(((cplx.points[q] - c) ** 2).sum() - r * r)
+        if best is None or gap < best[0]:
+            best = (gap, sigma)
+    return best[1]
+
+
+def _torus_net_complex():
+    torus = TorusOfRevolution(2.0, 0.5)
+    net = farthest_point_net(torus.sample(60000, seed=11), eps=0.3, seed=11)
+    return assemble_complex(net, torus)
+
+
+def _sphere_net_complex():
+    sphere = UnitSphere(2, 3)
+    net = farthest_point_net(sphere.sample(8000, seed=2), eps=0.3, seed=2)
+    return assemble_complex(net, sphere)
+
+
+def _grid_complex():
+    # exact binary coordinates: every grid square is exactly cocircular,
+    # so its three triangles at a vertex tie on the gap
+    g = np.arange(6) * 0.25
+    pts = np.array([(x, y, 0.0) for x in g for y in g])
+    return assemble_complex(SampleSet(points=pts, epsilon=0.5, sparsity=0.0),
+                            FlatPatch(2, 3))
+
+
+@pytest.mark.parametrize("build,delta0,min_entries,min_ties", [
+    (_torus_net_complex, 0.05, 0, 0),
+    (_torus_net_complex, 0.24, 20, 0),
+    (_sphere_net_complex, 0.24, 10, 0),
+    (_grid_complex, 0.05, 50, 50),
+], ids=["torus", "torus-d0.24", "sphere-d0.24", "grid"])
+def test_scan_matches_per_centre_reference(build, delta0, min_entries,
+                                           min_ties):
+    """On every star: the same taus, weight values and generators as the
+    per-centre scan, merge and generator search; and with the sites
+    within the witness radius passed explicitly, the same taus and
+    weights as the unfiltered per-centre scan over those sites."""
+    cplx = build()
+    gamma0 = 0.05
+    r_w = 2.1 * cplx.epsilon
+    n_entries = n_ties = 0
+    for p in cplx.stars:
+        got = cosph_star(p, delta0, cplx, gamma0)
+        want = _merged_entries(cplx, p, delta0, gamma0)
+        assert sorted(got) == sorted(want), p
+        for tau, w in want.items():
+            weight, sigma = got[tau]
+            assert weight.weight == w.weight, (p, tau)
+            assert sigma == _generator(cplx, p, tau), (p, tau)
+            assert weight.carrier == (set(tau) - set(sigma)).pop()
+            gaps = [float(((cplx.points[q] - c) ** 2).sum() - r * r)
+                    for s, (c, r) in cplx.stars[p].centers.items()
+                    if len(s) == len(tau) - 1 and set(s) < set(tau)
+                    for q in set(tau) - set(s)]
+            n_ties += len(gaps) != len(set(gaps))
+        n_entries += len(want)
+        sites = sorted(cplx.tree.query_ball_point(cplx.points[p], r_w))
+        got = _cosph_scan(cplx, p, delta0, gamma0, sites=sites)
+        want = _merged_entries(cplx, p, delta0, gamma0, sites=sites)
+        assert sorted(got) == sorted(want), p
+        assert all(got[tau][0].weight == w.weight for tau, w in want.items())
+    assert n_entries >= min_entries
+    assert n_ties >= min_ties
 
 
 # ===== union complex bookkeeping =====

@@ -36,6 +36,8 @@ from tandel.verify import (
     oracle_match_report,
     power_protection_audit,
     restricted_delaunay_oracle,
+    _delaunay_by_lifting,
+    _delaunay_by_sphere_enumeration,
     _scan_rows,
     _TIE_WINDOW_CAP,
 )
@@ -159,8 +161,8 @@ class TestAmbientDelaunay:
     def test_routes_agree_on_generic_planar_sets(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(9, 2))
-        a = ambient_delaunay_bruteforce(pts, method="enumerate")
-        b = ambient_delaunay_bruteforce(pts, method="lift")
+        a = _delaunay_by_sphere_enumeration(pts)
+        b = _delaunay_by_lifting(pts)
         assert a.simplices == b.simplices
         qhull = {tuple(sorted(s)) for s in Delaunay(pts).simplices}
         assert set(a.of_dim(2)) == qhull
@@ -169,8 +171,8 @@ class TestAmbientDelaunay:
     def test_routes_agree_in_three_dimensions(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(8, 3))
-        a = ambient_delaunay_bruteforce(pts, method="enumerate")
-        b = ambient_delaunay_bruteforce(pts, method="lift")
+        a = _delaunay_by_sphere_enumeration(pts)
+        b = _delaunay_by_lifting(pts)
         assert a.simplices == b.simplices
 
     def test_size_guards(self):

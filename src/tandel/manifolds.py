@@ -141,11 +141,11 @@ def tangent_chart(manifold: Manifold, p) -> TangentChart:
     """Orthonormal tangent/normal frames at a point of the manifold.
 
     Raises:
-        PointNotOnManifold: implicit residual exceeds 1e-9.
+        PointNotOnManifold: implicit residual exceeds 1e-9 or is NaN.
     """
     p = np.asarray(p, dtype=float)
     resid = manifold.implicit_residual(p)
-    if resid > ON_MANIFOLD_TOL:
+    if not resid <= ON_MANIFOLD_TOL:
         raise PointNotOnManifold(
             f"residual {resid:.3e} exceeds {ON_MANIFOLD_TOL}")
     tan, nrm, params = manifold._frames_at(p)
@@ -628,15 +628,23 @@ def geodesic_estimate_many(graph: GeodesicGraph, sources, targets) -> np.ndarray
 # ===== point I/O =====
 
 def read_points(path) -> np.ndarray:
-    """Read one point per line (whitespace- or comma-separated, # comments)."""
+    """Read one point per line (whitespace- or comma-separated, # comments).
+
+    Raises:
+        ValueError: a row with a nan or infinite coordinate, or rows of
+            unequal width.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split(",") if "," in line else line.split()
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}:{ln}: non-finite coordinate")
+            rows.append(row)
     if not rows:
         return np.zeros((0, 0))
     width = len(rows[0])

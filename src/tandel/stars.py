@@ -113,38 +113,109 @@ def _cell_corners(u, b, box):
         f"{np.sqrt(b.min()):.3g} in a box of {box:.3g}: {reason}")
 
 
+def tangent_centers(pts, base, others, basis):
+    """Tangent centres of a stack of equidistance systems, solved at once.
+
+    Row i asks for the point c = p + B^T t on the tangent plane at
+    p = pts[base[i]], B = basis[i] (an m x N orthonormal frame), that is
+    equidistant from p and the m sites q = pts[others[i]]: the system
+    2 u_q . t = |q - p|^2 with u_q = B (q - p).  ``base`` and ``basis``
+    may also be one index and one frame shared by every row.
+
+    A row is accepted when the condition number of its matrix is finite
+    and at most ``COND_LIMIT``; only accepted rows go to the stacked
+    solve, so one singular row cannot fail the others.  Each step is the
+    per-row arithmetic stacked (the same LAPACK and BLAS call per
+    matrix), so a row comes out bit-identical to solving it alone; the
+    centre is built as B^T @ t per row, not as t @ B, which rounds
+    differently.
+
+    Returns:
+        (centres, r2, accepted): the K x N ambient centres, the squared
+        radii t . t, and the mask of accepted rows; rejected rows hold
+        NaN.
+    """
+    pts = np.asarray(pts, dtype=float)
+    rel = pts[np.asarray(others, dtype=np.intp)] - pts[base][..., None, :]
+    basis_t = np.swapaxes(basis, -1, -2)
+    a_mat = 2.0 * (rel @ basis_t)
+    rhs = (rel * rel).sum(axis=-1)
+    cond = np.linalg.cond(a_mat)
+    accepted = np.isfinite(cond) & (cond <= COND_LIMIT)
+    t = np.full(rhs.shape, np.nan)
+    t[accepted] = np.linalg.solve(a_mat[accepted],
+                                  rhs[accepted][..., None])[..., 0]
+    centres = pts[base] + (basis_t @ t[..., None])[..., 0]
+    return centres, np.vecdot(t, t), accepted
+
+
 def tangent_center(simplex, p: int, pts, chart: TangentChart):
     """Center on T_pM equidistant from all vertices of the simplex.
 
-    Solves the equidistance system in chart coordinates; the center is
-    returned in ambient coordinates together with its radius.
+    An m-simplex is one row of ``tangent_centers``; a larger
+    (cospherical) simplex is solved by least squares and must fit to a
+    residual of 1e-7.  The center is returned in ambient coordinates
+    together with its radius.
 
     Raises:
-        SingularSystem: condition estimate of the system exceeds 1e12.
+        SingularSystem: the square system is rejected by
+            ``tangent_centers``, or the least-squares residual is too
+            large.
     """
     simplex = tuple(simplex)
     if p not in simplex:
         raise ValueError(f"{p} is not a vertex of {simplex}")
     others = [q for q in simplex if q != p]
     pts = np.asarray(pts, dtype=float)
+    if len(others) == chart.manifold.m:
+        centres, r2, accepted = tangent_centers(
+            pts, p, [others], chart.frame.basis)
+        if not accepted[0]:
+            raise SingularSystem(_singular_message(simplex, p))
+        return centres[0], float(np.sqrt(r2[0]))
     u, b, _ = _site_arrays(p, pts, others, chart)
     a_mat = 2.0 * u
-    if len(others) == chart.manifold.m:
-        cond = np.linalg.cond(a_mat)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularSystem(f"equidistance system cond={cond:.3e}")
-        t = np.linalg.solve(a_mat, b)
-    else:
-        t, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-        resid = np.abs(a_mat @ t - b).max()
-        if resid > 1e-7 * max(1.0, np.abs(b).max()):
-            raise SingularSystem(
-                f"overdetermined equidistance residual {resid:.3e}")
+    t, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
+    resid = np.abs(a_mat @ t - b).max()
+    if resid > 1e-7 * max(1.0, np.abs(b).max()):
+        raise SingularSystem(
+            f"overdetermined equidistance residual {resid:.3e}")
     c = pts[p] + chart.frame.basis.T @ t
     return c, float(np.linalg.norm(t))
 
 
+def _singular_message(simplex, p) -> str:
+    return (f"equidistance system of {tuple(simplex)} at vertex {p} has a "
+            f"condition number above {COND_LIMIT:g}")
+
+
+def _square_centers(p, pts, tree, chart, keys) -> dict:
+    """Tangent centres of the m-site tight keys of one star, one stacked
+    solve and one emptiness query: key -> (c, r, accepted, d_min), with
+    d_min the distance from c to the nearest site (NaN if rejected)."""
+    m = chart.manifold.m
+    others = np.array(keys, dtype=np.intp).reshape(-1, m)
+    centres, r2, accepted = tangent_centers(pts, p, others,
+                                            chart.frame.basis)
+    d_min = np.full(len(keys), np.nan)
+    if accepted.any():
+        d_min[accepted] = tree.query(centres[accepted])[0]
+    radii = np.sqrt(r2).tolist()
+    return {key: (centres[j], radii[j], bool(accepted[j]),
+                  float(d_min[j]))
+            for j, key in enumerate(keys)}
+
+
 def _build_star(p, pts, tree, manifold, epsilon):
+    """Star of p from its pruned neighbourhood, widening the pruning
+    radius while a site beyond it interferes with a corner.
+
+    The unique m-site tight keys are solved together up front
+    (``_square_centers``); the corner loop then walks the corners in
+    order and raises ``SingularSystem`` at the first rejected key it
+    reaches.  Degenerate corners (more than m tight sites) are solved
+    one at a time by ``tangent_center``.
+    """
     m = manifold.m
     chart = tangent_chart(manifold, pts[p])
     prune_r = PRUNE_MULT * epsilon
@@ -161,23 +232,32 @@ def _build_star(p, pts, tree, manifold, epsilon):
                 f"sample points {p} and {idx[np.argmin(b)]} coincide")
         box = prune_r
         corners = _cell_corners(u, b, box)
-        # tight sets per corner, in power units
+        # tight sets per corner, in power units; idx is sorted, so each
+        # key is too
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
-        tights = [idx[np.abs(slack[i]) <= tol] for i in range(len(corners))]
+        keys = [tuple(idx[np.abs(slack[i]) <= tol].tolist())
+                for i in range(len(corners))]
+        solved = _square_centers(
+            p, pts, tree, chart,
+            list(dict.fromkeys(k for k in keys if len(k) == m)))
 
         star = Star(base=p, chart=chart, corners=corners)
         ok = True
         seen = {}
-        for i, tight in enumerate(tights):
-            if len(tight) < m:
+        for key in keys:
+            if len(key) < m:
                 star.corner_simplex.append(None)
                 continue
-            key = tuple(sorted(int(q) for q in tight))
             if key not in seen:
-                c, r = tangent_center((p,) + key, p, pts, chart)
+                if len(key) == m:
+                    c, r, accepted, d_min = solved[key]
+                    if not accepted:
+                        raise SingularSystem(_singular_message((p,) + key, p))
+                else:
+                    c, r = tangent_center((p,) + key, p, pts, chart)
+                    d_min = float(tree.query(c)[0])
                 # global emptiness: no site may be strictly inside
-                d_min = float(tree.query(c)[0])
                 if d_min < r * (1.0 - 1e-9):
                     if d_min >= prune_r - r:
                         # a site beyond the pruning radius interferes

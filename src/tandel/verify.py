@@ -3,9 +3,12 @@
 Everything here recomputes from first principles: Delaunay membership by
 exhaustive empty-sphere tests, restricted/intrinsic Delaunay membership
 by nearest-site scans over dense witness samples, combinatorial manifold
-tests on the abstract complex, and power-protection margins solved
-directly in tangent charts.  None of it shares code with the incremental
-construction, so agreement between the two routes is meaningful.
+tests on the abstract complex, and power-protection margins measured
+against every other point.  The oracles share no code with the
+incremental construction, so agreement between the two routes is
+meaningful.  The protection audit shares only the tangent-centre solve
+(``stars.tangent_centers``): it measures margins of the output, whose
+centres are defined by that solve, and does not judge membership.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from .errors import (
     DenseSampleTooCoarse,
     DisconnectedGraph,
     EmptyInput,
-    SingularSystem,
     TooLarge,
     UnsupportedDim,
 )
 from .geometry import as_simplex, circumsphere
 from .manifolds import Manifold, covering_radius_estimate, tangent_chart
+from .stars import tangent_centers
 
 # Hard ceilings for the exhaustive routes; beyond them the cost curve is
 # steep enough that silently grinding on would look like a hang.
@@ -649,8 +652,14 @@ def _is_connected(nodes: list, edges: list) -> bool:
     return len(seen) == len(nodes)
 
 
-def _vertex_link(top_cells: list, v: int) -> list:
-    return [tuple(w for w in cell if w != v) for cell in top_cells if v in cell]
+def _cells_around(top_cells: list, k: int) -> dict:
+    """Map each k-vertex face of the top cells to the cells containing
+    it, in top-cell order; one pass over the cells."""
+    around: dict = {}
+    for cell in top_cells:
+        for face in itertools.combinations(cell, k):
+            around.setdefault(face, []).append(cell)
+    return around
 
 
 def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
@@ -683,8 +692,10 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     for ridge, count in sorted(_ridge_counts(top).items()):
         if count != 2:
             diagnostics["bad_ridges"].append((ridge, count))
+    star_of = _cells_around(top, 1)
     for v in k.vertices:
-        link = _vertex_link(top, v)
+        link = [tuple(w for w in cell if w != v)
+                for cell in star_of.get((v,), [])]
         if m == 2:
             if not _is_single_cycle(link):
                 diagnostics["bad_links"].append(v)
@@ -701,9 +712,10 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
         if not (closed and connected and chi == 2):
             diagnostics["bad_links"].append(v)
     if m == 3:
+        cells_of_edge = _cells_around(top, 2)
         for edge in k.of_dim(1):
             around = [tuple(w for w in cell if w not in edge)
-                      for cell in top if set(edge) <= set(cell)]
+                      for cell in cells_of_edge.get(edge, [])]
             if not _is_single_cycle(around):
                 diagnostics["bad_links"].append(edge)
     ok = (not diagnostics["bad_ridges"] and not diagnostics["bad_links"]
@@ -750,48 +762,61 @@ def power_protection_audit(cplx, points, manifold: Manifold,
 
     For each m-simplex and each of its vertices p, the center C on the
     tangent plane at p equidistant from the simplex vertices is solved
-    directly; the margin is min over points q outside the simplex of
-    |C - q|^2 - R^2.  An entry passes when its margin exceeds the
-    threshold; a simplex whose center system is numerically singular is
-    reported as a failing entry rather than raised.
+    (every entry in one ``stars.tangent_centers`` stack); the margin is
+    min over points q outside the simplex of |C - q|^2 - R^2.  An entry
+    passes when its margin exceeds the threshold; an entry whose center
+    system is rejected as singular is reported as a failing entry rather
+    than raised.  Entries run simplex by simplex, vertex by vertex.
+
+    The minimum is taken over a KD-tree candidate ball, exactly.  The
+    m + 2 nearest sites of C include at least one non-vertex, so the
+    query gives d*, the tree's distance to the nearest non-vertex site.
+    The site q' that minimises the computed gap minimises the computed
+    |C - q|^2, which is within a few ulps of the tree's own squared
+    distance; so the tree puts q' within d* (1 + O(1e-16)) of C, inside
+    the ball of radius d* (1 + 1e-9).  The gaps of the sites in that
+    ball are recomputed with the arithmetic of a scan over all points,
+    and their minimum is the scan's minimum, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
-    k = as_complex(cplx)
     m = manifold.m
+    top = np.array(as_complex(cplx).of_dim(m), dtype=np.intp).reshape(-1, m + 1)
+    # entry (simplex i, vertex j) is row i * (m + 1) + j
+    verts = np.repeat(top, m + 1, axis=0)
+    base = top.reshape(-1)
+    others = np.stack([np.delete(top, j, axis=1) for j in range(m + 1)],
+                      axis=1).reshape(-1, m)
+    frames = {p: tangent_chart(manifold, pts[p]).frame.basis
+              for p in dict.fromkeys(base.tolist())}
+    basis = np.array([frames[p] for p in base.tolist()]).reshape(
+        len(base), m, pts.shape[1])
+    centres, r2, accepted = tangent_centers(pts, base, others, basis)
+    margin = np.full(len(base), math.inf)
+    if len(pts) > m + 1 and accepted.any():
+        tree = cKDTree(pts)
+        rows = np.flatnonzero(accepted)
+        dist, near = tree.query(centres[rows], k=m + 2)
+        is_vertex = (near[:, :, None] == verts[rows][:, None, :]).any(axis=2)
+        d_star = np.where(is_vertex, math.inf, dist).min(axis=1)
+        ball = tree.query_ball_point(centres[rows], d_star * (1.0 + 1e-9))
+        entry = np.repeat(rows, [len(got) for got in ball])
+        q = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.intp,
+                        count=len(entry))
+        outside = (q[:, None] != verts[entry]).all(axis=1)
+        entry, q = entry[outside], q[outside]
+        gap = ((pts[q] - centres[entry]) ** 2).sum(axis=1) - r2[entry]
+        np.minimum.at(margin, entry, gap)
     entries = []
-    charts: dict = {}
-    for simplex in k.of_dim(m):
-        outside = np.ones(len(pts), dtype=bool)
-        outside[list(simplex)] = False
-        competitors = pts[outside]
-        for p in simplex:
-            others = [q for q in simplex if q != p]
-            if p not in charts:
-                charts[p] = tangent_chart(manifold, pts[p])
-            chart = charts[p]
-            u = (pts[others] - pts[p]) @ chart.frame.basis.T
-            b = ((pts[others] - pts[p]) ** 2).sum(axis=1)
-            a_mat = 2.0 * u
-            try:
-                if (a_mat.shape[0] != m
-                        or np.linalg.cond(a_mat) > 1e12):
-                    raise SingularSystem(
-                        f"tangent center system for {simplex} at vertex {p} "
-                        f"is singular")
-                t = np.linalg.solve(a_mat, b)
-            except (SingularSystem, np.linalg.LinAlgError) as exc:
-                entries.append(ProtectionEntry(
-                    simplex=simplex, vertex=p, margin=math.nan,
-                    radius=math.nan, ok=False, error=str(exc)))
-                continue
-            center = pts[p] + chart.frame.basis.T @ t
-            r2 = float(t @ t)
-            if len(competitors) == 0:
-                margin = math.inf
-            else:
-                margin = float((((competitors - center) ** 2).sum(axis=1)
-                                - r2).min())
+    for i, (simplex, p) in enumerate(zip(verts.tolist(), base.tolist())):
+        simplex = tuple(simplex)
+        if not accepted[i]:
             entries.append(ProtectionEntry(
-                simplex=simplex, vertex=p, margin=margin,
-                radius=math.sqrt(r2), ok=margin > threshold))
+                simplex=simplex, vertex=p, margin=math.nan,
+                radius=math.nan, ok=False,
+                error=f"tangent center system for {simplex} at vertex {p} "
+                      f"is singular"))
+            continue
+        entries.append(ProtectionEntry(
+            simplex=simplex, vertex=p, margin=float(margin[i]),
+            radius=math.sqrt(r2[i]), ok=bool(margin[i] > threshold)))
     return ProtectionReport(threshold=threshold, entries=entries)

@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,32 @@ class TestVerify:
         assert prot["ok"] is False
         assert abs(prot["min_margin"]) < 1e-12
 
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_point_row_is_usage_error(self, tmp_path, capsys,
+                                                 bad):
+        pts = tmp_path / "p.txt"
+        pts.write_text(f"# header\n0 0 1\n1 0 0\n{bad} 0 0\n0 1 0\n")
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--complex", str(cpx), "--points",
+                         str(pts), "--manifold", SPHERE, "--delta2", "1e-9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pts}:4: non-finite coordinate\n")
+
+
+def test_non_finite_net_in_row_is_usage_error(tmp_path, capsys):
+    net_path = tmp_path / "net.txt"
+    net_path.write_text("0 0 1\n0 0 nan\n")
+    code = run("mesh", "--manifold", SPHERE, "--net-in", net_path,
+               "--out-prefix", tmp_path / "n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {net_path}:2: non-finite coordinate\n")
+    assert not (tmp_path / "n.points.txt").exists()
 
 # ===== hypotheses =====
 

@@ -530,3 +530,21 @@ def test_point_io_ragged_rows(tmp_path):
     path.write_text("1 2 3\n4 5\n")
     with pytest.raises(ValueError):
         read_points(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_point_io_non_finite_row(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1 2 3\n\n4, {bad}, 6\n")
+    with pytest.raises(ValueError, match=r"bad.txt:3: non-finite coordinate"):
+        read_points(path)
+
+
+@pytest.mark.parametrize("manifold,point", [
+    (UnitSphere(2, 3), [np.nan, 0.0, 1.0]),
+    (FlatPatch(2, 3), [0.0, 0.0, np.nan]),
+], ids=["sphere", "flat"])
+def test_tangent_chart_nan_point_is_off_manifold(manifold, point):
+    # a NaN residual compares false against the tolerance either way
+    with pytest.raises(PointNotOnManifold):
+        tangent_chart(manifold, point)

@@ -1,4 +1,6 @@
 """Tangent-plane star construction, cosphericity scans, and the union complex."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
@@ -16,14 +18,17 @@ from tandel.manifolds import (
     tangent_chart,
 )
 from tandel.stars import (
+    COND_LIMIT,
     PRUNE_MULT,
     TangentialComplex,
+    _cell_corners,
     _cosph_scan,
     _site_arrays,
     assemble_complex,
     compute_star,
     cosph_star,
     tangent_center,
+    tangent_centers,
     write_off,
     write_simplex_list,
 )
@@ -431,6 +436,114 @@ def test_scan_matches_per_centre_reference(build, delta0, min_entries,
         assert all(got[tau][0].weight == w.weight for tau, w in want.items())
     assert n_entries >= min_entries
     assert n_ties >= min_ties
+
+
+# ===== stacked tangent centres against the per-corner solve =====
+
+def _tangent_center_per_corner(simplex, p, pts, chart):
+    """One corner's equidistance system, solved alone: the reference for
+    the stacked solve in ``_build_star``."""
+    others = [q for q in simplex if q != p]
+    u, b, _ = _site_arrays(p, pts, others, chart)
+    a_mat = 2.0 * u
+    if len(others) == chart.manifold.m:
+        cond = np.linalg.cond(a_mat)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise SingularSystem(f"equidistance system cond={cond:.3e}")
+        t = np.linalg.solve(a_mat, b)
+    else:
+        t, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
+        resid = np.abs(a_mat @ t - b).max()
+        if resid > 1e-7 * max(1.0, np.abs(b).max()):
+            raise SingularSystem(
+                f"overdetermined equidistance residual {resid:.3e}")
+    return pts[p] + chart.frame.basis.T @ t, float(np.linalg.norm(t))
+
+
+def _star_per_corner(p, cplx):
+    """The star of p with every corner's centre solved and checked for
+    emptiness one at a time, in corner order."""
+    pts, tree, m = cplx.points, cplx.tree, cplx.manifold.m
+    chart = tangent_chart(cplx.manifold, pts[p])
+    prune_r = PRUNE_MULT * cplx.epsilon
+    while True:
+        idx = np.array(sorted(
+            i for i in tree.query_ball_point(pts[p], prune_r) if i != p))
+        u, b, _ = _site_arrays(p, pts, idx, chart)
+        corners = _cell_corners(u, b, prune_r)
+        slack = b[None, :] - corners @ (2.0 * u).T
+        tol = 1e-9 * max(b.max(), (corners ** 2).sum(axis=1).max())
+        centers, corner_simplex, seen = {}, [], {}
+        for row in slack:
+            key = tuple(sorted(int(q) for q in idx[np.abs(row) <= tol]))
+            if len(key) < m:
+                corner_simplex.append(None)
+                continue
+            if key not in seen:
+                c, r = _tangent_center_per_corner((p,) + key, p, pts, chart)
+                d_min = float(tree.query(c)[0])
+                if d_min >= r * (1.0 - 1e-9):
+                    seen[key] = (c, r)
+                elif d_min >= prune_r - r:
+                    break
+                else:
+                    seen[key] = None
+            if seen[key] is None:
+                corner_simplex.append(None)
+                continue
+            full = tuple(sorted((p,) + key))
+            corner_simplex.append(full)
+            centers[full] = seen[key]
+            if len(key) > m:
+                for sub in itertools.combinations(key, m):
+                    centers[tuple(sorted((p,) + sub))] = seen[key]
+        else:
+            return centers, corner_simplex, corners
+        # a site beyond the pruning radius interferes: widen and redo
+        prune_r *= 2.0
+
+
+def _three_sphere_net_complex():
+    s3 = UnitSphere(3, 4)
+    net = farthest_point_net(s3.sample(20000, seed=1), eps=0.6, seed=1)
+    return assemble_complex(net, s3)
+
+
+@pytest.mark.parametrize("build", [
+    _torus_net_complex, _sphere_net_complex, _three_sphere_net_complex,
+    _grid_complex], ids=["torus", "sphere", "s3", "grid"])
+def test_stacked_star_matches_per_corner_solve(build):
+    """Every star: the same centre keys, bitwise-equal centres and radii,
+    corner simplices and corners as solving each corner on its own."""
+    cplx = build()
+    n_degenerate = 0
+    for p, star in cplx.stars.items():
+        centers, corner_simplex, corners = _star_per_corner(p, cplx)
+        assert list(star.centers) == list(centers), p
+        for key, (c, r) in centers.items():
+            got_c, got_r = star.centers[key]
+            assert got_c.tobytes() == c.tobytes(), (p, key)
+            assert got_r == r and type(got_r) is float, (p, key)
+        assert star.corner_simplex == corner_simplex, p
+        assert star.corners.tobytes() == corners.tobytes(), p
+        n_degenerate += any(len(s) > cplx.manifold.m + 1
+                            for s in star.centers)
+    if build is _grid_complex:
+        # the lstsq path for cospherical corners ran too
+        assert n_degenerate > 0
+
+
+def test_stacked_centres_reject_singular_rows_only():
+    # row 0 is the antipodal (rank-1) system of test_tangent_center_singular
+    chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
+    centres, r2, accepted = tangent_centers(
+        OCTA, 0, [[1, 3], [1, 2], [2, 3]], chart.frame.basis)
+    assert accepted.tolist() == [False, True, True]
+    assert np.isnan(centres[0]).all() and np.isnan(r2[0])
+    for row, others in ((1, (1, 2)), (2, (2, 3))):
+        c, r = _tangent_center_per_corner((0,) + others, 0, OCTA, chart)
+        assert centres[row].tobytes() == c.tobytes()
+        assert np.sqrt(r2[row]) == r
 
 
 # ===== union complex bookkeeping =====

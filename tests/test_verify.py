@@ -23,8 +23,9 @@ from tandel.manifolds import (
     UnitSphere,
     build_geodesic_graph,
     farthest_point_net,
+    tangent_chart,
 )
-from tandel.stars import TangentialComplex
+from tandel.stars import COND_LIMIT, TangentialComplex, assemble_complex
 from tandel.verify import (
     AbstractComplex,
     ambient_delaunay_bruteforce,
@@ -38,6 +39,9 @@ from tandel.verify import (
     restricted_delaunay_oracle,
     _delaunay_by_lifting,
     _delaunay_by_sphere_enumeration,
+    _is_connected,
+    _is_single_cycle,
+    _ridge_counts,
     _scan_rows,
     _TIE_WINDOW_CAP,
 )
@@ -485,6 +489,88 @@ class TestManifoldComplexCheck:
                 AbstractComplex.from_simplices([(0, 1, 2, 3, 4)]), 4)
 
 
+def _manifold_check_by_scan(cplx, m):
+    """``manifold_complex_check`` with every vertex and edge link found
+    by a scan over all top cells: the reference for the one-pass maps."""
+    k = as_complex(cplx)
+    top = k.of_dim(m)
+    diagnostics = {"bad_ridges": [], "bad_links": [], "impure": []}
+    if not top:
+        diagnostics["impure"] = sorted(k.simplices)
+        return False, diagnostics
+    covered = AbstractComplex.from_simplices(top).simplices
+    diagnostics["impure"] = sorted(k.simplices - covered)
+    for ridge, count in sorted(_ridge_counts(top).items()):
+        if count != 2:
+            diagnostics["bad_ridges"].append((ridge, count))
+    for v in k.vertices:
+        link = [tuple(w for w in cell if w != v)
+                for cell in top if v in cell]
+        if m == 2:
+            if not _is_single_cycle(link):
+                diagnostics["bad_links"].append(v)
+            continue
+        if not link:
+            diagnostics["bad_links"].append(v)
+            continue
+        link_ridges = _ridge_counts(link)
+        closed = all(c == 2 for c in link_ridges.values())
+        nodes = sorted({w for tri in link for w in tri})
+        connected = _is_connected(nodes, list(link_ridges.keys()))
+        chi = len(nodes) - len(link_ridges) + len(set(link))
+        if not (closed and connected and chi == 2):
+            diagnostics["bad_links"].append(v)
+    if m == 3:
+        for edge in k.of_dim(1):
+            around = [tuple(w for w in cell if w not in edge)
+                      for cell in top if set(edge) <= set(cell)]
+            if not _is_single_cycle(around):
+                diagnostics["bad_links"].append(edge)
+    ok = (not diagnostics["bad_ridges"] and not diagnostics["bad_links"]
+          and not diagnostics["impure"])
+    return ok, diagnostics
+
+
+_CROSS_POLYTOPE = [tuple(sorted((0 + s0, 2 + s1, 4 + s2, 6 + s3)))
+                   for s0 in (0, 1) for s1 in (0, 1)
+                   for s2 in (0, 1) for s3 in (0, 1)]
+_BROKEN = {
+    "three-on-an-edge": ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], 2),
+    "punctured-octahedron": (OCTA_FACES[1:], 2),
+    "pinched-vertex": ([(0, 1, 2), (0, 2, 3), (0, 1, 3),
+                        (0, 4, 5), (0, 5, 6), (0, 4, 6)], 2),
+    "impure-extra-edge": (OCTA_FACES + [(0, 5), (6,)], 2),
+    "three-on-a-triangle": ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)], 3),
+    "cross-polytope-minus-one": (_CROSS_POLYTOPE[1:], 3),
+    "two-cross-polytopes-on-a-vertex": (
+        _CROSS_POLYTOPE + [tuple(v + 7 if v else 0 for v in t)
+                           for t in _CROSS_POLYTOPE], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN))
+def test_manifold_check_matches_scan_on_broken_complexes(name):
+    simplices, m = _BROKEN[name]
+    k = AbstractComplex.from_simplices(simplices)
+    got = manifold_complex_check(k, m)
+    assert got == _manifold_check_by_scan(k, m)
+    assert got[0] is False
+
+
+def test_manifold_check_matches_scan_on_outputs(torus_run):
+    state = torus_run[0]
+    torus_out = as_complex(state.complex.simplices())
+    s3 = UnitSphere(3, 4)
+    s3_out = as_complex(assemble_complex(
+        farthest_point_net(s3.sample(20000, seed=1), eps=0.45, seed=1),
+        s3).m_simplices())
+    for k, m in ((torus_out, 2), (s3_out, 3),
+                 (AbstractComplex.from_simplices(_CROSS_POLYTOPE), 3)):
+        got = manifold_complex_check(k, m)
+        assert got == _manifold_check_by_scan(k, m)
+        assert got[0] is True
+
+
 # ===== power protection =====
 
 class TestPowerProtection:
@@ -545,3 +631,91 @@ class TestPowerProtection:
         assert not rep.ok
         assert all(e.error is not None for e in rep.entries)
         assert len(rep.failures()) == 3
+
+
+# ===== protection audit against the per-entry scan =====
+
+def _audit_per_entry(cplx, points, manifold, threshold):
+    """Each (m-simplex, vertex) entry solved alone and its margin taken
+    over a scan of every point outside the simplex: the reference for
+    the stacked solve and the KD-tree candidate ball."""
+    pts = np.asarray(points, dtype=float)
+    m = manifold.m
+    entries = []
+    for simplex in as_complex(cplx).of_dim(m):
+        outside = np.ones(len(pts), dtype=bool)
+        outside[list(simplex)] = False
+        competitors = pts[outside]
+        for p in simplex:
+            others = [q for q in simplex if q != p]
+            basis = tangent_chart(manifold, pts[p]).frame.basis
+            a_mat = 2.0 * ((pts[others] - pts[p]) @ basis.T)
+            b = ((pts[others] - pts[p]) ** 2).sum(axis=1)
+            cond = np.linalg.cond(a_mat)
+            if not np.isfinite(cond) or cond > COND_LIMIT:
+                entries.append((simplex, p, math.nan, math.nan, False,
+                                f"tangent center system for {simplex} at "
+                                f"vertex {p} is singular"))
+                continue
+            t = np.linalg.solve(a_mat, b)
+            center = pts[p] + basis.T @ t
+            r2 = float(t @ t)
+            margin = (float((((competitors - center) ** 2).sum(axis=1)
+                             - r2).min())
+                      if len(competitors) else math.inf)
+            entries.append((simplex, p, margin, math.sqrt(r2),
+                            margin > threshold, None))
+    return entries
+
+
+def _assert_audit_matches_scan(cplx, pts, manifold, threshold):
+    rep = power_protection_audit(cplx, pts, manifold, threshold)
+    want = _audit_per_entry(cplx, pts, manifold, threshold)
+    assert len(rep.entries) == len(want)
+    for e, (simplex, p, margin, radius, ok, error) in zip(rep.entries, want):
+        assert (e.simplex, e.vertex, e.ok, e.error) == (simplex, p, ok, error)
+        for got, ref in ((e.margin, margin), (e.radius, radius)):
+            assert type(got) is float
+            assert got == ref or (math.isnan(got) and math.isnan(ref)), (
+                simplex, p, got, ref)
+    return rep
+
+
+def test_audit_matches_scan_on_outputs(torus_run):
+    state, torus = torus_run[0], torus_run[1]
+    _assert_audit_matches_scan(state.complex.simplices(), state.complex.points,
+                               torus, 2.8e-6)
+    s3 = UnitSphere(3, 4)
+    net = farthest_point_net(s3.sample(20000, seed=1), eps=0.45, seed=1)
+    cplx = assemble_complex(net, s3)
+    _assert_audit_matches_scan(cplx.m_simplices(), cplx.points, s3, 1e-6)
+    flat = FlatPatch(2, 3)
+    net = farthest_point_net(flat.sample(3000, seed=4), eps=0.12, seed=4)
+    cplx = assemble_complex(net, flat)
+    _assert_audit_matches_scan(cplx.m_simplices(), cplx.points, flat, 1e-6)
+
+
+def test_audit_singular_row_fails_alone():
+    # one collinear triangle among good ones: its rows are rejected and
+    # the stacked solve of the others still runs
+    pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0],
+                    [1, 1.2, 0], [2.5, 0.8, 0], [-1, 2, 0]], dtype=float)
+    k = AbstractComplex.from_simplices(
+        [(0, 1, 2), (0, 1, 3), (1, 3, 4), (1, 2, 5), (0, 3, 6)])
+    rep = _assert_audit_matches_scan(k, pts, FlatPatch(2, 3), 1e-3)
+    bad = {e.simplex for e in rep.entries if e.error is not None}
+    assert bad == {(0, 1, 2)}
+    assert sum(e.error is None for e in rep.entries) == 12
+
+
+def test_audit_no_competitors_and_exact_cosphere():
+    flat = FlatPatch(2, 3)
+    tri = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+    rep = _assert_audit_matches_scan([(0, 1, 2)], tri, flat, 1.0)
+    assert all(e.margin == math.inf for e in rep.entries)
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+                      dtype=float)
+    rep = _assert_audit_matches_scan([(0, 1, 2), (0, 2, 3)], square, flat,
+                                     0.0)
+    assert all(e.margin == 0.0 for e in rep.entries)
+    assert not _assert_audit_matches_scan([], square, flat, 0.0).entries

@@ -3,11 +3,14 @@
 The flake scan goes over candidate k-subsets of sample points around a
 prospective insertion x and keeps the ones whose simplex with x might be
 a thin ("flake") simplex with a small weighted ball.  One numpy
-implementation serves every subset size k.
+implementation serves every subset size k; the vertex pairs of a subset
+come from ``geometry._combos``, the package's one k-subset table.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import _combos
 
 
 def using_numba() -> bool:
@@ -70,7 +73,7 @@ def flake_candidates(x: np.ndarray, cand: np.ndarray, gamma0: float,
     near = ~(d_x > d_edge_sq)
     close = ~(sq > d_edge_sq) & near[:, None] & near[None, :]
     rows = _close_subsets(close, k)
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = _combos(k, 2).T
     delta_sq = np.maximum(d_x[rows].max(axis=1),
                           sq[rows[:, iu], rows[:, ju]].max(axis=1))
     det = np.linalg.det(gram[rows[:, :, None], rows[:, None, :]])

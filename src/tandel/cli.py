@@ -69,7 +69,7 @@ def _load_points(path):
     return pts
 
 
-def _load_complex(path):
+def _load_complex(path, n_points: int):
     simplices = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -77,9 +77,13 @@ def _load_complex(path):
             if not line:
                 continue
             try:
-                simplices.append(tuple(sorted(int(v) for v in line.split())))
+                simplex = tuple(sorted(int(v) for v in line.split()))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if simplex[0] < 0 or simplex[-1] >= n_points:  # sorted labels
+                raise ValueError(f"{path}:{ln}: vertex labels must be in "
+                                 f"0..{n_points - 1}")
+            simplices.append(simplex)
     if not simplices:
         raise ValueError(f"{path}: no simplices")
     return verify.AbstractComplex.from_simplices(simplices)
@@ -265,7 +269,7 @@ def cmd_mesh(args) -> int:
 def cmd_verify(args) -> int:
     manifold = parse_manifold(args.manifold)
     pts = _load_points(args.points)
-    cplx = _load_complex(args.complex)
+    cplx = _load_complex(args.complex, len(pts))
     checks = {}
 
     ok, diag = verify.manifold_complex_check(cplx, manifold.m)

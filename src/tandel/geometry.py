@@ -91,10 +91,6 @@ class AffineFrame:
         if gram.size and np.abs(gram - np.eye(b.shape[0])).max() > 1e-12:
             raise ValueError("basis rows are not orthonormal at 1e-12")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
 
 class GammaClass(enum.Enum):
     GOOD = "good"
@@ -105,19 +101,23 @@ class GammaClass(enum.Enum):
 # ===== basic measures =====
 
 @functools.lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row/column indices of the n*(n-1)/2 vertex pairs i < j."""
-    iu = np.triu_indices(n, k=1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
+def _combos(n: int, size: int) -> np.ndarray:
+    """Read-only rows of ``itertools.combinations(range(n), size)``.
+
+    The one k-subset table of the package; its pairs (size 2) come in
+    ``np.triu_indices(n, 1)`` order.
+    """
+    out = np.array(list(itertools.combinations(range(n), size)),
+                   dtype=np.intp).reshape(-1, size)
+    out.flags.writeable = False
+    return out
 
 
 def _edge_lengths(verts: np.ndarray) -> np.ndarray:
     """Lengths of the k*(k-1)/2 edges of vertex arrays of shape (..., k, N)."""
     diff = verts[..., :, None, :] - verts[..., None, :, :]
     d = np.sqrt((diff * diff).sum(axis=-1))
-    iu, ju = _pair_indices(verts.shape[-2])
+    iu, ju = _combos(verts.shape[-2], 2).T
     return d[..., iu, ju]
 
 
@@ -133,13 +133,14 @@ def edge_extremes(simplex, pts) -> tuple[float, float]:
     return float(edges.min()), float(edges.max())
 
 
-def _rank(s: np.ndarray, scale):
-    """Number of singular values in ``s`` (last axis) above REL_TOL * scale.
+def _rank(s: np.ndarray, scale) -> np.ndarray:
+    """Mask of the singular values in ``s`` above REL_TOL * scale; the
+    rank is its count along the last axis.
 
     This is the one rank rule of the package; ``scale`` is the simplex
     diameter.
     """
-    return (s > REL_TOL * np.maximum(scale, 1e-300)).sum(axis=-1)
+    return s > REL_TOL * np.maximum(scale, 1e-300)
 
 
 def _span_frame(vectors: np.ndarray, scale: float):
@@ -148,10 +149,8 @@ def _span_frame(vectors: np.ndarray, scale: float):
     Returns (basis, rank); singular directions below REL_TOL * scale are
     dropped.  ``scale`` should be the simplex diameter.
     """
-    if len(vectors) == 0:
-        return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 0)), 0
-    u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(_rank(s, scale))
+    _, s, vt = np.linalg.svd(vectors, full_matrices=False)
+    rank = int(_rank(s, scale).sum())
     return vt[:rank], rank
 
 
@@ -174,7 +173,7 @@ def affine_ranks(taus, pts) -> np.ndarray:
     delta = _edge_lengths(verts).max(axis=-1)
     # compute_uv=False gives singular values that differ in the last bits
     _, s, _ = np.linalg.svd(verts[:, 1:] - verts[:, :1], full_matrices=False)
-    return _rank(s, delta[:, None])
+    return _rank(s, delta[:, None]).sum(axis=-1)
 
 
 def simplex_frame(simplex, pts) -> AffineFrame:
@@ -186,6 +185,42 @@ def simplex_frame(simplex, pts) -> AffineFrame:
     _, delta = edge_extremes(simplex, pts)
     basis, _ = _span_frame(verts[1:] - origin, delta)
     return AffineFrame(origin, basis)
+
+
+def _altitudes(apex: np.ndarray, face: np.ndarray,
+               delta: np.ndarray) -> np.ndarray:
+    """Distance from each apex to the affine hull of its face, stacked.
+
+    ``apex`` has shape (n, N), ``face`` (n, f, N) and ``delta`` holds the
+    n simplex diameters, which set the rank cutoff of each face (unread
+    for f = 1).
+    """
+    rel = apex - face[:, 0]
+    if face.shape[1] > 1:
+        # one SVD per face, all in one stacked call; zeroing the
+        # directions below the rank cutoff equals dropping them
+        _, s, vt = np.linalg.svd(face[:, 1:] - face[:, :1],
+                                 full_matrices=False)
+        vt = np.where(_rank(s, delta[:, None])[..., None], vt, 0.0)
+        rel = rel - (np.swapaxes(vt, -1, -2) @ (vt @ rel[..., None]))[..., 0]
+    # vecdot rounds like np.linalg.norm of one vector; (rel*rel).sum does not
+    return np.sqrt(np.vecdot(rel, rel))
+
+
+def _thicknesses(verts: np.ndarray) -> np.ndarray:
+    """``thickness`` of a stack of simplices, ``verts`` of shape (n, k, N)."""
+    n, k, dim = verts.shape
+    if k == 1:
+        return np.ones(n)
+    delta = _edge_lengths(verts).max(axis=-1)
+    if k == 2:
+        return np.where(delta == 0.0, 0.0, 1.0)
+    face = verts[:, _combos(k, k - 1)[::-1]]  # row i: the face opposite i
+    alt = _altitudes(verts.reshape(n * k, dim),
+                     face.reshape(n * k, k - 1, dim),
+                     np.repeat(delta, k)).reshape(n, k).min(axis=-1)
+    scale = (k - 1) * np.where(delta == 0.0, 1.0, delta)
+    return np.where(delta == 0.0, 0.0, alt / scale)
 
 
 def altitude(v: int, simplex, pts) -> float:
@@ -202,26 +237,11 @@ def altitude(v: int, simplex, pts) -> float:
         raise ValueError(f"{v} is not a vertex of {simplex}")
     if len(simplex) < 2:
         raise ValueError("altitude needs a simplex of dimension >= 1")
-    pts = np.asarray(pts, dtype=float)
-    delta = edge_extremes(simplex, pts)[1] if len(simplex) > 2 else 0.0
-    return _altitude(v, simplex, pts, delta)
-
-
-def _altitude(v: int, simplex: tuple, pts: np.ndarray, delta: float) -> float:
-    """``altitude`` without argument checks, for a float point array.
-
-    ``delta`` is the simplex diameter; it sets the rank cutoff of the
-    opposite face and is not read for a 1-simplex.
-    """
-    face = tuple(i for i in simplex if i != v)
-    p = pts[v]
-    fverts = pts[list(face)]
-    rel = p - fverts[0]
-    if len(face) == 1:
-        return float(np.linalg.norm(rel))
-    basis, _ = _span_frame(fverts[1:] - fverts[0], delta)
-    resid = rel - basis.T @ (basis @ rel)
-    return float(np.linalg.norm(resid))
+    verts = simplex_points(simplex, pts)
+    i = simplex.index(v)
+    delta = _edge_lengths(verts).max(keepdims=True)
+    return float(_altitudes(verts[i:i + 1], np.delete(verts, i, axis=0)[None],
+                            delta)[0])
 
 
 def thickness(simplex, pts) -> float:
@@ -230,18 +250,7 @@ def thickness(simplex, pts) -> float:
     1 for a single vertex; a j-simplex whose vertices all coincide gets 0
     (every altitude vanishes).  Any nondegenerate 1-simplex scores exactly 1.
     """
-    simplex = tuple(simplex)
-    j = len(simplex) - 1
-    if j == 0:
-        return 1.0
-    _, delta = edge_extremes(simplex, pts)
-    if delta == 0.0:
-        return 0.0
-    if j == 1:
-        return 1.0
-    pts = np.asarray(pts, dtype=float)
-    alt = min(_altitude(v, simplex, pts, delta) for v in simplex)
-    return float(alt / (j * delta))
+    return float(_thicknesses(simplex_points(simplex, pts)[None])[0])
 
 
 # ===== circumspheres and weighted centers =====
@@ -433,37 +442,41 @@ def faces(simplex, min_dim: int = 0, max_dim: int | None = None):
         yield from itertools.combinations(simplex, dim + 1)
 
 
-def _all_faces_good(simplex, gamma0: float, pts, max_dim: int) -> bool:
-    for f in faces(simplex, min_dim=1, max_dim=max_dim):
-        dim = len(f) - 1
-        if thickness(f, pts) < gamma0 ** dim:
-            return False
-    return True
+def gamma_classes(taus, pts, gamma0: float) -> list:
+    """Class of every simplex of ``taus``, an (n, k) index array, against
+    the quality threshold gamma0: the one implementation of the rule.
 
-
-def classify_gamma(simplex, gamma0: float, pts) -> GammaClass:
-    """Classify a simplex against the quality threshold gamma0.
-
-    GOOD when every i-face has thickness >= gamma0**i; FLAKE when the
-    simplex is not good but every proper face is; BAD_NON_FLAKE otherwise
-    (such simplices always contain a flake face).
-
-    Checking includes dimension-1 faces so a simplex with coincident
-    vertices is never reported GOOD.
+    GOOD when every i-face (i >= 1) has thickness >= gamma0**i; FLAKE
+    when the simplex is not good but every proper face is; BAD_NON_FLAKE
+    otherwise (such simplices always contain a flake face).  Edges count,
+    so a simplex with coincident vertices is never GOOD.  One stacked
+    thickness call per face size covers all rows.
     """
     if not 0.0 < gamma0 < 1.0:
         raise ValueError("gamma0 must be in (0, 1)")
-    simplex = tuple(simplex)
-    j = len(simplex) - 1
-    if j == 0:
-        return GammaClass.GOOD
-    proper_good = _all_faces_good(simplex, gamma0, pts, max_dim=j - 1)
-    self_good = thickness(simplex, pts) >= gamma0 ** j
-    if proper_good and self_good:
-        return GammaClass.GOOD
-    if proper_good:
-        return GammaClass.FLAKE
-    return GammaClass.BAD_NON_FLAKE
+    taus = np.asarray(taus, dtype=np.intp)
+    if taus.ndim != 2:
+        raise ValueError("taus must be an (n, k) index array")
+    pts = np.asarray(pts, dtype=float)
+    if taus.size and (taus.min() < 0 or taus.max() >= len(pts)):
+        raise IndexError("vertex index out of range in taus")
+    n, k = taus.shape
+    proper_good = np.ones(n, dtype=bool)
+    for size in range(2, k):
+        combos = _combos(k, size)
+        verts = pts[taus[:, combos]].reshape(n * len(combos), size,
+                                             pts.shape[1])
+        thick = _thicknesses(verts).reshape(n, len(combos))
+        proper_good &= ~(thick < gamma0 ** (size - 1)).any(axis=1)
+    self_good = _thicknesses(pts[taus]) >= gamma0 ** (k - 1)
+    codes = np.where(proper_good, np.where(self_good, 0, 1), 2)
+    members = list(GammaClass)  # GOOD, FLAKE, BAD_NON_FLAKE
+    return [members[c] for c in codes.tolist()]
+
+
+def classify_gamma(simplex, gamma0: float, pts) -> GammaClass:
+    """``gamma_classes`` of one simplex."""
+    return gamma_classes([tuple(simplex)], pts, gamma0)[0]
 
 
 def flake_altitude_bound(k: int, delta: float, ell: float, gamma0: float) -> float:

@@ -28,10 +28,11 @@ from .errors import (
     PickAuditFailed,
     SparsityViolation,
 )
-from .geometry import (
+from .geometry import (  # noqa: F401 - classify_gamma is re-exported
     GammaClass,
     affine_ranks,
     classify_gamma,
+    gamma_classes,
     min_weighted_radius,
 )
 from .manifolds import Manifold, SampleSet, lift_from_tangent
@@ -414,31 +415,24 @@ def _star_inconsistent(state: RefinementState, p: int):
     return out
 
 
-def classify_configurations(state: RefinementState):
-    """All currently unfit configurations, in processing order."""
-    bases = sorted(state.complex.stars)
-    out = []
-    for p in bases:
-        out.extend(_star_bigs(state, p))
-    for p in bases:
-        out.extend(_star_bad_stars(state, p))
-    for p in bases:
-        out.extend(_star_bad_cosph(state, p))
-    for p in bases:
-        out.extend(_star_inconsistent(state, p))
-    return out
-
-
-def first_unfit(state: RefinementState) -> UnfitConfiguration | None:
-    """First entry of classify_configurations, without building the list."""
+def _unfit(state: RefinementState):
+    """Every unfit configuration, lazily, in processing order: each scan
+    (big, bad star, bad cosph, inconsistent) over the ascending bases."""
     bases = sorted(state.complex.stars)
     for scan in (_star_bigs, _star_bad_stars, _star_bad_cosph,
                  _star_inconsistent):
         for p in bases:
-            got = scan(state, p)
-            if got:
-                return got[0]
-    return None
+            yield from scan(state, p)
+
+
+def classify_configurations(state: RefinementState):
+    """All currently unfit configurations, in processing order."""
+    return list(_unfit(state))
+
+
+def first_unfit(state: RefinementState) -> UnfitConfiguration | None:
+    """First entry of classify_configurations, without building the list."""
+    return next(_unfit(state), None)
 
 
 # ===== picking =====
@@ -455,16 +449,15 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
     weighted radius r < r_cap is at most 2r / sqrt(1 - 4 delta0^2), and
     the prefilter drops no hit.
 
-    Candidates are judged degenerate-first: one batched ``affine_ranks``
-    call per subset size drops every tau = sigma + (x,) below full
-    affine rank, and only the survivors get the gamma0 classification
-    and the weighted radius, in the same order as the candidates.  The
-    verdict is the one a classify-first scan gives: a degenerate tau has
-    no sphere in its affine hull, so ``min_weighted_radius`` raises
-    ``DegenerateSimplex`` on it by the same rank rule, and such a tau
-    was never a hit; ``classify_gamma`` has no side effects.  On the
-    flat patch every tau with four vertices is coplanar, so this skips
-    all of them without a single SVD per face.
+    Candidates are judged degenerate-first: per subset size, one
+    ``affine_ranks`` call drops every tau = sigma + (x,) below full
+    affine rank and one side-effect-free ``gamma_classes`` call
+    classifies the rest; the flakes get the weighted radius in candidate
+    order.  A classify-first scan gives the same verdict: a degenerate
+    tau has no sphere in its affine hull, so ``min_weighted_radius``
+    raises ``DegenerateSimplex`` on it by the same rank rule, and such a
+    tau was never a hit.  On the flat patch every tau with four vertices
+    is coplanar, so none of them is classified.
     """
     params = state.params
     pts = state.complex.points
@@ -497,12 +490,12 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
         rows = flake_candidates(x, cand_pts, params.gamma0,
                                 r_cap * edge_scale, k)
         taus = np.column_stack([cand[rows], np.full(len(rows), x_idx)])
-        full_rank = affine_ranks(taus, pts_aug) == rows.shape[1]
-        for row in taus[full_rank].tolist():
-            tau = tuple(row)
-            if classify_gamma(tau, params.gamma0,
-                              pts_aug) is not GammaClass.FLAKE:
+        taus = taus[affine_ranks(taus, pts_aug) == rows.shape[1]]
+        classes = gamma_classes(taus, pts_aug, params.gamma0)
+        for row, cls in zip(taus.tolist(), classes):
+            if cls is not GammaClass.FLAKE:
                 continue
+            tau = tuple(row)
             rmin, _w = min_weighted_radius(tau, pts_aug, params.delta0)
             if rmin < r_cap:
                 return tau[:-1]

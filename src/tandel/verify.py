@@ -13,7 +13,6 @@ centres are defined by that solve, and does not judge membership.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .errors import (
     TooLarge,
     UnsupportedDim,
 )
-from .geometry import as_simplex, circumsphere
+from .geometry import _combos, as_simplex, circumsphere
 from .manifolds import Manifold, covering_radius_estimate, tangent_chart
 from .stars import tangent_centers
 
@@ -339,24 +338,9 @@ class OracleResult:
 _TIE_WINDOW_CAP = 8
 # Witness rows scanned per batch; bounds the (rows x subsets) work arrays.
 _SCAN_CHUNK_ROWS = 512
-
-
-@functools.lru_cache(maxsize=None)
-def _window_subsets(w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only k-subsets of w window slots and each one's first free slot.
-
-    Subsets are sorted slot tuples in ``itertools.combinations`` order.
-    The first free slot is the smallest slot outside the subset, or w
-    when the subset fills the window.
-    """
-    combos = np.array(list(itertools.combinations(range(w), k)),
-                      dtype=np.intp).reshape(-1, k)
-    # slots are sorted and distinct, so combo[j] == j holds exactly on the
-    # prefix 0..f-1 the subset contains, and f is its first free slot
-    first_free = (combos == np.arange(k)).sum(axis=1)
-    for arr in (combos, first_free):
-        arr.flags.writeable = False
-    return combos, first_free
+# A witness's tie window holds the sites within this many bands of its nearest.
+_COLLECT_FACTOR = 3.0
+_CHORDAL_BLOCK_ROWS = 1024
 
 
 def _min_norm_step_norms(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -432,7 +416,10 @@ def _scan_chunk(block: np.ndarray, counts: np.ndarray, sites: np.ndarray,
         base = win_d[:, 0]
         ext_d = np.column_stack([win_d, beyond[sel]])
         for k in range(2, w + 1):
-            combos, first_free = _window_subsets(w, k)
+            combos = _combos(w, k)
+            # sorted distinct slots: combo[j] == j exactly on the prefix
+            # 0..f-1, so f is the first slot outside (w if none is)
+            first_free = (combos == np.arange(k)).sum(axis=1)
             val = win_d[:, combos[:, -1]] - base[:, None]  # window is sorted
             row, sub = np.nonzero(val <= collect)
             slots = combos[sub]
@@ -473,22 +460,20 @@ def _merge_evidence(keys: np.ndarray, val: np.ndarray, sharp: np.ndarray,
 
 
 def _scan_oracle(dist_matrix_blocks, sites: np.ndarray, band: float,
-                 covering: float, n_witnesses: int,
-                 collect_factor: float = 3.0) -> OracleResult:
+                 covering: float, n_witnesses: int) -> OracleResult:
     spreads: dict = {}
     clean: set = set()
     for block in dist_matrix_blocks:
-        _scan_rows(block, sites, band, collect_factor * band, 2.0 * band,
+        _scan_rows(block, sites, band, _COLLECT_FACTOR * band, 2.0 * band,
                    spreads, clean)
     return OracleResult(spreads=spreads, clean=clean, band=band,
                         covering=covering, n_witnesses=n_witnesses,
                         n_sites=len(sites))
 
 
-def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray,
-                    block_rows: int = 1024):
-    for start in range(0, len(witnesses), block_rows):
-        chunk = witnesses[start:start + block_rows]
+def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray):
+    for start in range(0, len(witnesses), _CHORDAL_BLOCK_ROWS):
+        chunk = witnesses[start:start + _CHORDAL_BLOCK_ROWS]
         diff = chunk[:, None, :] - sites[None, :, :]
         yield np.sqrt((diff * diff).sum(axis=2))
 

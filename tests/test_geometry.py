@@ -13,7 +13,10 @@ from tandel.geometry import (
     AffineFrame,
     ElementaryWeight,
     GammaClass,
+    _altitudes,
+    _edge_lengths,
     _span_frame,
+    _thicknesses,
     affine_ranks,
     altitude,
     as_simplex,
@@ -22,6 +25,7 @@ from tandel.geometry import (
     edge_extremes,
     faces,
     flake_altitude_bound,
+    gamma_classes,
     min_weighted_radius,
     simplex_frame,
     subspace_angle,
@@ -439,6 +443,121 @@ def test_bad_non_flake_contains_some_flake():
             for f in faces(simplex, min_dim=2)
         )
     assert found > 20
+
+
+# The per-face scalar chain the stacked gamma0 rule replaced: one SVD per
+# (face, vertex) and one thickness call per face.  The stacked rule must
+# reproduce it bit for bit.
+
+def _scalar_altitude(v, simplex, pts, delta):
+    face = [i for i in simplex if i != v]
+    rel = pts[v] - pts[face[0]]
+    if len(face) > 1:
+        basis, _ = _span_frame(pts[face[1:]] - pts[face[0]], delta)
+        rel = rel - basis.T @ (basis @ rel)
+    return float(np.linalg.norm(rel))
+
+
+def _scalar_thickness(simplex, pts):
+    j = len(simplex) - 1
+    if j == 0:
+        return 1.0
+    _, delta = edge_extremes(simplex, pts)
+    if delta == 0.0:
+        return 0.0
+    if j == 1:
+        return 1.0
+    alt = min(_scalar_altitude(v, simplex, pts, delta) for v in simplex)
+    return float(alt / (j * delta))
+
+
+def _scalar_class(simplex, gamma0, pts):
+    j = len(simplex) - 1
+    if j == 0:
+        return GammaClass.GOOD
+    proper_good = all(_scalar_thickness(f, pts) >= gamma0 ** (len(f) - 1)
+                      for f in faces(simplex, min_dim=1, max_dim=j - 1))
+    if not proper_good:
+        return GammaClass.BAD_NON_FLAKE
+    if _scalar_thickness(simplex, pts) >= gamma0 ** j:
+        return GammaClass.GOOD
+    return GammaClass.FLAKE
+
+
+def _quality_stack(rng, k, n_ambient, count):
+    """``count`` seeded k-vertex simplices in one point array, a third
+    random and the rest with one vertex 1e-14..0.32 off the affine hull of
+    the others, at scales 1e-3..1e3; row i of the returned index array
+    is simplex i."""
+    blocks = []
+    for _ in range(count):
+        pts = rng.normal(size=(k, n_ambient))
+        if k >= 2 and rng.uniform() < 2 / 3:
+            v = int(rng.integers(k))
+            others = np.delete(pts, v, axis=0)
+            w = rng.uniform(size=k - 1)
+            off = rng.normal(size=n_ambient)
+            off *= 10.0 ** rng.uniform(-14.0, -0.5) / np.linalg.norm(off)
+            pts[v] = (w / w.sum()) @ others + off
+        blocks.append(pts * 10.0 ** rng.uniform(-3.0, 3.0))
+    pts = np.vstack(blocks)
+    return np.arange(len(pts)).reshape(count, k), pts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_stacked_quality_rule_matches_scalar_chain_bitwise(k):
+    rng = np.random.default_rng(71 + k)
+    seen = set()
+    for n_ambient in (2, 3, 4):
+        taus, pts = _quality_stack(rng, k, n_ambient, 200)
+        rows = [tuple(t) for t in taus.tolist()]
+        ref = [_scalar_thickness(s, pts) for s in rows]
+        assert _thicknesses(pts[taus]).tolist() == ref
+        assert [thickness(s, pts) for s in rows] == ref
+        if k >= 2:
+            delta = _edge_lengths(pts[taus]).max(axis=-1)
+            want = [_scalar_altitude(v, s, pts, d)
+                    for s, d in zip(rows, delta.tolist()) for v in s]
+            assert [altitude(v, s, pts) for s in rows for v in s] == want
+            apex = [v for s in rows for v in s]
+            face = [[u for u in s if u != v] for s in rows for v in s]
+            stacked = _altitudes(pts[apex], pts[face], np.repeat(delta, k))
+            assert stacked.tolist() == want
+        for gamma0 in (0.05, 0.2, 0.5):
+            want = [_scalar_class(s, gamma0, pts) for s in rows]
+            assert gamma_classes(taus, pts, gamma0) == want
+            assert [classify_gamma(s, gamma0, pts) for s in rows] == want
+            seen.update(want)
+    # every verdict the simplex size allows is reached (a flake needs a
+    # triangle, a bad non-flake a flake face)
+    assert len(seen) == (1 if k <= 2 else min(k - 1, 3))
+
+
+def test_stacked_quality_rule_coincident_vertices():
+    rng = np.random.default_rng(79)
+    for k in (2, 3, 4, 5):
+        taus, pts = _quality_stack(rng, k, 3, 50)
+        pts[taus[:, 1]] = pts[taus[:, 0]]
+        rows = [tuple(t) for t in taus.tolist()]
+        assert _thicknesses(pts[taus]).tolist() == [0.0] * len(rows)
+        assert gamma_classes(taus, pts, 0.2) == [
+            _scalar_class(s, 0.2, pts) for s in rows]
+
+
+def test_gamma_classes_batch_shapes():
+    for k in (1, 2, 3, 4, 5):
+        assert gamma_classes(np.zeros((0, k), dtype=int), RIGHT, 0.2) == []
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.001],
+                    [0.5, np.sqrt(3) / 2]])
+    assert gamma_classes([[0, 1, 2], [0, 1, 3]], pts, 0.1) == [
+        GammaClass.FLAKE, GammaClass.GOOD]
+    assert gamma_classes([[1], [3]], pts, 0.1) == [GammaClass.GOOD] * 2
+    with pytest.raises(ValueError):
+        gamma_classes([0, 1, 2], pts, 0.1)
+    with pytest.raises(ValueError):
+        gamma_classes([[0, 1, 2]], pts, 1.0)
+    with pytest.raises(IndexError):
+        gamma_classes([[0, 1, -1]], pts, 0.1)
 
 
 def test_flake_altitude_bound_values():

@@ -1,4 +1,6 @@
 """Refinement: derived constants, hypotheses, picking, hitting sets, the loop."""
+import copy
+import dataclasses
 import itertools
 import math
 import re
@@ -487,29 +489,40 @@ class TestDegenerateFirstHittingSet:
         assert any(a is not None and len(a) == 4 for a in answers)
         assert any(a is None for a in answers)
 
+    def test_k4_flakes_on_three_sphere_at_large_gamma0(self,
+                                                      three_sphere_state):
+        # at gamma0 = 0.2 hundreds of 4-subsets pass the thinness cap, and
+        # some draws are hit by a k = 4 flake
+        state = copy.copy(three_sphere_state)
+        state.params = dataclasses.replace(state.params, gamma0=0.2)
+        answers = assert_same_answers(
+            state, draws_near_edges(state, 2, 20))
+        assert any(a is not None and len(a) == 4 for a in answers)
+        assert any(a is None for a in answers)
+
     def test_no_coplanar_tetrahedron_is_classified(self, hexagon_state,
                                                    monkeypatch):
-        sizes = []
         widths = []
-        classify = refine_module.classify_gamma
+        classified = []
+        classify = refine_module.gamma_classes
         ranks = refine_module.affine_ranks
 
-        def spy_classify(tau, gamma0, pts):
-            sizes.append(len(tau))
-            return classify(tau, gamma0, pts)
+        def spy_classify(taus, pts, gamma0):
+            classified.append(np.shape(taus))
+            return classify(taus, pts, gamma0)
 
         def spy_ranks(taus, pts):
             widths.append(np.shape(taus))
             return ranks(taus, pts)
 
-        monkeypatch.setattr(refine_module, "classify_gamma", spy_classify)
+        monkeypatch.setattr(refine_module, "gamma_classes", spy_classify)
         monkeypatch.setattr(refine_module, "affine_ranks", spy_ranks)
         for x, r_ref in draws_near_edges(hexagon_state, 9, 40):
             find_hitting_set(x, r_ref, hexagon_state)
         # tetrahedra with x as a vertex were candidates, none was classified
         assert any(k == 4 and n > 0 for n, k in widths)
-        assert 3 in sizes
-        assert 4 not in sizes
+        assert any(k == 3 and n > 0 for n, k in classified)
+        assert not any(k == 4 and n > 0 for n, k in classified)
 
 
 # ===== pick_valid =====

@@ -158,9 +158,9 @@ def _mesh_measurements(state, manifold: Manifold) -> dict:
     min_edge = min(
         (float(np.linalg.norm(pts[a] - pts[b])) for a, b in edges),
         default=math.inf)
-    min_thick = min(
-        (geometry.thickness(geometry.as_simplex(s), pts)
-         for s in cplx.of_dim(m)), default=math.inf)
+    tops = cplx.of_dim(m)
+    min_thick = (float(geometry.thicknesses(tops, pts).min()) if tops
+                 else math.inf)
     params = state.params
     threshold = (params.delta0 ** 2 * state.constants.mu0 ** 2
                  * params.epsilon ** 2)

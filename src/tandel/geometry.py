@@ -207,6 +207,17 @@ def _altitudes(apex: np.ndarray, face: np.ndarray,
     return np.sqrt(np.vecdot(rel, rel))
 
 
+def _simplex_rows(taus, pts):
+    """``taus`` as a checked (n, k) index array into ``pts``."""
+    taus = np.asarray(taus, dtype=np.intp)
+    if taus.ndim != 2:
+        raise ValueError("taus must be an (n, k) index array")
+    pts = np.asarray(pts, dtype=float)
+    if taus.size and (taus.min() < 0 or taus.max() >= len(pts)):
+        raise IndexError("vertex index out of range in taus")
+    return taus, pts
+
+
 def _thicknesses(verts: np.ndarray) -> np.ndarray:
     """``thickness`` of a stack of simplices, ``verts`` of shape (n, k, N)."""
     n, k, dim = verts.shape
@@ -242,6 +253,13 @@ def altitude(v: int, simplex, pts) -> float:
     delta = _edge_lengths(verts).max(keepdims=True)
     return float(_altitudes(verts[i:i + 1], np.delete(verts, i, axis=0)[None],
                             delta)[0])
+
+
+def thicknesses(taus, pts) -> np.ndarray:
+    """``thickness`` of every simplex of ``taus``, an (n, k) index array,
+    in one stacked call; row i equals ``thickness(taus[i], pts)``."""
+    taus, pts = _simplex_rows(taus, pts)
+    return _thicknesses(pts[taus])
 
 
 def thickness(simplex, pts) -> float:
@@ -454,12 +472,7 @@ def gamma_classes(taus, pts, gamma0: float) -> list:
     """
     if not 0.0 < gamma0 < 1.0:
         raise ValueError("gamma0 must be in (0, 1)")
-    taus = np.asarray(taus, dtype=np.intp)
-    if taus.ndim != 2:
-        raise ValueError("taus must be an (n, k) index array")
-    pts = np.asarray(pts, dtype=float)
-    if taus.size and (taus.min() < 0 or taus.max() >= len(pts)):
-        raise IndexError("vertex index out of range in taus")
+    taus, pts = _simplex_rows(taus, pts)
     n, k = taus.shape
     proper_good = np.ones(n, dtype=bool)
     for size in range(2, k):

@@ -282,7 +282,14 @@ class UnfitConfiguration:
 
 
 class RefinementState:
-    """Everything the loop mutates: complex, cosph records, logs, caches."""
+    """Everything the loop mutates: complex, cosph records, logs, caches.
+
+    The unfit index holds, per configuration kind, each star's non-empty
+    ``_star_*`` scan list (``unfit``) and the stars whose list is stale
+    (``dirty``); ``incident`` maps a vertex to the stars with an
+    m-simplex on it (a superset: it only grows), and ``indexed_points``
+    is the point count the index was last brought up to.
+    """
 
     def __init__(self, cplx: TangentialComplex, params: Parameters,
                  constants: DerivedConstants):
@@ -299,6 +306,10 @@ class RefinementState:
         }
         self.pick_counter = 0
         self.final_audit = None
+        self.unfit = {kind: {} for kind in ConfigKind}
+        self.dirty = {kind: set() for kind in ConfigKind}
+        self.incident: dict[int, set] = {}
+        self.indexed_points = 0
 
     @property
     def event_log(self) -> list[str]:
@@ -313,12 +324,40 @@ class RefinementState:
     def epsilon(self) -> float:
         return self.complex.epsilon
 
-    def gamma_class(self, simplex) -> GammaClass:
-        return self.complex.gamma_class(simplex, self.params.gamma0)
+    def gamma_classes(self, simplices) -> list:
+        return self.complex.gamma_classes(simplices, self.params.gamma0)
 
     def refresh_cosph(self, p: int):
         self.cosph[p] = cosph_star(p, self.params.delta0, self.complex,
                                    self.params.gamma0)
+
+    def refresh_stars(self, bases):
+        """New cosph records for freshly built stars, after one gamma0
+        batch over their m-simplices with r < epsilon (the ones the cosph
+        scan classifies), and every kind of their unfit lists dirty."""
+        stars = self.complex.stars
+        m = self.manifold.m
+        self.gamma_classes([s for p in bases
+                            for s, (_c, r) in stars[p].centers.items()
+                            if len(s) == m + 1 and r < self.epsilon])
+        for p in bases:
+            self.refresh_cosph(p)
+        self.mark_built(bases)
+
+    def mark_built(self, bases):
+        """Dirty every kind of the given stars' lists, and the
+        consistency lists of every star with an m-simplex on one of them;
+        their own vertices join ``incident``."""
+        stars = self.complex.stars
+        for p in bases:
+            for v in {v for s in stars[p].m_simplices() for v in s}:
+                self.incident.setdefault(v, set()).add(p)
+        for dirty in self.dirty.values():
+            dirty.update(bases)
+        inconsistent = self.dirty[ConfigKind.INCONSISTENT]
+        for q in bases:
+            inconsistent.update(self.incident.get(q, ()))
+        self.indexed_points = self.complex.n_points
 
 
 def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
@@ -335,8 +374,7 @@ def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
                            sparsity=sample.sparsity)
     cplx = assemble_complex(sample, manifold)
     state = RefinementState(cplx, params, constants)
-    for p in cplx.stars:
-        state.refresh_cosph(p)
+    state.refresh_stars(list(cplx.stars))
     return state
 
 
@@ -368,9 +406,10 @@ def _star_bigs(state: RefinementState, p: int):
 
 def _star_bad_stars(state: RefinementState, p: int):
     star = state.complex.stars[p]
+    simplices = sorted(star.m_simplices())
     out = []
-    for s in sorted(star.m_simplices()):
-        if state.gamma_class(s) is not GammaClass.GOOD:
+    for s, cls in zip(simplices, state.gamma_classes(simplices)):
+        if cls is not GammaClass.GOOD:
             c, r = star.centers[s]
             out.append(UnfitConfiguration(
                 ConfigKind.BAD_STAR, p, s, r, _tangent_of(star, c)))
@@ -415,24 +454,52 @@ def _star_inconsistent(state: RefinementState, p: int):
     return out
 
 
-def _unfit(state: RefinementState):
-    """Every unfit configuration, lazily, in processing order: each scan
-    (big, bad star, bad cosph, inconsistent) over the ascending bases."""
-    bases = sorted(state.complex.stars)
-    for scan in (_star_bigs, _star_bad_stars, _star_bad_cosph,
-                 _star_inconsistent):
-        for p in bases:
-            yield from scan(state, p)
+_SCANS = {ConfigKind.BIG: _star_bigs, ConfigKind.BAD_STAR: _star_bad_stars,
+          ConfigKind.BAD_COSPH: _star_bad_cosph,
+          ConfigKind.INCONSISTENT: _star_inconsistent}
+
+
+def _unfit_lists(state: RefinementState, kind: ConfigKind) -> dict:
+    """Base -> non-empty scan list of one kind, after rescanning only
+    the stars dirty for that kind (every star, if the complex grew
+    outside ``insert``)."""
+    if state.indexed_points != state.complex.n_points:
+        state.mark_built(list(state.complex.stars))
+    lists = state.unfit[kind]
+    scan = _SCANS[kind]
+    for p in sorted(state.dirty[kind]):
+        found = scan(state, p)
+        if found:
+            lists[p] = found
+        else:
+            lists.pop(p, None)
+    state.dirty[kind].clear()
+    return lists
 
 
 def classify_configurations(state: RefinementState):
-    """All currently unfit configurations, in processing order."""
-    return list(_unfit(state))
+    """All currently unfit configurations, in processing order: each
+    kind (big, bad star, bad cosph, inconsistent) over ascending bases."""
+    out = []
+    for kind in ConfigKind:
+        lists = _unfit_lists(state, kind)
+        for p in sorted(lists):
+            out.extend(lists[p])
+    return out
 
 
 def first_unfit(state: RefinementState) -> UnfitConfiguration | None:
-    """First entry of classify_configurations, without building the list."""
-    return next(_unfit(state), None)
+    """First entry of classify_configurations, without building the list.
+
+    A kind's dirty stars are rescanned only once every earlier kind is
+    empty, so no gamma0 class is computed for a bad-star scan while a
+    big configuration exists.
+    """
+    for kind in ConfigKind:
+        lists = _unfit_lists(state, kind)
+        if lists:
+            return lists[min(lists)][0]
+    return None
 
 
 # ===== picking =====
@@ -593,10 +660,12 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     """Insert x into the complex and keep every cache coherent.
 
     ``insert_point`` rebuilds exactly the stars x cuts; they and the new
-    star get fresh cosph records.  Of the others, only those within
-    ``_witness_radius`` of x can gain a cosph entry with x as witness, so
-    only they are scanned, against x alone.  Every entry that scan adds
-    contains x, so it joins the record without meeting an old one.
+    star get fresh cosph records and dirty unfit lists
+    (``RefinementState.refresh_stars``).  Of the others, only those
+    within ``_witness_radius`` of x can gain a cosph entry with x as
+    witness, so only they are scanned, against x alone.  Every entry
+    that scan adds contains x, so it joins the record without meeting an
+    old one, and only a star that gains one has its cosph list dirtied.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,
@@ -610,9 +679,7 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
             f"insertion at distance {d:.6g} <= mu0*eps = {floor:.6g}")
     info = state.complex.insert_point(x)
     x_idx = info["index"]
-    for p in info["recomputed"]:
-        state.refresh_cosph(p)
-    state.refresh_cosph(x_idx)
+    state.refresh_stars(info["recomputed"] + [x_idx])
     r_witness = _witness_radius(state.epsilon, state.params.delta0)
     skip = set(info["recomputed"]) | {x_idx}
     # the query is a hair wider so that the strict test below decides
@@ -621,8 +688,11 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
     params = state.params
     for p in near[dist < r_witness].tolist():
-        state.cosph[p].update(_cosph_scan(
-            state.complex, p, params.delta0, params.gamma0, sites=(x_idx,)))
+        added = _cosph_scan(state.complex, p, params.delta0, params.gamma0,
+                            sites=(x_idx,))
+        if added:
+            state.cosph[p].update(added)
+            state.dirty[ConfigKind.BAD_COSPH].add(p)
     state.events.append({"rule": rule, "base": base, "simplex": simplex,
                          "x": x, "dist": d, "index": x_idx,
                          "recomputed": info["recomputed"]})
@@ -695,17 +765,14 @@ def refine_sample(sample: SampleSet, manifold: Manifold,
 def _final_audit(state: RefinementState) -> dict:
     """Post-quiescence measurements recorded for reporting."""
     eps = state.epsilon
-    radii = []
-    bad = 0
-    for star in state.complex.stars.values():
-        for s in star.m_simplices():
-            _c, r = star.centers[s]
-            radii.append(r)
-            if state.gamma_class(s) is not GammaClass.GOOD:
-                bad += 1
+    tops = [(s, star.centers[s][1]) for star in state.complex.stars.values()
+            for s in star.m_simplices()]
+    radii = [r for _s, r in tops]
+    bad = sum(cls is not GammaClass.GOOD
+              for cls in state.gamma_classes([s for s, _r in tops]))
     taus = [tau for entries in state.cosph.values() for tau in entries]
-    bad_entries = [t for t in taus
-                   if state.gamma_class(t) is not GammaClass.GOOD]
+    bad_entries = sum(cls is not GammaClass.GOOD
+                      for cls in state.gamma_classes(taus))
     pts = state.complex.points
     if len(pts) > 1:
         d_nn = state.complex.tree.query(pts, k=2)[0][:, 1]
@@ -717,7 +784,7 @@ def _final_audit(state: RefinementState) -> dict:
         "radius_ok": (not radii) or max(radii) < eps,
         "bad_m_simplices": bad,
         "cosph_entries": len(taus),
-        "bad_cosph_entries": len(bad_entries),
+        "bad_cosph_entries": bad_entries,
         "inconsistencies": len(state.complex.consistency_report()),
         "min_pairwise_distance": min_pair,
         "sparsity_ok": min_pair > state.constants.mu0 * eps,

@@ -33,8 +33,8 @@ from .geometry import (
     ElementaryWeight,
     GammaClass,
     _edge_lengths,
-    classify_gamma,
     faces,
+    gamma_classes,
 )
 from .manifolds import Manifold, SampleSet, TangentChart, tangent_chart
 
@@ -327,9 +327,11 @@ def _cosph_scan(cplx, p, delta0, gamma0, sites=None) -> dict:
     """
     m = cplx.manifold.m
     pts = cplx.points
-    chosen = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
-              if len(s) == m + 1 and r < cplx.epsilon
-              and cplx.gamma_class(s, gamma0) is GammaClass.GOOD]
+    small = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
+             if len(s) == m + 1 and r < cplx.epsilon]
+    classes = cplx.gamma_classes([s for s, _c, _r in small], gamma0)
+    chosen = [row for row, cls in zip(small, classes)
+              if cls is GammaClass.GOOD]
     if not chosen:
         return {}
     sig = np.array([s for s, _c, _r in chosen], dtype=np.intp)
@@ -420,18 +422,25 @@ class TangentialComplex:
     def recompute_star(self, p: int):
         return self._store_star(p)
 
-    def gamma_class(self, simplex, gamma0: float) -> GammaClass:
-        """``classify_gamma`` of a simplex of sample points, cached.
+    def gamma_classes(self, simplices, gamma0: float) -> list:
+        """``geometry.gamma_classes`` of simplices of sample points (all of
+        one size), cached.
 
         Points are only ever appended, so a class never goes stale; the
-        key is (simplex, gamma0).
+        key is (simplex, gamma0).  The cache misses are classified in one
+        stacked call, whose rows equal one-row calls.
         """
-        key = (simplex, gamma0)
-        got = self._gamma_classes.get(key)
-        if got is None:
-            got = classify_gamma(simplex, gamma0, self.points)
-            self._gamma_classes[key] = got
-        return got
+        cache = self._gamma_classes
+        missing = list(dict.fromkeys(s for s in simplices
+                                     if (s, gamma0) not in cache))
+        if missing:
+            cache.update(zip(((s, gamma0) for s in missing),
+                             gamma_classes(missing, self.points, gamma0)))
+        return [cache[(s, gamma0)] for s in simplices]
+
+    def gamma_class(self, simplex, gamma0: float) -> GammaClass:
+        """``gamma_classes`` of one simplex."""
+        return self.gamma_classes([simplex], gamma0)[0]
 
     def simplices(self, max_dim: int | None = None) -> list:
         """All simplices of the complex (closure of the star union)."""

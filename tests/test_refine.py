@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from tandel import cli
 from tandel import refine as refine_module
+from tandel import stars as stars_module
 from tandel.errors import (
     AttemptBudgetExhausted,
     DegenerateSimplex,
@@ -22,12 +24,18 @@ from tandel.geometry import (
     classify_gamma,
     edge_extremes,
     min_weighted_radius,
+    thickness,
+    thicknesses,
 )
 from tandel.manifolds import (FlatPatch, SampleSet, TorusOfRevolution,
                               UnitSphere, closest_point, farthest_point_net,
                               tangent_chart)
 from tandel.refine import (
     ConfigKind,
+    _star_bad_cosph,
+    _star_bad_stars,
+    _star_bigs,
+    _star_inconsistent,
     _witness_radius,
     Parameters,
     UnfitConfiguration,
@@ -49,7 +57,7 @@ from tandel.stars import (Star, TangentialComplex, _cosph_scan,
                           assemble_complex)
 from tandel.verify import euler_characteristic, manifold_complex_check
 
-from conftest import disk_points
+from conftest import RUN_PARAMS, disk_points
 
 SPHERE = UnitSphere(2, 3)
 FLAT = FlatPatch(2, 3)
@@ -861,3 +869,158 @@ class TestSphereCapRun:
             SampleSet(points=state.complex.points, epsilon=0.35,
                       sparsity=0.0), SPHERE)
         assert state.complex.m_simplices() == fresh.m_simplices()
+
+
+# ===== the unfit index =====
+
+def _full_scan(state):
+    """Every unfit configuration by rescanning every star, in processing
+    order: each kind over the ascending bases."""
+    bases = sorted(state.complex.stars)
+    return [c for scan in (_star_bigs, _star_bad_stars, _star_bad_cosph,
+                           _star_inconsistent)
+            for p in bases for c in scan(state, p)]
+
+
+def _config_key(config):
+    return (config.kind, config.base, config.simplex, config.radius,
+            np.asarray(config.target).tobytes())
+
+
+def _detached(state):
+    """A copy whose unfit index can be brought up to date without
+    touching the original's, so the original stays as lazy as a plain
+    run."""
+    twin = copy.copy(state)
+    twin.unfit = {kind: dict(lists) for kind, lists in state.unfit.items()}
+    twin.dirty = {kind: set(d) for kind, d in state.dirty.items()}
+    twin.incident = {v: set(ps) for v, ps in state.incident.items()}
+    return twin
+
+
+def _assert_index_matches_full_scan(state):
+    got = first_unfit(state)
+    full = [_config_key(c) for c in _full_scan(state)]
+    assert (got and _config_key(got)) == (full[0] if full else None)
+    listed = classify_configurations(_detached(state))
+    assert [_config_key(c) for c in listed] == full
+    return got
+
+
+def _torus_case(request):
+    params = Parameters(**RUN_PARAMS)
+    manifold = TorusOfRevolution(R=2.0, r=0.5)
+    dense = manifold.sample(60000, seed=params.seed)
+    net = farthest_point_net(dense, eps=params.epsilon, seed=params.seed)
+    return net, manifold, params
+
+
+def _sphere_cap_case(request):
+    dense = SPHERE.sample(2500, seed=7)
+    net = farthest_point_net(dense, 0.35, seed=0)
+    keep = net.points[net.points[:, 2] <= 0.8]
+    sample = SampleSet(points=keep, epsilon=0.35, sparsity=net.sparsity)
+    return sample, SPHERE, params_ok(epsilon=0.35, gamma0=0.02, seed=4)
+
+
+def _wide_window_case(request):
+    # delta0 near its 1/4 ceiling: witness updates add cosph entries to
+    # stars that no insertion rebuilds
+    dense = SPHERE.sample(8000, seed=2)
+    return (farthest_point_net(dense, eps=0.3, seed=2), SPHERE,
+            params_ok(epsilon=0.3, delta0=0.24, seed=2))
+
+
+def _flat_hole_case(request):
+    return hole_sample(), FLAT, params_ok(epsilon=0.5, gamma0=0.02, seed=1)
+
+
+def _quadruple_case(request):
+    return (TestCocircularQuadrupleRun().sample(), FLAT,
+            params_ok(epsilon=1.3, gamma0=0.05, delta0=0.05, seed=3))
+
+
+def _three_sphere_case(request):
+    return (request.getfixturevalue("three_sphere_net"), THREE_SPHERE,
+            params_ok(epsilon=0.45, seed=1))
+
+
+@pytest.mark.parametrize("case", [_torus_case, _sphere_cap_case,
+                                  _wide_window_case, _flat_hole_case,
+                                  _quadruple_case, _three_sphere_case],
+                         ids=["torus", "sphere-cap", "sphere-wide-window",
+                              "flat-hole", "cocircular-quadruple", "s3"])
+def test_unfit_index_matches_full_scan_every_iteration(case, request,
+                                                       monkeypatch):
+    sample, manifold, params = case(request)
+    plain = refine_sample(sample, manifold, params)
+    seen = []
+
+    def checked(state):
+        seen.append(_assert_index_matches_full_scan(state))
+        return seen[-1]
+
+    monkeypatch.setattr(refine_module, "first_unfit", checked)
+    state = refine_sample(sample, manifold, params)
+    assert len(seen) == state.counters["iterations"] >= 2
+    assert seen[-1] is None
+    # checking the index every iteration leaves the run unchanged
+    assert state.event_log == plain.event_log
+    assert state.counters == plain.counters
+    assert state.final_audit == plain.final_audit
+
+
+def test_unfit_index_follows_growth_outside_insert():
+    state = make_state(hole_sample(), FLAT,
+                       params_ok(epsilon=0.5, gamma0=0.02, seed=1))
+    _assert_index_matches_full_scan(state)
+    # a point added to the complex and the cosph records directly, not
+    # through insert, so no star was marked dirty
+    info = state.complex.insert_point(np.array([0.05, 0.02, 0.0]))
+    for p in info["recomputed"] + [info["index"]]:
+        state.refresh_cosph(p)
+    assert info["recomputed"]
+    _assert_index_matches_full_scan(state)
+    assert not any(state.dirty.values())
+
+
+def test_cached_gamma_classes_equal_one_row_calls(torus_run):
+    cplx = torus_run[0].complex
+    cached = cplx._gamma_classes
+    assert len(cached) > 500
+    for (simplex, gamma0), cls in cached.items():
+        assert classify_gamma(simplex, gamma0, cplx.points) is cls
+
+
+def test_gamma_classes_fill_misses_in_one_call(monkeypatch):
+    state = make_state(hole_sample(), FLAT,
+                       params_ok(epsilon=0.5, gamma0=0.02, seed=1))
+    cplx = state.complex
+    m_simplices = sorted({s for star in cplx.stars.values()
+                          for s in star.m_simplices()})
+    cplx._gamma_classes.clear()
+    cplx.gamma_class(m_simplices[0], 0.02)
+    calls = []
+    real = stars_module.gamma_classes
+
+    def spy(taus, pts, gamma0):
+        calls.append(len(taus))
+        return real(taus, pts, gamma0)
+
+    monkeypatch.setattr(stars_module, "gamma_classes", spy)
+    asked = m_simplices[:6] + m_simplices[1:3]
+    got = cplx.gamma_classes(asked, 0.02)
+    assert calls == [5]
+    assert got == [classify_gamma(s, 0.02, cplx.points) for s in asked]
+    assert cplx.gamma_classes([], 0.02) == [] and calls == [5]
+
+
+@pytest.mark.parametrize("run", ["torus_run", "sphere_run"])
+def test_mesh_min_thickness_equals_per_simplex_loop(run, request):
+    state, manifold, _params, _elapsed = request.getfixturevalue(run)
+    pts = state.complex.points
+    tops = state.complex.m_simplices()
+    per_simplex = [thickness(s, pts) for s in tops]
+    assert thicknesses(tops, pts).tolist() == per_simplex
+    got = cli._mesh_measurements(state, manifold)["min_thickness"]
+    assert got == min(per_simplex)

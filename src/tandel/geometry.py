@@ -87,9 +87,19 @@ class AffineFrame:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2:
             raise ValueError("basis must be a (k, N) array")
-        gram = b @ b.T
-        if gram.size and np.abs(gram - np.eye(b.shape[0])).max() > 1e-12:
-            raise ValueError("basis rows are not orthonormal at 1e-12")
+        check_orthonormal(b)
+
+
+def check_orthonormal(bases: np.ndarray):
+    """The ``AffineFrame`` check of one (k, N) basis, or of a stack of
+    them (..., k, N) at once.
+
+    Raises:
+        ValueError: the rows of some basis are not orthonormal at 1e-12.
+    """
+    gram = bases @ np.swapaxes(bases, -1, -2)
+    if gram.size and np.abs(gram - np.eye(bases.shape[-2])).max() > 1e-12:
+        raise ValueError("basis rows are not orthonormal at 1e-12")
 
 
 class GammaClass(enum.Enum):

@@ -31,7 +31,7 @@ from .errors import (
     OutOfChart,
     PointNotOnManifold,
 )
-from .geometry import AffineFrame
+from .geometry import AffineFrame, check_orthonormal
 
 ON_MANIFOLD_TOL = 1e-9
 # a query this close to the medial axis (relative to reach) has no
@@ -55,9 +55,24 @@ class TangentChart:
     params: tuple = ()
 
     def __post_init__(self):
-        cross = self.frame.basis @ self.normal_frame.basis.T
-        if cross.size and np.abs(cross).max() > 1e-10:
-            raise ValueError("tangent and normal frames are not orthogonal")
+        _check_orthogonal(self.frame.basis, self.normal_frame.basis)
+
+
+def _check_orthogonal(tan: np.ndarray, nrm: np.ndarray):
+    """The ``TangentChart`` check of one pair of frames, or of two
+    stacks of them at once."""
+    cross = tan @ np.swapaxes(nrm, -1, -2)
+    if cross.size and np.abs(cross).max() > 1e-10:
+        raise ValueError("tangent and normal frames are not orthogonal")
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance built without its ``__post_init__``
+    check, for one row of a stack whose check the caller made at once."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -93,8 +108,11 @@ class Manifold:
     def _foot_point(self, x):
         raise NotImplementedError
 
-    def _frames_at(self, p):
-        """Return (tangent_rows, normal_rows, params) at an on-manifold p."""
+    def _frames(self, points):
+        """Frames at a stack of on-manifold points (n, N): tangent rows
+        (n, m, N), normal rows (n, N - m, N) and a params tuple per
+        point.  Angles come from ``math`` one row at a time, because
+        ``np.arctan2`` and ``np.hypot`` can round differently."""
         raise NotImplementedError
 
     def _lift(self, chart: TangentChart, y: np.ndarray) -> np.ndarray:
@@ -137,25 +155,44 @@ def closest_point(manifold: Manifold, x) -> np.ndarray:
     return manifold._foot_point(x)
 
 
+def tangent_charts(manifold: Manifold, points) -> list[TangentChart]:
+    """Orthonormal tangent/normal frames at every row of points.
+
+    One stacked frame build (``Manifold._frames``); the frame checks of
+    ``AffineFrame`` and ``TangentChart`` run once over the whole stack,
+    not once per chart.  Every row is a one-row build.
+
+    Raises:
+        PointNotOnManifold: for the first row whose implicit residual
+            exceeds 1e-9 or is NaN.
+    """
+    points = np.asarray(points, dtype=float)
+    for p in points:
+        resid = manifold.implicit_residual(p)
+        if not resid <= ON_MANIFOLD_TOL:
+            raise PointNotOnManifold(
+                f"residual {resid:.3e} exceeds {ON_MANIFOLD_TOL}")
+    if not len(points):
+        return []
+    tan, nrm, params = manifold._frames(points)
+    check_orthonormal(tan)
+    check_orthonormal(nrm)
+    _check_orthogonal(tan, nrm)
+    return [_unchecked(TangentChart, manifold=manifold, base=p,
+                       frame=_unchecked(AffineFrame, origin=p, basis=t),
+                       normal_frame=_unchecked(AffineFrame, origin=p,
+                                               basis=q),
+                       params=par)
+            for p, t, q, par in zip(points, tan, nrm, params)]
+
+
 def tangent_chart(manifold: Manifold, p) -> TangentChart:
-    """Orthonormal tangent/normal frames at a point of the manifold.
+    """``tangent_charts`` of one point.
 
     Raises:
         PointNotOnManifold: implicit residual exceeds 1e-9 or is NaN.
     """
-    p = np.asarray(p, dtype=float)
-    resid = manifold.implicit_residual(p)
-    if not resid <= ON_MANIFOLD_TOL:
-        raise PointNotOnManifold(
-            f"residual {resid:.3e} exceeds {ON_MANIFOLD_TOL}")
-    tan, nrm, params = manifold._frames_at(p)
-    return TangentChart(
-        manifold=manifold,
-        base=p,
-        frame=AffineFrame(p, np.asarray(tan, dtype=float)),
-        normal_frame=AffineFrame(p, np.asarray(nrm, dtype=float)),
-        params=params,
-    )
+    return tangent_charts(manifold, np.asarray(p, dtype=float)[None])[0]
 
 
 def project_to_tangent(chart: TangentChart, x) -> np.ndarray:
@@ -218,18 +255,19 @@ class UnitSphere(Manifold):
         out[: self.m + 1] = xb / np.linalg.norm(xb)
         return out
 
-    def _frames_at(self, p):
-        k = self.m + 1
-        pb = p[:k] / np.linalg.norm(p[:k])
-        proj = np.eye(k) - np.outer(pb, pb)
-        u, s, _ = np.linalg.svd(proj)
-        tan = np.zeros((self.m, self.N))
-        tan[:, :k] = u[:, : self.m].T
-        nrm = np.zeros((self.N - self.m, self.N))
-        nrm[0, :k] = pb
-        for i in range(self.N - k):
-            nrm[1 + i, k + i] = 1.0
-        return tan, nrm, ()
+    def _frames(self, points):
+        n, k = len(points), self.m + 1
+        block = points[:, :k]
+        # np.vecdot rounds as the 1-D np.linalg.norm (a dot) does
+        pb = block / np.sqrt(np.vecdot(block, block))[:, None]
+        proj = np.eye(k) - pb[:, :, None] * pb[:, None, :]
+        u = np.linalg.svd(proj)[0]
+        tan = np.zeros((n, self.m, self.N))
+        tan[:, :, :k] = np.swapaxes(u[:, :, : self.m], 1, 2)
+        nrm = np.zeros((n, self.N - self.m, self.N))
+        nrm[:, 0, :k] = pb
+        nrm[:, 1:, k:] = np.eye(self.N - k)
+        return tan, nrm, [()] * n
 
     def _lift(self, chart, y):
         r2 = float(y @ y)
@@ -299,15 +337,16 @@ class TorusOfRevolution(Manifold):
         v = math.atan2(x[2], rho - self.R)
         return self.embed(u, v)
 
-    def _frames_at(self, p):
-        u, v = self._params_of(p)
-        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        tan = np.array([
-            [-su, cu, 0.0],
-            [-sv * cu, -sv * su, cv],
-        ])
-        nrm = np.array([[cv * cu, cv * su, sv]])
-        return tan, nrm, (u, v)
+    def _frames(self, points):
+        uv = [self._params_of(p) for p in points.tolist()]
+        cu, su, cv, sv = np.array(
+            [(math.cos(u), math.sin(u), math.cos(v), math.sin(v))
+             for u, v in uv]).T
+        tan = np.zeros((len(points), 2, 3))
+        tan[:, 0, 0], tan[:, 0, 1] = -su, cu
+        tan[:, 1] = np.stack([-sv * cu, -sv * su, cv], axis=-1)
+        nrm = np.stack([cv * cu, cv * su, sv], axis=-1)[:, None, :]
+        return tan, nrm, uv
 
     def _lift(self, chart, y):
         u0, v0 = chart.params
@@ -375,18 +414,19 @@ class CliffordTorus(Manifold):
         n2 = math.hypot(x[2], x[3])
         return np.array([x[0] / n1, x[1] / n1, x[2] / n2, x[3] / n2]) * self.r
 
-    def _frames_at(self, p):
-        t1 = math.atan2(p[1], p[0])
-        t2 = math.atan2(p[3], p[2])
-        tan = np.array([
-            [-math.sin(t1), math.cos(t1), 0.0, 0.0],
-            [0.0, 0.0, -math.sin(t2), math.cos(t2)],
-        ])
-        nrm = np.array([
-            [math.cos(t1), math.sin(t1), 0.0, 0.0],
-            [0.0, 0.0, math.cos(t2), math.sin(t2)],
-        ])
-        return tan, nrm, (t1, t2)
+    def _frames(self, points):
+        angles = [(math.atan2(p[1], p[0]), math.atan2(p[3], p[2]))
+                  for p in points.tolist()]
+        c1, s1, c2, s2 = np.array(
+            [(math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2))
+             for t1, t2 in angles]).T
+        tan = np.zeros((len(points), 2, 4))
+        nrm = np.zeros((len(points), 2, 4))
+        tan[:, 0, 0], tan[:, 0, 1] = -s1, c1
+        tan[:, 1, 2], tan[:, 1, 3] = -s2, c2
+        nrm[:, 0, 0], nrm[:, 0, 1] = c1, s1
+        nrm[:, 1, 2], nrm[:, 1, 3] = c2, s2
+        return tan, nrm, angles
 
     def _lift(self, chart, y):
         t1, t2 = chart.params
@@ -433,10 +473,11 @@ class FlatPatch(Manifold):
         out[self.m:] = 0.0
         return out
 
-    def _frames_at(self, p):
-        tan = np.eye(self.N)[: self.m]
-        nrm = np.eye(self.N)[self.m:]
-        return tan, nrm, ()
+    def _frames(self, points):
+        n = len(points)
+        eye = np.eye(self.N)
+        return (np.tile(eye[: self.m], (n, 1, 1)),
+                np.tile(eye[self.m:], (n, 1, 1)), [()] * n)
 
     def _lift(self, chart, y):
         return chart.base + chart.frame.basis.T @ y

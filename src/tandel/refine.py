@@ -543,9 +543,8 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
                 params.epsilon / (1.0 - 4.0 * params.delta0 ** 2))
     edge_scale = 1.0 / math.sqrt(1.0 - 4.0 * params.delta0 ** 2)
     r_query = 2.0 * r_cap * edge_scale * (1.0 + 1e-9)
-    cand = np.array(
-        sorted(state.complex.tree.query_ball_point(np.asarray(x), r_query)),
-        dtype=np.int64)
+    cand = np.array(state.complex.tree.query_ball_point(
+        np.asarray(x), r_query, return_sorted=True), dtype=np.int64)
     if not len(cand):
         return None
     cand_pts = pts[cand]
@@ -681,10 +680,10 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     x_idx = info["index"]
     state.refresh_stars(info["recomputed"] + [x_idx])
     r_witness = _witness_radius(state.epsilon, state.params.delta0)
-    skip = set(info["recomputed"]) | {x_idx}
     # the query is a hair wider so that the strict test below decides
-    hits = state.complex.tree.query_ball_point(x, r_witness * (1.0 + 1e-9))
-    near = np.array(sorted(p for p in hits if p not in skip), dtype=np.intp)
+    near = np.array(state.complex.tree.query_ball_point(
+        x, r_witness * (1.0 + 1e-9), return_sorted=True), dtype=np.intp)
+    near = near[~np.isin(near, info["recomputed"] + [x_idx])]
     dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
     params = state.params
     for p in near[dist < r_witness].tolist():
@@ -763,7 +762,12 @@ def refine_sample(sample: SampleSet, manifold: Manifold,
 
 
 def _final_audit(state: RefinementState) -> dict:
-    """Post-quiescence measurements recorded for reporting."""
+    """Post-quiescence measurements recorded for reporting.
+
+    ``inconsistencies`` counts the distinct simplices of the unfit
+    index's consistency lists (empty at quiescence), rather than
+    rebuilding the simplex closure for ``consistency_report``.
+    """
     eps = state.epsilon
     tops = [(s, star.centers[s][1]) for star in state.complex.stars.values()
             for s in star.m_simplices()]
@@ -785,7 +789,10 @@ def _final_audit(state: RefinementState) -> dict:
         "bad_m_simplices": bad,
         "cosph_entries": len(taus),
         "bad_cosph_entries": bad_entries,
-        "inconsistencies": len(state.complex.consistency_report()),
+        "inconsistencies": len({
+            c.simplex for found in
+            _unfit_lists(state, ConfigKind.INCONSISTENT).values()
+            for c in found}),
         "min_pairwise_distance": min_pair,
         "sparsity_ok": min_pair > state.constants.mu0 * eps,
     }

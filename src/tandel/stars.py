@@ -18,6 +18,16 @@ Dobkin & Huhdanpaa, ACM TOMS 1996).  Corners supported by box
 walls ("synthetic" corners) mark directions where the true cell runs
 past the box, which on a compact manifold can only happen when the
 sampling radius is violated there.
+
+A star depends only on the sites within O(epsilon) of its vertex
+(Boissonnat & Ghosh, DCG 2014), so stars are independent and are built
+together: ``_build_stars`` takes a list of vertices (all of them for the
+initial complex, the cut stars and the new one for an insertion) and
+runs rounds in which the ball queries, the charts, the equidistance
+solves and the emptiness queries are one stacked call each, while the
+Qhull cell and the corner walk stay per star.  Each star comes out
+bit-identical to building it alone, and a failing batch raises the
+error of its first failing vertex.
 """
 from __future__ import annotations
 
@@ -28,7 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
-from .errors import NeighborhoodTooSparse, SingularSystem, SparsityViolation
+from .errors import (
+    NeighborhoodTooSparse,
+    PointNotOnManifold,
+    SingularSystem,
+    SparsityViolation,
+    TandelError,
+)
 from .geometry import (
     ElementaryWeight,
     GammaClass,
@@ -36,7 +52,7 @@ from .geometry import (
     faces,
     gamma_classes,
 )
-from .manifolds import Manifold, SampleSet, TangentChart, tangent_chart
+from .manifolds import Manifold, SampleSet, TangentChart, tangent_charts
 
 COND_LIMIT = 1e12
 # sites within PRUNE_MULT * epsilon of a base enter its first cell attempt
@@ -92,12 +108,13 @@ def _cell_corners(u, b, box):
         SingularSystem: a site so close to the base, against the box,
             that Qhull fails or returns a corner at infinity.
     """
-    m = u.shape[1]
-    walls = np.full((m, 1), -float(box))
-    eye = np.eye(m)
-    halfspaces = np.vstack([np.column_stack([2.0 * u, -b]),
-                            np.hstack([eye, walls]),
-                            np.hstack([-eye, walls])])
+    n, m = u.shape
+    halfspaces = np.empty((n + 2 * m, m + 1))
+    halfspaces[:n, :m] = 2.0 * u
+    halfspaces[:n, m] = -b
+    halfspaces[n:n + m, :m] = np.eye(m)
+    halfspaces[n + m:, :m] = -np.eye(m)
+    halfspaces[n:, m] = -float(box)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             corners = HalfspaceIntersection(
@@ -189,112 +206,192 @@ def _singular_message(simplex, p) -> str:
             f"condition number above {COND_LIMIT:g}")
 
 
-def _square_centers(p, pts, tree, chart, keys) -> dict:
-    """Tangent centres of the m-site tight keys of one star, one stacked
-    solve and one emptiness query: key -> (c, r, accepted, d_min), with
-    d_min the distance from c to the nearest site (NaN if rejected)."""
-    m = chart.manifold.m
-    others = np.array(keys, dtype=np.intp).reshape(-1, m)
-    centres, r2, accepted = tangent_centers(pts, p, others,
-                                            chart.frame.basis)
-    d_min = np.full(len(keys), np.nan)
-    if accepted.any():
-        d_min[accepted] = tree.query(centres[accepted])[0]
-    radii = np.sqrt(r2).tolist()
-    return {key: (centres[j], radii[j], bool(accepted[j]),
-                  float(d_min[j]))
-            for j, key in enumerate(keys)}
+def _cell(p, idx, pts, chart, prune_r):
+    """Corners of the pruned cell of p and the tight site key of each.
 
-
-def _build_star(p, pts, tree, manifold, epsilon):
-    """Star of p from its pruned neighbourhood, widening the pruning
-    radius while a site beyond it interferes with a corner.
-
-    The unique m-site tight keys are solved together up front
-    (``_square_centers``); the corner loop then walks the corners in
-    order and raises ``SingularSystem`` at the first rejected key it
-    reaches.  Degenerate corners (more than m tight sites) are solved
-    one at a time by ``tangent_center``.
+    Raises:
+        NeighborhoodTooSparse: fewer than m sites within the radius.
+        SparsityViolation: a site coincides with p.
+        SingularSystem: from ``_cell_corners``.
     """
-    m = manifold.m
-    chart = tangent_chart(manifold, pts[p])
-    prune_r = PRUNE_MULT * epsilon
-    for _attempt in range(4):
-        idx = np.array(sorted(
-            i for i in tree.query_ball_point(pts[p], prune_r) if i != p),
-            dtype=int)
-        if len(idx) < m:
-            raise NeighborhoodTooSparse(
-                f"vertex {p} has {len(idx)} neighbors within {prune_r:.4g}")
-        u, b, _w2 = _site_arrays(p, pts, idx, chart)
-        if b.min() <= 0.0:
-            raise SparsityViolation(
-                f"sample points {p} and {idx[np.argmin(b)]} coincide")
-        box = prune_r
-        corners = _cell_corners(u, b, box)
-        # tight sets per corner, in power units; idx is sorted, so each
-        # key is too
-        slack = b[None, :] - corners @ (2.0 * u).T
-        tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
-        keys = [tuple(idx[np.abs(slack[i]) <= tol].tolist())
-                for i in range(len(corners))]
-        solved = _square_centers(
-            p, pts, tree, chart,
-            list(dict.fromkeys(k for k in keys if len(k) == m)))
+    m = chart.manifold.m
+    if len(idx) < m:
+        raise NeighborhoodTooSparse(
+            f"vertex {p} has {len(idx)} neighbors within {prune_r:.4g}")
+    u, b, _w2 = _site_arrays(p, pts, idx, chart)
+    if b.min() <= 0.0:
+        raise SparsityViolation(
+            f"sample points {p} and {idx[np.argmin(b)]} coincide")
+    corners = _cell_corners(u, b, prune_r)
+    # tight sets per corner, in power units; idx is sorted, so each key
+    # is too
+    slack = b[None, :] - corners @ (2.0 * u).T
+    tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
+    tight = np.abs(slack) <= tol
+    sites = idx[np.nonzero(tight)[1]].tolist()
+    ends = np.cumsum(tight.sum(axis=1)).tolist()
+    keys = [tuple(sites[a:z]) for a, z in zip([0] + ends, ends)]
+    return corners, keys
 
-        star = Star(base=p, chart=chart, corners=corners)
-        ok = True
-        seen = {}
-        for key in keys:
-            if len(key) < m:
-                star.corner_simplex.append(None)
-                continue
-            if key not in seen:
-                if len(key) == m:
-                    c, r, accepted, d_min = solved[key]
-                    if not accepted:
-                        raise SingularSystem(_singular_message((p,) + key, p))
-                else:
-                    c, r = tangent_center((p,) + key, p, pts, chart)
-                    d_min = float(tree.query(c)[0])
-                # global emptiness: no site may be strictly inside
-                if d_min < r * (1.0 - 1e-9):
-                    if d_min >= prune_r - r:
-                        # a site beyond the pruning radius interferes
-                        ok = False
-                        break
-                    # tight site misclassified; treat corner as synthetic
-                    seen[key] = None
-                else:
-                    seen[key] = (c, r)
-            entry = seen[key]
-            if entry is None:
-                star.corner_simplex.append(None)
-                continue
-            full = tuple(sorted((p,) + key))
-            star.corner_simplex.append(full)
-            star.centers[full] = entry
-            if len(key) > m:
-                # degenerate corner: record every m-subset alongside the
-                # full cospherical simplex
-                for sub in itertools.combinations(key, m):
-                    star.centers[tuple(sorted((p,) + sub))] = entry
-        if not ok:
-            prune_r *= 2.0
+
+def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
+    """Walk the corners in order into the star of p, or None when a site
+    beyond the pruning radius interferes with a corner.
+
+    ``solved`` maps each m-site key to (c, r, accepted, d_min), with
+    d_min the distance from c to the nearest site.  A degenerate corner
+    (more than m tight sites) is solved here by ``tangent_center``.
+
+    Raises:
+        SingularSystem: at the first corner whose system is rejected.
+        NeighborhoodTooSparse: the star has no m-simplex.
+    """
+    m = chart.manifold.m
+    star = Star(base=p, chart=chart, corners=corners)
+    seen = {}
+    for key in keys:
+        if len(key) < m:
+            star.corner_simplex.append(None)
             continue
-        if not star.m_simplices():
-            raise NeighborhoodTooSparse(
-                f"no {m}-simplex in the star of vertex {p}")
-        return star
-    raise NeighborhoodTooSparse(
-        f"pruning radius for vertex {p} kept growing without closure")
+        if key not in seen:
+            if len(key) == m:
+                c, r, accepted, d_min = solved[key]
+                if not accepted:
+                    raise SingularSystem(_singular_message((p,) + key, p))
+            else:
+                c, r = tangent_center((p,) + key, p, pts, chart)
+                d_min = float(tree.query(c)[0])
+            # global emptiness: no site may be strictly inside
+            if d_min < r * (1.0 - 1e-9):
+                if d_min >= prune_r - r:
+                    # a site beyond the pruning radius interferes
+                    return None
+                # tight site misclassified; treat corner as synthetic
+                seen[key] = None
+            else:
+                seen[key] = (c, r)
+        entry = seen[key]
+        if entry is None:
+            star.corner_simplex.append(None)
+            continue
+        full = tuple(sorted((p,) + key))
+        star.corner_simplex.append(full)
+        star.centers[full] = entry
+        if len(key) > m:
+            # degenerate corner: record every m-subset alongside the
+            # full cospherical simplex
+            for sub in itertools.combinations(key, m):
+                star.centers[tuple(sorted((p,) + sub))] = entry
+    if not star.m_simplices():
+        raise NeighborhoodTooSparse(f"no {m}-simplex in the star of vertex {p}")
+    return star
+
+
+def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
+    """Stars of the given vertices, built together in rounds.
+
+    The charts come from one ``tangent_charts`` stack.  A round takes
+    every star still open: one ball query over their pruning radii
+    (``PRUNE_MULT * epsilon`` in the first round), a Qhull cell and its
+    tight keys per star (``_cell``), one ``tangent_centers`` stack over
+    the unique m-site keys of all of them, one emptiness query over the
+    accepted centres, and then each star's corner walk
+    (``_corner_star``).  A star with a site beyond its pruning radius
+    inside a corner ball doubles its radius and goes to the next round,
+    for at most 4 rounds.
+
+    Every step is the per-star arithmetic stacked (row-wise solves and
+    queries), so a star comes out bit-identical to building it alone,
+    and the stars do not depend on one another.  When some stars fail,
+    the error raised is the one of the first failing vertex in the order
+    given: the error building them one at a time in that order raises.
+    Stars after a failed one are dropped, as they cannot change that.
+
+    Raises:
+        PointNotOnManifold: from ``tangent_charts``.
+        NeighborhoodTooSparse, SparsityViolation, SingularSystem: see
+            ``_cell`` and ``_corner_star``; NeighborhoodTooSparse also
+            for a star still open after 4 rounds.
+    """
+    bases = list(bases)
+    try:
+        charts = tangent_charts(manifold, pts[bases])
+    except PointNotOnManifold:
+        # the stars before the first off-manifold vertex fail first
+        first = next(i for i, p in enumerate(bases)
+                     if not manifold.contains(pts[p]))
+        _build_stars(bases[:first], pts, tree, manifold, epsilon)
+        raise
+    m, n = manifold.m, len(bases)
+    base_idx = np.array(bases, dtype=np.intp)
+    frames = np.array([chart.frame.basis for chart in charts]).reshape(
+        n, m, pts.shape[1])
+    stars = [None] * n
+    errors = {}
+    prune = np.full(n, PRUNE_MULT * epsilon)
+    todo = list(range(n))
+    for _round in range(4):
+        if not todo:
+            break
+        near = tree.query_ball_point(pts[base_idx[todo]], prune[todo],
+                                     return_sorted=True)
+        cells = []
+        for i, ball in zip(todo, near):
+            p = bases[i]
+            idx = np.array(ball, dtype=np.intp)
+            try:
+                cells.append((i, *_cell(p, idx[idx != p], pts, charts[i],
+                                        float(prune[i]))))
+            except TandelError as exc:
+                errors[i] = exc
+        # a star after a failed one cannot change the outcome
+        cells = [cell for cell in cells if cell[0] < min(errors, default=n)]
+        # the unique m-site keys of every cell: one stacked solve and one
+        # emptiness query
+        key_lists = [list(dict.fromkeys(k for k in keys if len(k) == m))
+                     for _i, _corners, keys in cells]
+        rows = np.repeat(np.array([i for i, _c, _k in cells], dtype=np.intp),
+                         [len(own) for own in key_lists])
+        others = np.array([k for own in key_lists for k in own],
+                          dtype=np.intp).reshape(-1, m)
+        centres, r2, accepted = tangent_centers(
+            pts, base_idx[rows], others, frames[rows])
+        d_min = np.full(len(rows), np.nan)
+        if accepted.any():
+            d_min[accepted] = tree.query(centres[accepted])[0]
+        solved = list(zip(centres, np.sqrt(r2).tolist(), accepted.tolist(),
+                          d_min.tolist()))
+        todo = []
+        start = 0
+        for (i, corners, keys), own in zip(cells, key_lists):
+            entries = dict(zip(own, solved[start:start + len(own)]))
+            start += len(own)
+            if i > min(errors, default=n):
+                break
+            try:
+                star = _corner_star(bases[i], charts[i], corners, keys,
+                                    entries, pts, tree, float(prune[i]))
+            except TandelError as exc:
+                errors[i] = exc
+                continue
+            if star is None:
+                prune[i] *= 2.0
+                todo.append(i)
+            else:
+                stars[i] = star
+    for i in todo:
+        errors[i] = NeighborhoodTooSparse(
+            f"pruning radius for vertex {bases[i]} kept growing without "
+            f"closure")
+    if errors:
+        raise errors[min(errors)]
+    return stars
 
 
 def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
     """Star of vertex p in the tangent-plane weighted Delaunay complex.
 
-    The cell corners come from one halfspace intersection (Qhull) in
-    any intrinsic dimension m.
+    A one-vertex ``_build_stars``.
 
     Raises:
         NeighborhoodTooSparse: no m-simplex exists around p, which
@@ -302,8 +399,7 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
         SparsityViolation: another sample point coincides with p.
     """
     pts = np.asarray(sample.points, dtype=float)
-    tree = cKDTree(pts)
-    return _build_star(p, pts, tree, manifold, sample.epsilon)
+    return _build_stars([p], pts, cKDTree(pts), manifold, sample.epsilon)[0]
 
 
 # ===== cosphericity stars =====
@@ -407,20 +503,17 @@ class TangentialComplex:
     def n_points(self) -> int:
         return len(self.points)
 
-    def _store_star(self, p: int) -> Star:
-        star = _build_star(p, self.points, self.tree, self.manifold,
-                           self.epsilon)
-        self.stars[p] = star
-        self.cell_radii[p] = star.max_radius()
-        return star
+    def _build(self, bases):
+        """Build the stars of bases in one ``_build_stars`` batch and store
+        them."""
+        for star in _build_stars(bases, self.points, self.tree,
+                                 self.manifold, self.epsilon):
+            self.stars[star.base] = star
+            self.cell_radii[star.base] = star.max_radius()
 
     def build(self):
-        for p in range(self.n_points):
-            self._store_star(p)
+        self._build(range(self.n_points))
         return self
-
-    def recompute_star(self, p: int):
-        return self._store_star(p)
 
     def gamma_classes(self, simplices, gamma0: float) -> list:
         """``geometry.gamma_classes`` of simplices of sample points (all of
@@ -496,30 +589,35 @@ class TangentialComplex:
         |u_x| <= |x - p| with |t| <= rho_p = ``Star.max_radius()``, so
         only stars with |x - p| <= 2 rho_p can be cut (the factor
         1 + 1e-6 covers rounding).  Those candidates are tested with
-        ``star_is_cut_by`` and the cut ones rebuilt; every other star is
-        provably unchanged.  Returns the new vertex id, the rebuilt star
-        ids, and the candidates that were left alone.  Cosph caches are
-        the caller's.
+        ``star_is_cut_by`` and the cut ones rebuilt, with the new star,
+        in one ``_build_stars`` batch; every other star is provably
+        unchanged.  The test reads only the old star it tests, so
+        testing every candidate before rebuilding any is the same as
+        rebuilding each as it is found cut.  Returns the new vertex id,
+        the rebuilt star ids, and the candidates that were left alone.
+        Cosph caches are the caller's.
         """
         x = np.asarray(x, dtype=float)
         new_idx = self.n_points
         self.points = np.vstack([self.points, x[None]])
         self.tree = cKDTree(self.points)
         reach = 2.0 * self.cell_radii * (1.0 + 1e-6)
-        near = np.array(sorted(
-            i for i in self.tree.query_ball_point(x, reach.max())
-            if i != new_idx and i in self.stars), dtype=np.intp)
+        near = np.array(self.tree.query_ball_point(x, reach.max(),
+                                                   return_sorted=True),
+                        dtype=np.intp)
+        near = near[near != new_idx]
         dist = np.linalg.norm(self.points[near] - x, axis=1)
         recomputed = []
         untouched = []
         for p in near[dist <= reach[near]].tolist():
+            if p not in self.stars:
+                continue
             if self.star_is_cut_by(p, x):
-                self.recompute_star(p)
                 recomputed.append(p)
             else:
                 untouched.append(p)
         self.cell_radii = np.append(self.cell_radii, 0.0)
-        self._store_star(new_idx)
+        self._build(recomputed + [new_idx])
         return {"index": new_idx, "recomputed": recomputed,
                 "untouched": untouched}
 

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDim,
 )
 from .geometry import _combos, as_simplex, circumsphere
-from .manifolds import Manifold, covering_radius_estimate, tangent_chart
+from .manifolds import Manifold, covering_radius_estimate, tangent_charts
 from .stars import tangent_centers
 
 # Hard ceilings for the exhaustive routes; beyond them the cost curve is
@@ -747,7 +747,8 @@ def power_protection_audit(cplx, points, manifold: Manifold,
 
     For each m-simplex and each of its vertices p, the center C on the
     tangent plane at p equidistant from the simplex vertices is solved
-    (every entry in one ``stars.tangent_centers`` stack); the margin is
+    (the frames of every vertex from one ``tangent_charts`` stack, every
+    entry in one ``stars.tangent_centers`` stack); the margin is
     min over points q outside the simplex of |C - q|^2 - R^2.  An entry
     passes when its margin exceeds the threshold; an entry whose center
     system is rejected as singular is reported as a failing entry rather
@@ -771,10 +772,12 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     base = top.reshape(-1)
     others = np.stack([np.delete(top, j, axis=1) for j in range(m + 1)],
                       axis=1).reshape(-1, m)
-    frames = {p: tangent_chart(manifold, pts[p]).frame.basis
-              for p in dict.fromkeys(base.tolist())}
-    basis = np.array([frames[p] for p in base.tolist()]).reshape(
-        len(base), m, pts.shape[1])
+    vertices = list(dict.fromkeys(base.tolist()))
+    slot = dict(zip(vertices, range(len(vertices))))
+    frames = np.array([chart.frame.basis for chart in
+                       tangent_charts(manifold, pts[vertices])])
+    basis = frames.reshape(-1, m, pts.shape[1])[
+        [slot[p] for p in base.tolist()]]
     centres, r2, accepted = tangent_centers(pts, base, others, basis)
     margin = np.full(len(base), math.inf)
     if len(pts) > m + 1 and accepted.any():

@@ -32,6 +32,7 @@ from tandel.manifolds import (
     project_to_tangent,
     read_points,
     tangent_chart,
+    tangent_charts,
     write_points,
 )
 
@@ -203,6 +204,100 @@ def test_sphere_projection_example():
     chart = tangent_chart(UnitSphere(2, 3), np.array([0.0, 0.0, 1.0]))
     y = project_to_tangent(chart, np.array([0.6, 0.0, 0.8]))
     assert sorted(np.abs(y)) == pytest.approx([0.0, 0.6], abs=1e-12)
+
+
+# ===== stacked charts =====
+
+def _scalar_frames(manifold, p):
+    """The frames of one point by the closed forms, one point at a time:
+    the reference for ``Manifold._frames``."""
+    if isinstance(manifold, UnitSphere):
+        k = manifold.m + 1
+        pb = p[:k] / np.linalg.norm(p[:k])
+        u = np.linalg.svd(np.eye(k) - np.outer(pb, pb))[0]
+        tan = np.zeros((manifold.m, manifold.N))
+        tan[:, :k] = u[:, : manifold.m].T
+        nrm = np.zeros((manifold.N - manifold.m, manifold.N))
+        nrm[0, :k] = pb
+        for i in range(manifold.N - k):
+            nrm[1 + i, k + i] = 1.0
+        return tan, nrm, ()
+    if isinstance(manifold, TorusOfRevolution):
+        u = math.atan2(p[1], p[0])
+        v = math.atan2(p[2], math.hypot(p[0], p[1]) - manifold.R)
+        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        return (np.array([[-su, cu, 0.0], [-sv * cu, -sv * su, cv]]),
+                np.array([[cv * cu, cv * su, sv]]), (u, v))
+    if isinstance(manifold, CliffordTorus):
+        t1, t2 = math.atan2(p[1], p[0]), math.atan2(p[3], p[2])
+        c1, s1, c2, s2 = (math.cos(t1), math.sin(t1), math.cos(t2),
+                          math.sin(t2))
+        return (np.array([[-s1, c1, 0.0, 0.0], [0.0, 0.0, -s2, c2]]),
+                np.array([[c1, s1, 0.0, 0.0], [0.0, 0.0, c2, s2]]),
+                (t1, t2))
+    eye = np.eye(manifold.N)
+    return eye[: manifold.m], eye[manifold.m:], ()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ["sphere:m=3,N=5",
+                                              "flat:m=3,N=5"])
+def test_stacked_charts_match_scalar_frames(spec):
+    """Every row of one stack is bitwise the closed-form frame of its
+    point; ``np.arctan2`` and ``np.hypot`` round differently from
+    ``math`` on some inputs, so a vectorised angle would show here."""
+    manifold = parse_manifold(spec)
+    pts = manifold.sample(2000, seed=17)
+    charts = tangent_charts(manifold, pts)
+    assert len(charts) == len(pts)
+    for p, chart in zip(pts, charts):
+        tan, nrm, params = _scalar_frames(manifold, p)
+        assert chart.frame.basis.tobytes() == tan.tobytes()
+        assert chart.normal_frame.basis.tobytes() == nrm.tobytes()
+        assert chart.params == params
+        assert chart.base.tobytes() == p.tobytes()
+        assert chart.frame.origin is chart.base
+        assert chart.manifold is manifold
+        one = tangent_chart(manifold, p)
+        assert one.frame.basis.tobytes() == tan.tobytes()
+        assert one.normal_frame.basis.tobytes() == nrm.tobytes()
+        assert one.params == params
+
+
+def test_stacked_charts_check_frames_once(monkeypatch):
+    from tandel import manifolds as manifolds_module
+    from tandel.geometry import AffineFrame
+    checks = []
+    real = manifolds_module.check_orthonormal
+    monkeypatch.setattr(manifolds_module, "check_orthonormal",
+                        lambda bases: checks.append(bases.shape) or real(bases))
+    monkeypatch.setattr(AffineFrame, "__post_init__",
+                        lambda self: checks.append("frame"))
+    M = TorusOfRevolution(2, 0.5)
+    charts = tangent_charts(M, M.sample(50, seed=3))
+    assert len(charts) == 50
+    assert checks == [(50, 2, 3), (50, 1, 3)]
+
+
+def test_stacked_charts_reject_a_bad_frame_stack(monkeypatch):
+    M = FlatPatch(2, 3)
+    tan, nrm, params = M._frames(M.sample(4, seed=1))
+    tan[2, 1] = tan[2, 0]
+    monkeypatch.setattr(M, "_frames", lambda points: (tan, nrm, params))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        tangent_charts(M, M.sample(4, seed=1))
+    tan[2, 1] = [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        tangent_charts(M, M.sample(4, seed=1))
+
+
+def test_stacked_charts_name_the_first_bad_row():
+    M = UnitSphere(2, 3)
+    pts = M.sample(6, seed=4)
+    pts[2] *= 1.25
+    pts[4] *= 1.5
+    with pytest.raises(PointNotOnManifold, match="residual 2.500e-01"):
+        tangent_charts(M, pts)
+    assert tangent_charts(M, pts[:0]) == []
 
 
 # ===== lifts =====

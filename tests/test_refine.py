@@ -1024,3 +1024,35 @@ def test_mesh_min_thickness_equals_per_simplex_loop(run, request):
     assert thicknesses(tops, pts).tolist() == per_simplex
     got = cli._mesh_measurements(state, manifold)["min_thickness"]
     assert got == min(per_simplex)
+
+
+@pytest.mark.parametrize("run", ["torus_run", "sphere_run", "lattice"])
+def test_final_audit_inconsistencies_match_consistency_report(run, request):
+    """The final audit counts inconsistencies from the unfit index; the
+    closure rebuild of ``consistency_report`` counts the same."""
+    if run == "lattice":
+        from test_acceptance import _lattice_patch
+        state = refine_module.refine_sample(
+            _lattice_patch(), FLAT, params_ok(epsilon=0.5, gamma0=0.3,
+                                              seed=5))
+        assert state.counters["rule2_cosph"] >= 1
+    else:
+        state = request.getfixturevalue(run)[0]
+    got = state.final_audit["inconsistencies"]
+    assert got == len(state.complex.consistency_report())
+    # a star made to miss one of its m-simplices shows in both counts
+    stars = state.complex.stars
+    p, s = next((p, s) for p, star in sorted(stars.items())
+                for s in sorted(star.m_simplices()))
+    state = copy.copy(state)
+    state.complex = copy.copy(state.complex)
+    state.complex.stars = dict(stars)
+    state.complex.stars[p] = dataclasses.replace(
+        stars[p], centers={k: v for k, v in stars[p].centers.items()
+                           if k != s})
+    state.unfit = {kind: dict(lists) for kind, lists in state.unfit.items()}
+    state.dirty = {kind: set(bases) for kind, bases in state.dirty.items()}
+    state.mark_built([p])
+    audit = refine_module._final_audit(state)
+    assert audit["inconsistencies"] == len(
+        state.complex.consistency_report()) >= 1

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import reference_star
-from tandel.errors import NeighborhoodTooSparse, SingularSystem
+from conftest import flat_sites, reference_star
+from tandel import stars as stars_module
+from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
+                           SingularSystem, SparsityViolation)
 from tandel.geometry import (ElementaryWeight, GammaClass, as_simplex,
                              circumsphere, edge_extremes, faces)
 from tandel.manifolds import (
@@ -21,6 +23,7 @@ from tandel.stars import (
     COND_LIMIT,
     PRUNE_MULT,
     TangentialComplex,
+    _build_stars,
     _cell_corners,
     _cosph_scan,
     _site_arrays,
@@ -544,6 +547,117 @@ def test_stacked_centres_reject_singular_rows_only():
         c, r = _tangent_center_per_corner((0,) + others, 0, OCTA, chart)
         assert centres[row].tobytes() == c.tobytes()
         assert np.sqrt(r2[row]) == r
+
+
+# ===== batch star builds =====
+
+def _batch(sample, manifold, bases):
+    pts = np.asarray(sample.points, dtype=float)
+    return _build_stars(bases, pts, cKDTree(pts), manifold, sample.epsilon)
+
+
+def _assert_identical_stars(a, b):
+    assert a.base == b.base
+    assert a.corners.tobytes() == b.corners.tobytes(), a.base
+    assert a.corner_simplex == b.corner_simplex, a.base
+    assert list(a.centers) == list(b.centers), a.base
+    for key, (c, r) in a.centers.items():
+        assert b.centers[key][0].tobytes() == c.tobytes(), (a.base, key)
+        assert b.centers[key][1] == r, (a.base, key)
+    assert a.chart.frame.basis.tobytes() == b.chart.frame.basis.tobytes()
+
+
+def _torus_net():
+    torus = TorusOfRevolution(2.0, 0.5)
+    return farthest_point_net(torus.sample(60000, seed=11), eps=0.3,
+                              seed=11), torus
+
+
+def _three_sphere_net():
+    s3 = UnitSphere(3, 4)
+    return farthest_point_net(s3.sample(20000, seed=1), eps=0.45,
+                              seed=1), s3
+
+
+def _flat_net(seed):
+    return lambda: (SampleSet(points=flat_sites(seed), epsilon=0.25,
+                              sparsity=0.0), FlatPatch(2, 3))
+
+
+@pytest.mark.parametrize("make", [
+    _torus_net, _three_sphere_net, *(_flat_net(seed) for seed in range(1, 6)),
+    lambda: (octa_sample(), UnitSphere(2, 3)),
+], ids=["torus", "s3", "flat1", "flat2", "flat3", "flat4", "flat5", "octa"])
+def test_batch_build_equals_one_star_builds(make):
+    """Every star of one batch over all vertices, and of the batch in
+    reverse order, is bitwise the star built on its own."""
+    sample, manifold = make()
+    n = len(sample.points)
+    batch = _batch(sample, manifold, range(n))
+    backward = _batch(sample, manifold, range(n - 1, -1, -1))[::-1]
+    for p in range(n):
+        alone = compute_star(p, sample, manifold)
+        _assert_identical_stars(batch[p], alone)
+        _assert_identical_stars(backward[p], alone)
+
+
+def _widening_sample():
+    """Vertex 3 lies beyond the first pruning radius of vertex 0
+    (8 * 0.1) but inside the tangent ball of its corner (1, 2)."""
+    pts = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.0, 0.7, 0.0],
+                    [0.6, 0.6, 0.0]])
+    return SampleSet(points=pts, epsilon=0.1, sparsity=0.0)
+
+
+def test_batch_widens_a_star_in_a_second_round(monkeypatch):
+    sample, flat = _widening_sample(), FlatPatch(2, 3)
+    rounds = []
+    real = stars_module.tangent_centers
+    monkeypatch.setattr(stars_module, "tangent_centers",
+                        lambda *args: rounds.append(set(args[1].tolist()))
+                        or real(*args))
+    batch = _batch(sample, flat, range(4))
+    # one stacked solve per round; vertices 1 and 2 close in the first
+    assert rounds == [{0, 1, 2, 3}, {0, 3}]
+    assert 3 in {v for s in batch[0].centers for v in s}
+    monkeypatch.setattr(stars_module, "tangent_centers", real)
+    for p in range(4):
+        _assert_identical_stars(batch[p], compute_star(p, sample, flat))
+
+
+def test_batch_raises_the_first_failing_base_error(monkeypatch):
+    flat = FlatPatch(2, 3)
+    pts = np.vstack([_widening_sample().points,
+                     [[10.0, 10.0, 0.0],                     # 4: alone
+                      [5.0, -5.0, 1e-3],                     # 5: off M
+                      [20.0, 20.0, 0.0], [20.0, 20.0, 0.0],  # 6, 7: one
+                      [20.3, 20.0, 0.0]]])
+    sample = SampleSet(points=pts, epsilon=0.1, sparsity=0.0)
+    alone = (NeighborhoodTooSparse, "vertex 4 has 0 neighbors")
+    for bases, (error, message) in [
+            ([4, 5], alone),
+            ([5, 4], (PointNotOnManifold, "residual 1.000e-03")),
+            ([0, 6, 4], (SparsityViolation, "points 6 and 7 coincide")),
+            ([1, 4, 6], alone)]:
+        with pytest.raises(error, match=message):
+            _batch(sample, flat, bases)
+        # building them one at a time in that order raises the same
+        with pytest.raises(error, match=message):
+            for p in bases:
+                compute_star(p, sample, flat)
+    # vertex 0 fails only in its second round, after vertex 4 has failed
+    real = stars_module._cell_corners
+
+    def second_round_fails(u, b, box):
+        if box > PRUNE_MULT * 0.1:
+            raise SingularSystem("second round")
+        return real(u, b, box)
+
+    monkeypatch.setattr(stars_module, "_cell_corners", second_round_fails)
+    with pytest.raises(SingularSystem, match="second round"):
+        _batch(sample, flat, [0, 4])
+    with pytest.raises(NeighborhoodTooSparse, match="vertex 4"):
+        _batch(sample, flat, [4, 0])
 
 
 # ===== union complex bookkeeping =====

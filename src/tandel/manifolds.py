@@ -158,9 +158,9 @@ def closest_point(manifold: Manifold, x) -> np.ndarray:
 def tangent_charts(manifold: Manifold, points) -> list[TangentChart]:
     """Orthonormal tangent/normal frames at every row of points.
 
-    One stacked frame build (``Manifold._frames``); the frame checks of
-    ``AffineFrame`` and ``TangentChart`` run once over the whole stack,
-    not once per chart.  Every row is a one-row build.
+    One stacked frame build (``Manifold._frames``) whose rows do not
+    depend on one another; the frame checks of ``AffineFrame`` and
+    ``TangentChart`` run once over the whole stack, not once per chart.
 
     Raises:
         PointNotOnManifold: for the first row whose implicit residual

@@ -15,7 +15,8 @@ from tandel.errors import (
     OutOfChart,
     PointNotOnManifold,
 )
-from tandel.geometry import subspace_angle
+from tandel import manifolds as manifolds_module
+from tandel.geometry import AffineFrame, subspace_angle
 from tandel.manifolds import (
     CliffordTorus,
     FlatPatch,
@@ -264,8 +265,6 @@ def test_stacked_charts_match_scalar_frames(spec):
 
 
 def test_stacked_charts_check_frames_once(monkeypatch):
-    from tandel import manifolds as manifolds_module
-    from tandel.geometry import AffineFrame
     checks = []
     real = manifolds_module.check_orthonormal
     monkeypatch.setattr(manifolds_module, "check_orthonormal",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from test_acceptance import _lattice_patch
 from tandel import cli
 from tandel import refine as refine_module
 from tandel import stars as stars_module
@@ -1031,7 +1032,6 @@ def test_final_audit_inconsistencies_match_consistency_report(run, request):
     """The final audit counts inconsistencies from the unfit index; the
     closure rebuild of ``consistency_report`` counts the same."""
     if run == "lattice":
-        from test_acceptance import _lattice_patch
         state = refine_module.refine_sample(
             _lattice_patch(), FLAT, params_ok(epsilon=0.5, gamma0=0.3,
                                               seed=5))

@@ -36,8 +36,7 @@ from .geometry import (  # noqa: F401 - classify_gamma is re-exported
     min_weighted_radius,
 )
 from .manifolds import Manifold, SampleSet, lift_from_tangent
-from .stars import (TangentialComplex, _cosph_scan, assemble_complex,
-                    cosph_star)
+from .stars import TangentialComplex, _cosph_scan, assemble_complex
 
 # how far past reach/2 a chart lift may be attempted before shrinking
 _CHART_SLACK = 2.0
@@ -327,21 +326,17 @@ class RefinementState:
     def gamma_classes(self, simplices) -> list:
         return self.complex.gamma_classes(simplices, self.params.gamma0)
 
-    def refresh_cosph(self, p: int):
-        self.cosph[p] = cosph_star(p, self.params.delta0, self.complex,
-                                   self.params.gamma0)
+    def refresh_cosph(self, bases):
+        """New cosph records for the given stars, from one stacked
+        ``_cosph_scan``."""
+        self.cosph.update(zip(bases, _cosph_scan(
+            self.complex, bases, self.params.delta0, self.params.gamma0)))
 
     def refresh_stars(self, bases):
-        """New cosph records for freshly built stars, after one gamma0
-        batch over their m-simplices with r < epsilon (the ones the cosph
-        scan classifies), and every kind of their unfit lists dirty."""
-        stars = self.complex.stars
-        m = self.manifold.m
-        self.gamma_classes([s for p in bases
-                            for s, (_c, r) in stars[p].centers.items()
-                            if len(s) == m + 1 and r < self.epsilon])
-        for p in bases:
-            self.refresh_cosph(p)
+        """New cosph records for freshly built stars (one stacked scan,
+        whose gamma0 batch classifies their small m-simplices), and every
+        kind of their unfit lists dirty."""
+        self.refresh_cosph(bases)
         self.mark_built(bases)
 
     def mark_built(self, bases):
@@ -659,12 +654,13 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     """Insert x into the complex and keep every cache coherent.
 
     ``insert_point`` rebuilds exactly the stars x cuts; they and the new
-    star get fresh cosph records and dirty unfit lists
-    (``RefinementState.refresh_stars``).  Of the others, only those
+    star get fresh cosph records, from one stacked scan, and dirty unfit
+    lists (``RefinementState.refresh_stars``).  Of the others, only those
     within ``_witness_radius`` of x can gain a cosph entry with x as
-    witness, so only they are scanned, against x alone.  Every entry
-    that scan adds contains x, so it joins the record without meeting an
-    old one, and only a star that gains one has its cosph list dirtied.
+    witness, so only they are scanned, in one more stacked scan against
+    x alone.  Every entry that scan adds contains x, so it joins the
+    record without meeting an old one, and only a star that gains one
+    has its cosph list dirtied.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,
@@ -685,10 +681,10 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
         x, r_witness * (1.0 + 1e-9), return_sorted=True), dtype=np.intp)
     near = near[~np.isin(near, info["recomputed"] + [x_idx])]
     dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
-    params = state.params
-    for p in near[dist < r_witness].tolist():
-        added = _cosph_scan(state.complex, p, params.delta0, params.gamma0,
-                            sites=(x_idx,))
+    witnessed = near[dist < r_witness].tolist()
+    for p, added in zip(witnessed, _cosph_scan(
+            state.complex, witnessed, state.params.delta0,
+            state.params.gamma0, sites=(x_idx,))):
         if added:
             state.cosph[p].update(added)
             state.dirty[ConfigKind.BAD_COSPH].add(p)

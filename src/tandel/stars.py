@@ -24,10 +24,15 @@ A star depends only on the sites within O(epsilon) of its vertex
 together: ``_build_stars`` takes a list of vertices (all of them for the
 initial complex, the cut stars and the new one for an insertion) and
 runs rounds in which the ball queries, the charts, the equidistance
-solves and the emptiness queries are one stacked call each, while the
-Qhull cell and the corner walk stay per star.  Each star comes out
-bit-identical to building it alone, and a failing batch raises the
-error of its first failing vertex.
+solves and the emptiness queries are one stacked call each, and the
+site arrays and their checks one stacked pass per chunk of
+``_SITE_CHUNK`` stars, while the Qhull cell, its tight keys and the
+corner walk stay per star.  Each star comes out bit-identical to
+building it alone, and a failing batch raises the error of its first
+failing vertex.  The same holds around a build: an insertion tests all
+its candidate cells against the new site in one stack
+(``TangentialComplex._cells_cut_by``), and the cosph records of a list
+of stars come from one stacked scan (``_cosph_scan``).
 """
 from __future__ import annotations
 
@@ -57,6 +62,9 @@ from .manifolds import Manifold, SampleSet, TangentChart, tangent_charts
 COND_LIMIT = 1e12
 # sites within PRUNE_MULT * epsilon of a base enter its first cell attempt
 PRUNE_MULT = 8.0
+# stars per _site_arrays call: its product holds (sites of the chunk) x
+# (_SITE_CHUNK * m) entries
+_SITE_CHUNK = 8
 
 
 @dataclass
@@ -87,12 +95,42 @@ class Star:
         return float(np.sqrt((self.corners ** 2).sum(axis=1).max()))
 
 
-def _site_arrays(p_idx, pts, neighbor_idx, chart):
-    rel = pts[neighbor_idx] - pts[p_idx]
-    u = rel @ chart.frame.basis.T
-    b = (rel * rel).sum(axis=1)
-    w2 = b - (u * u).sum(axis=1)
-    return u, b, w2
+def _site_arrays(pts, bases, frames, balls):
+    """Site rows of a chunk of at most ``_SITE_CHUNK`` stars, star after
+    star, from one gather and one product.
+
+    Star i has base p = ``bases[i]``, tangent frame B = ``frames[i]`` and
+    the sites of ``balls[i]`` other than p, in the given order.  Each
+    site q gives a row with u = B (q - p) and b = |q - p|^2.
+
+    u is rel @ frames.reshape(-1, N).T, keeping each row's own m
+    columns.  The frames are padded to ``_SITE_CHUNK`` and the product
+    takes one zero row past the sites, so it is always the same
+    matrix-matrix BLAS call, and a star's u does not depend on the other
+    stars of its chunk.  For m >= 2 and at least two sites it is
+    bit-identical to the one-star rel @ B.T (a single row or column
+    would make numpy call a matrix-vector routine instead).
+
+    Returns (idx, u, b, owner): the site id, u, b and star of every
+    row; the rows of a star are contiguous.
+    """
+    k = len(bases)
+    dim = pts.shape[1]
+    m = frames.shape[1]
+    lengths = [len(ball) for ball in balls]
+    idx = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                      count=sum(lengths))
+    owner = np.repeat(np.arange(k), lengths)
+    keep = idx != bases[owner]
+    idx, owner = idx[keep], owner[keep]
+    rel = np.zeros((len(idx) + 1, dim))
+    np.subtract(pts[idx], pts[bases[owner]], out=rel[:-1])
+    b = (rel[:-1] * rel[:-1]).sum(axis=1)
+    padded = np.zeros((_SITE_CHUNK, m, dim))
+    padded[:k] = frames
+    prod = rel @ padded.reshape(-1, dim).T
+    u = prod[:-1].reshape(-1, _SITE_CHUNK, m)[np.arange(len(idx)), owner]
+    return idx, u, b, owner
 
 
 # ===== corner extraction =====
@@ -190,7 +228,8 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
         if not accepted[0]:
             raise SingularSystem(_singular_message(simplex, p))
         return centres[0], float(np.sqrt(r2[0]))
-    u, b, _ = _site_arrays(p, pts, others, chart)
+    _idx, u, b, _owner = _site_arrays(pts, np.array([p]),
+                                      chart.frame.basis[None], [others])
     a_mat = 2.0 * u
     t, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
     resid = np.abs(a_mat @ t - b).max()
@@ -206,32 +245,56 @@ def _singular_message(simplex, p) -> str:
             f"condition number above {COND_LIMIT:g}")
 
 
-def _cell(p, idx, pts, chart, prune_r):
-    """Corners of the pruned cell of p and the tight site key of each.
+def _cells(pts, bases, frames, balls, boxes):
+    """Pruned cells of one ``_site_arrays`` chunk of stars.
 
-    Raises:
-        NeighborhoodTooSparse: fewer than m sites within the radius.
-        SparsityViolation: a site coincides with p.
+    Star k has base ``bases[k]``, frame ``frames[k]``, the sites of
+    ``balls[k]`` and the box [-boxes[k], boxes[k]]^m.  The site arrays
+    and the checks are one stacked pass over the chunk; the cell corners
+    (one Qhull call, ``_cell_corners``) and their tight keys are per star.
+
+    Returns (cells, errors): cells lists (k, corners, keys) with the
+    tight site key of each corner, and errors maps k to the error of a
+    star without a cell:
+        NeighborhoodTooSparse: fewer than m sites within the box.
+        SparsityViolation: a site coincides with the base.
         SingularSystem: from ``_cell_corners``.
     """
-    m = chart.manifold.m
-    if len(idx) < m:
-        raise NeighborhoodTooSparse(
-            f"vertex {p} has {len(idx)} neighbors within {prune_r:.4g}")
-    u, b, _w2 = _site_arrays(p, pts, idx, chart)
-    if b.min() <= 0.0:
-        raise SparsityViolation(
-            f"sample points {p} and {idx[np.argmin(b)]} coincide")
-    corners = _cell_corners(u, b, prune_r)
-    # tight sets per corner, in power units; idx is sorted, so each key
-    # is too
+    m = frames.shape[1]
+    idx, u, b, owner = _site_arrays(pts, bases, frames, balls)
+    starts = np.searchsorted(owner, np.arange(len(bases) + 1)).tolist()
+    # the first site of each star that coincides with its base
+    zero = np.flatnonzero(b <= 0.0)[::-1]
+    coincident = dict(zip(owner[zero].tolist(), idx[zero].tolist()))
+    cells, errors = [], {}
+    for k, p in enumerate(bases.tolist()):
+        r0, r1 = starts[k], starts[k + 1]
+        if r1 - r0 < m:
+            errors[k] = NeighborhoodTooSparse(
+                f"vertex {p} has {r1 - r0} neighbors within {boxes[k]:.4g}")
+        elif k in coincident:
+            errors[k] = SparsityViolation(
+                f"sample points {p} and {coincident[k]} coincide")
+        else:
+            try:
+                corners = _cell_corners(u[r0:r1], b[r0:r1], float(boxes[k]))
+            except SingularSystem as exc:
+                errors[k] = exc
+            else:
+                cells.append((k, corners, _tight_keys(
+                    idx[r0:r1], u[r0:r1], b[r0:r1], corners)))
+    return cells, errors
+
+
+def _tight_keys(idx, u, b, corners):
+    """The tight site key of each corner of one cell, in power units; idx
+    is sorted, so each key is too."""
     slack = b[None, :] - corners @ (2.0 * u).T
     tol = 1e-9 * max(float(b.max()), float((corners ** 2).sum(axis=1).max()))
     tight = np.abs(slack) <= tol
     sites = idx[np.nonzero(tight)[1]].tolist()
     ends = np.cumsum(tight.sum(axis=1)).tolist()
-    keys = [tuple(sites[a:z]) for a, z in zip([0] + ends, ends)]
-    return corners, keys
+    return [tuple(sites[a:z]) for a, z in zip([0] + ends, ends)]
 
 
 def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
@@ -292,17 +355,19 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
 
     The charts come from one ``tangent_charts`` stack.  A round takes
     every star still open: one ball query over their pruning radii
-    (``PRUNE_MULT * epsilon`` in the first round), a Qhull cell and its
-    tight keys per star (``_cell``), one ``tangent_centers`` stack over
-    the unique m-site keys of all of them, one emptiness query over the
-    accepted centres, and then each star's corner walk
-    (``_corner_star``).  A star with a site beyond its pruning radius
+    (``PRUNE_MULT * epsilon`` in the first round), then per chunk of
+    ``_SITE_CHUNK`` stars one gather and one product for their site
+    arrays and a Qhull cell and its tight keys per star (``_cells``),
+    one ``tangent_centers`` stack over the unique m-site keys of all of
+    them, one emptiness query over the accepted centres, and then each
+    star's corner walk (``_corner_star``).  A star with a site beyond its pruning radius
     inside a corner ball doubles its radius and goes to the next round,
     for at most 4 rounds.
 
     Every step is the per-star arithmetic stacked (row-wise solves and
-    queries), so a star comes out bit-identical to building it alone,
-    and the stars do not depend on one another.  When some stars fail,
+    queries, and site products that are the one-star product's columns;
+    see ``_site_arrays``), so a star comes out bit-identical to building
+    it alone, and the stars do not depend on one another.  When some stars fail,
     the error raised is the one of the first failing vertex in the order
     given: the error building them one at a time in that order raises.
     Stars after a failed one are dropped, as they cannot change that.
@@ -310,7 +375,7 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     Raises:
         PointNotOnManifold: from ``tangent_charts``.
         NeighborhoodTooSparse, SparsityViolation, SingularSystem: see
-            ``_cell`` and ``_corner_star``; NeighborhoodTooSparse also
+            ``_cells`` and ``_corner_star``; NeighborhoodTooSparse also
             for a star still open after 4 rounds.
     """
     bases = list(bases)
@@ -336,14 +401,12 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
         near = tree.query_ball_point(pts[base_idx[todo]], prune[todo],
                                      return_sorted=True)
         cells = []
-        for i, ball in zip(todo, near):
-            p = bases[i]
-            idx = np.array(ball, dtype=np.intp)
-            try:
-                cells.append((i, *_cell(p, idx[idx != p], pts, charts[i],
-                                        float(prune[i]))))
-            except TandelError as exc:
-                errors[i] = exc
+        for c0 in range(0, len(todo), _SITE_CHUNK):
+            chunk = todo[c0:c0 + _SITE_CHUNK]
+            got, failed = _cells(pts, base_idx[chunk], frames[chunk],
+                                 near[c0:c0 + _SITE_CHUNK], prune[chunk])
+            cells += [(chunk[k], corners, keys) for k, corners, keys in got]
+            errors.update((chunk[k], exc) for k, exc in failed.items())
         # a star after a failed one cannot change the outcome
         cells = [cell for cell in cells if cell[0] < min(errors, default=n)]
         # the unique m-site keys of every cell: one stacked solve and one
@@ -404,40 +467,51 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
 
 # ===== cosphericity stars =====
 
-def _cosph_scan(cplx, p, delta0, gamma0, sites=None) -> dict:
-    """Almost-cospherical (m+1)-simplices tau = q * sigma seen from p.
+def _cosph_scan(cplx, bases, delta0, gamma0, sites=None) -> list:
+    """Almost-cospherical (m+1)-simplices tau = q * sigma seen from each
+    of the given stars, in one stacked scan.
 
-    sigma runs over the good m-simplices of St(p) whose tangent ball
-    (c, r) has r below the sampling radius.  A site q gives an entry
-    when its power gap |q - c|^2 - r^2 lies in [0, (delta0 * L(tau))^2],
-    with L(tau) = min(L(sigma), min |q - sigma|); a gap down to
-    -1e-9 r^2 is rounding of a site on the sphere and counts as 0.  A
-    site farther than r (1 + delta0^2) / (1 - delta0^2) from c has a gap
-    above 4 delta0^2 r^2 >= (delta0 * L)^2 and is skipped.  ``sites``
-    defaults to every sample point; the gaps of all (centre, site)
-    pairs are one array.
+    For a star p, sigma runs over the good m-simplices of St(p) whose
+    tangent ball (c, r) has r below the sampling radius.  A site q gives
+    an entry when its power gap |q - c|^2 - r^2 lies in
+    [0, (delta0 * L(tau))^2], with L(tau) = min(L(sigma), min |q - sigma|);
+    a gap down to -1e-9 r^2 is rounding of a site on the sphere and
+    counts as 0.  A site farther than r (1 + delta0^2) / (1 - delta0^2)
+    from c has a gap above 4 delta0^2 r^2 >= (delta0 * L)^2 and is
+    skipped.  ``sites`` defaults to every sample point.  The centres of
+    all the stars are classified in one gamma0 batch, and the gaps of all
+    (centre, site) pairs are one array; every step is row-wise, so a
+    star's record does not depend on the other stars scanned with it.
 
-    Returns {tau: (ElementaryWeight(q, sqrt(gap)), sigma)}.  Per tau the
-    generator sigma is the one with the smallest gap, the smaller sigma
-    on a tie.
+    Returns one dict {tau: (ElementaryWeight(q, sqrt(gap)), sigma)} per
+    base, in the order given.  Per star and tau the generator sigma is
+    the one with the smallest gap, the smaller sigma on a tie.
+
+    Raises:
+        ValueError: delta0 outside (0, 1/4).
     """
+    if not 0.0 < delta0 < 0.25:
+        raise ValueError("delta0 must lie in (0, 1/4)")
     m = cplx.manifold.m
     pts = cplx.points
-    small = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
+    small = [(k, s, c, r) for k, p in enumerate(bases)
+             for s, (c, r) in cplx.stars[p].centers.items()
              if len(s) == m + 1 and r < cplx.epsilon]
-    classes = cplx.gamma_classes([s for s, _c, _r in small], gamma0)
+    classes = cplx.gamma_classes([s for _k, s, _c, _r in small], gamma0)
     chosen = [row for row, cls in zip(small, classes)
               if cls is GammaClass.GOOD]
+    records = [{} for _ in bases]
     if not chosen:
-        return {}
-    sig = np.array([s for s, _c, _r in chosen], dtype=np.intp)
-    cen = np.array([c for _s, c, _r in chosen])
-    rad = np.array([r for _s, _c, r in chosen])
+        return records
+    sig = np.array([s for _k, s, _c, _r in chosen], dtype=np.intp)
+    cen = np.array([c for _k, _s, c, _r in chosen])
+    rad = np.array([r for _k, _s, _c, r in chosen])
     reach = rad * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
     if sites is None:
         near = cplx.tree.query_ball_point(cen, reach)
         ci = np.repeat(np.arange(len(sig)), [len(h) for h in near])
-        qi = np.array([q for h in near for q in h], dtype=np.intp)
+        qi = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                         count=len(ci))
     else:
         qs = np.asarray(sites, dtype=np.intp)
         ci = np.repeat(np.arange(len(sig)), len(qs))
@@ -450,8 +524,6 @@ def _cosph_scan(cplx, p, delta0, gamma0, sites=None) -> dict:
     gap = ((pts[qi] - cen[ci]) ** 2).sum(axis=1) - r2
     # interference (a site inside the ball) would have been caught upstream
     outside = gap >= -1e-9 * np.maximum(r2, 1e-30)
-    if not outside.any():
-        return {}
     ci, qi, gap = ci[outside], qi[outside], gap[outside]
     ell_sigma = _edge_lengths(pts[sig]).min(axis=1)
     dq = np.linalg.norm(pts[qi][:, None, :] - pts[sig[ci]], axis=2)
@@ -459,15 +531,18 @@ def _cosph_scan(cplx, p, delta0, gamma0, sites=None) -> dict:
     # C pow, as the scalar (delta0 * ell) ** 2 was: ** 2 on an array
     # squares, which rounds differently in about one case in a thousand
     hit = gap <= np.float_power(delta0 * ell_tau, 2)
+    # per (star, tau): the smallest (gap, sigma) and its weight
     best = {}
     for i, q, g, w in zip(ci[hit].tolist(), qi[hit].tolist(),
                           gap[hit].tolist(),
                           np.sqrt(np.maximum(gap[hit], 0.0)).tolist()):
-        sigma = chosen[i][0]
-        tau = tuple(sorted(sigma + (q,)))
-        if tau not in best or (g, sigma) < best[tau][:2]:
-            best[tau] = (g, sigma, ElementaryWeight(q, w))
-    return {tau: (w, sigma) for tau, (_g, sigma, w) in best.items()}
+        k, sigma = chosen[i][:2]
+        key = (k, tuple(sorted(sigma + (q,))))
+        if key not in best or (g, sigma) < best[key][:2]:
+            best[key] = (g, sigma, ElementaryWeight(q, w))
+    for (k, tau), (_g, sigma, w) in best.items():
+        records[k][tau] = (w, sigma)
+    return records
 
 
 def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
@@ -477,11 +552,9 @@ def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
     Each maps tau to (ElementaryWeight, sigma): the weight on q that
     would make q exactly cospherical with the tangent ball of sigma^m,
     a good m-simplex of St(p) with radius below the sampling radius.
-    See ``_cosph_scan``.
+    A one-star ``_cosph_scan``.
     """
-    if not 0.0 < delta0 < 0.25:
-        raise ValueError("delta0 must lie in (0, 1/4)")
-    return _cosph_scan(cplx, p, delta0, gamma0)
+    return _cosph_scan(cplx, [p], delta0, gamma0)[0]
 
 
 # ===== the union complex =====
@@ -565,32 +638,46 @@ class TangentialComplex:
 
     # ---- incremental insertion ----
 
-    def star_is_cut_by(self, p: int, x: np.ndarray) -> bool:
-        """Exact test: does a site at x remove part of p's recorded cell?
+    def _cells_cut_by(self, bases, x) -> np.ndarray:
+        """Exact test for each star of bases: does a site at x remove part
+        of its recorded cell?
 
-        The cell is a polytope and the power difference against x is
-        affine in t, so its minimum over the cell sits at a corner.
+        The cell is a polytope and the power difference against x,
+        |x - p|^2 - 2 u_x . t, is affine in t, so its minimum over the cell
+        sits at a corner; the cell is cut when that minimum is at most
+        1e-9 |x - p|^2, and a star without corners always is.  The stars'
+        corners are padded into one stack with t = 0, which lies inside
+        every cell, so the padding changes no verdict; each star's
+        products are the matrix-vector calls of testing it alone, row for
+        row.
         """
-        star = self.stars[p]
-        base = self.points[star.base]
-        rel = np.asarray(x, dtype=float) - base
-        u_x = star.chart.frame.basis @ rel
-        b_x = float(rel @ rel)
-        if star.corners is None or len(star.corners) == 0:
-            return True
-        margin = b_x - 2.0 * (star.corners @ u_x)
-        return bool(margin.min() <= 1e-9 * max(b_x, 1e-30))
+        stars = [self.stars[p] for p in bases]
+        counts = np.array([0 if s.corners is None else len(s.corners)
+                           for s in stars], dtype=np.intp)
+        m = self.manifold.m
+        corners = np.zeros((len(stars), counts.max(initial=0), m))
+        for k, star in enumerate(stars):
+            if counts[k]:
+                corners[k, :counts[k]] = star.corners
+        rel = np.asarray(x, dtype=float) - self.points[bases]
+        frames = np.array([s.chart.frame.basis for s in stars]).reshape(
+            len(stars), m, self.points.shape[1])
+        u_x = frames @ rel[:, :, None]
+        b_x = (rel[:, None, :] @ rel[:, :, None])[:, 0]
+        margin = b_x - 2.0 * (corners @ u_x)[..., 0]
+        return (counts == 0) | (margin.min(axis=1, initial=np.inf)
+                                <= 1e-9 * np.maximum(b_x[:, 0], 1e-30))
 
     def insert_point(self, x) -> dict:
         """Append x and rebuild exactly the stars whose cells it cuts.
 
         x cuts the cell of p only if some corner t has
-        2 u_x . t >= |x - p|^2 (1 - 1e-9) (``star_is_cut_by``), and
+        2 u_x . t >= |x - p|^2 (1 - 1e-9) (``_cells_cut_by``), and
         |u_x| <= |x - p| with |t| <= rho_p = ``Star.max_radius()``, so
         only stars with |x - p| <= 2 rho_p can be cut (the factor
-        1 + 1e-6 covers rounding).  Those candidates are tested with
-        ``star_is_cut_by`` and the cut ones rebuilt, with the new star,
-        in one ``_build_stars`` batch; every other star is provably
+        1 + 1e-6 covers rounding).  Those candidates are tested in one
+        ``_cells_cut_by`` stack and the cut ones rebuilt, with the new
+        star, in one ``_build_stars`` batch; every other star is provably
         unchanged.  The test reads only the old star it tests, so
         testing every candidate before rebuilding any is the same as
         rebuilding each as it is found cut.  Returns the new vertex id,
@@ -607,15 +694,11 @@ class TangentialComplex:
                         dtype=np.intp)
         near = near[near != new_idx]
         dist = np.linalg.norm(self.points[near] - x, axis=1)
-        recomputed = []
-        untouched = []
-        for p in near[dist <= reach[near]].tolist():
-            if p not in self.stars:
-                continue
-            if self.star_is_cut_by(p, x):
-                recomputed.append(p)
-            else:
-                untouched.append(p)
+        candidates = [p for p in near[dist <= reach[near]].tolist()
+                      if p in self.stars]
+        cut = self._cells_cut_by(candidates, x).tolist()
+        recomputed = [p for p, c in zip(candidates, cut) if c]
+        untouched = [p for p, c in zip(candidates, cut) if not c]
         self.cell_radii = np.append(self.cell_radii, 0.0)
         self._build(recomputed + [new_idx])
         return {"index": new_idx, "recomputed": recomputed,

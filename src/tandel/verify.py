@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import Delaunay, cKDTree
 from scipy.sparse.csgraph import dijkstra
 
@@ -177,6 +176,10 @@ def _subset_admits_empty_sphere(points, subset, scale) -> bool:
     bound = bound + _EMPTINESS_REL_TOL * scale * scale
     if null_basis.shape[0] == 0:
         return bool((bound >= 0.0).all())
+    # only the brute force on at most MAX_SUBSET_ENUM_POINTS points gets
+    # here, so the import is paid there and not by every ``import tandel``
+    from scipy.optimize import linprog
+
     a_ub = lhs_dir @ null_basis.T
     res = linprog(np.zeros(null_basis.shape[0]), A_ub=a_ub, b_ub=bound,
                   bounds=[(None, None)] * null_basis.shape[0],

@@ -1,5 +1,6 @@
-"""Shared fixtures: reference samples, the reference power-cell corners
-and farthest-point net, and session-scoped refinement runs."""
+"""Shared fixtures: reference samples; the one-at-a-time references for
+the power-cell corners, the farthest-point net, the site arrays, the cut
+test and the cosph scan; and session-scoped refinement runs."""
 import itertools
 import math
 import time
@@ -11,7 +12,8 @@ from hypothesis import settings
 from scipy.spatial import cKDTree
 
 from tandel import stars
-from tandel.geometry import as_simplex, circumsphere
+from tandel.geometry import (ElementaryWeight, GammaClass, _edge_lengths,
+                             as_simplex, circumsphere)
 from tandel.manifolds import (FlatPatch, TorusOfRevolution, UnitSphere,
                               farthest_point_net)
 from tandel.refine import Parameters, refine_sample
@@ -135,6 +137,79 @@ def reference_star(p, sample, manifold):
 
     with mock.patch.object(stars, "_cell_corners", enumerate_corners):
         return stars.compute_star(p, sample, manifold)
+
+
+def site_arrays_per_star(p, pts, idx, chart):
+    """The site rows of one star, u = B (q - p) and b = |q - p|^2, from
+    its own product: the reference for the stacked
+    ``stars._site_arrays``."""
+    rel = pts[idx] - pts[p]
+    u = rel @ chart.frame.basis.T
+    b = (rel * rel).sum(axis=1)
+    return u, b
+
+
+def star_is_cut_by(cplx, p, x):
+    """Does a site at x remove part of p's recorded cell?  One star's
+    test on its own: the reference for the stacked
+    ``TangentialComplex._cells_cut_by``."""
+    star = cplx.stars[p]
+    rel = np.asarray(x, dtype=float) - cplx.points[star.base]
+    u_x = star.chart.frame.basis @ rel
+    b_x = float(rel @ rel)
+    if star.corners is None or len(star.corners) == 0:
+        return True
+    margin = b_x - 2.0 * (star.corners @ u_x)
+    return bool(margin.min() <= 1e-9 * max(b_x, 1e-30))
+
+
+def cosph_scan_per_star(cplx, p, delta0, gamma0, sites=None):
+    """The cosph scan of one star on its own: the reference for the
+    stacked ``stars._cosph_scan``, which scans a list of stars at once."""
+    m = cplx.manifold.m
+    pts = cplx.points
+    small = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
+             if len(s) == m + 1 and r < cplx.epsilon]
+    classes = cplx.gamma_classes([s for s, _c, _r in small], gamma0)
+    chosen = [row for row, cls in zip(small, classes)
+              if cls is GammaClass.GOOD]
+    if not chosen:
+        return {}
+    sig = np.array([s for s, _c, _r in chosen], dtype=np.intp)
+    cen = np.array([c for _s, c, _r in chosen])
+    rad = np.array([r for _s, _c, r in chosen])
+    reach = rad * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
+    if sites is None:
+        near = cplx.tree.query_ball_point(cen, reach)
+        ci = np.repeat(np.arange(len(sig)), [len(h) for h in near])
+        qi = np.array([q for h in near for q in h], dtype=np.intp)
+    else:
+        qs = np.asarray(sites, dtype=np.intp)
+        ci = np.repeat(np.arange(len(sig)), len(qs))
+        qi = np.tile(qs, len(sig))
+        within = np.linalg.norm(pts[qi] - cen[ci], axis=1) <= reach[ci]
+        ci, qi = ci[within], qi[within]
+    keep = (sig[ci] != qi[:, None]).all(axis=1)
+    ci, qi = ci[keep], qi[keep]
+    r2 = rad[ci] * rad[ci]
+    gap = ((pts[qi] - cen[ci]) ** 2).sum(axis=1) - r2
+    outside = gap >= -1e-9 * np.maximum(r2, 1e-30)
+    if not outside.any():
+        return {}
+    ci, qi, gap = ci[outside], qi[outside], gap[outside]
+    ell_sigma = _edge_lengths(pts[sig]).min(axis=1)
+    dq = np.linalg.norm(pts[qi][:, None, :] - pts[sig[ci]], axis=2)
+    ell_tau = np.minimum(ell_sigma[ci], dq.min(axis=1))
+    hit = gap <= np.float_power(delta0 * ell_tau, 2)
+    best = {}
+    for i, q, g, w in zip(ci[hit].tolist(), qi[hit].tolist(),
+                          gap[hit].tolist(),
+                          np.sqrt(np.maximum(gap[hit], 0.0)).tolist()):
+        sigma = chosen[i][0]
+        tau = tuple(sorted(sigma + (q,)))
+        if tau not in best or (g, sigma) < best[tau][:2]:
+            best[tau] = (g, sigma, ElementaryWeight(q, w))
+    return {tau: (w, sigma) for tau, (_g, sigma, w) in best.items()}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,10 @@
 """Command-line driver: artifacts, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +367,16 @@ def test_tandel_error_exits_one_with_one_line(exc_type, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {exc_type.__name__}: planted failure\n"
     assert captured.out == ""
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """``scipy.optimize`` is imported only by the ambient brute force that
+    needs it, not by every ``tandel`` command."""
+    code = ("import sys, tandel.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -58,7 +58,7 @@ from tandel.stars import (Star, TangentialComplex, _cosph_scan,
                           assemble_complex)
 from tandel.verify import euler_characteristic, manifold_complex_check
 
-from conftest import RUN_PARAMS, disk_points
+from conftest import RUN_PARAMS, disk_points, star_is_cut_by
 
 SPHERE = UnitSphere(2, 3)
 FLAT = FlatPatch(2, 3)
@@ -651,7 +651,7 @@ def test_rebuilt_stars_are_exactly_the_cut_ones(monkeypatch):
     seen = []
 
     def spied(cplx, x):
-        cut = {p for p in cplx.stars if cplx.star_is_cut_by(p, x)}
+        cut = {p for p in cplx.stars if star_is_cut_by(cplx, p, x)}
         info = real_insert_point(cplx, x)
         assert set(info["recomputed"]) == cut, info["index"]
         assert len(info["recomputed"]) == len(cut)
@@ -668,6 +668,36 @@ def test_rebuilt_stars_are_exactly_the_cut_ones(monkeypatch):
     assert state.counters["rule2_inconsistent"] > 0
     assert len(seen) == len(state.events)
     assert min(seen) > 0
+
+
+def test_stacked_cut_test_matches_per_candidate_test(monkeypatch):
+    """At every insertion of the seeded torus refinement, the one stacked
+    cut test over the candidates sorts them into the same recomputed and
+    untouched lists, in the same order, as testing each candidate on its
+    own."""
+    real_insert_point = TangentialComplex.insert_point
+    n_untouched = []
+
+    def spied(cplx, x):
+        cut_before = {p: star_is_cut_by(cplx, p, x) for p in cplx.stars}
+        info = real_insert_point(cplx, x)
+        candidates = sorted(info["recomputed"] + info["untouched"])
+        cut = [cut_before[p] for p in candidates]
+        assert info["recomputed"] == [p for p, c in zip(candidates, cut)
+                                      if c], info["index"]
+        assert info["untouched"] == [p for p, c in zip(candidates, cut)
+                                     if not c], info["index"]
+        n_untouched.append(len(info["untouched"]))
+        return info
+
+    monkeypatch.setattr(TangentialComplex, "insert_point", spied)
+    torus = TorusOfRevolution(2.0, 0.5)
+    params = Parameters(**RUN_PARAMS)
+    net = farthest_point_net(torus.sample(60000, seed=params.seed),
+                             eps=params.epsilon, seed=params.seed)
+    state = refine_sample(net, torus, params)
+    assert len(n_untouched) == len(state.events) > 50
+    assert sum(n_untouched) > 0
 
 
 def test_site_beyond_witness_radius_adds_no_entry():
@@ -701,8 +731,8 @@ def test_site_beyond_witness_radius_adds_no_entry():
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), FLAT)
         cplx.stars[0] = Star(base=0, chart=tangent_chart(FLAT, p),
                              centers={(0, 1, 2): (c, r)})
-        got = _cosph_scan(cplx, 0, delta0, gamma0,
-                          sites=range(3, len(pts)))
+        (got,) = _cosph_scan(cplx, [0], delta0, gamma0,
+                             sites=range(3, len(pts)))
         for tau, (w, sigma) in got.items():
             assert sigma == (0, 1, 2)
             assert w.carrier != len(pts) - 1
@@ -978,8 +1008,7 @@ def test_unfit_index_follows_growth_outside_insert():
     # a point added to the complex and the cosph records directly, not
     # through insert, so no star was marked dirty
     info = state.complex.insert_point(np.array([0.05, 0.02, 0.0]))
-    for p in info["recomputed"] + [info["index"]]:
-        state.refresh_cosph(p)
+    state.refresh_cosph(info["recomputed"] + [info["index"]])
     assert info["recomputed"]
     _assert_index_matches_full_scan(state)
     assert not any(state.dirty.values())

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import flat_sites, reference_star
+from conftest import (cosph_scan_per_star, flat_sites, reference_star,
+                      site_arrays_per_star, star_is_cut_by)
+from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
                            SingularSystem, SparsityViolation)
@@ -22,6 +24,7 @@ from tandel.manifolds import (
 from tandel.stars import (
     COND_LIMIT,
     PRUNE_MULT,
+    _SITE_CHUNK,
     TangentialComplex,
     _build_stars,
     _cell_corners,
@@ -91,7 +94,10 @@ class TestOctahedronStar:
             OCTA[0], PRUNE_MULT * sample.epsilon) if i != 0)
         assert idx == [1, 2, 3, 4, 5]
         chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-        u, b, w2 = _site_arrays(0, OCTA, idx, chart)
+        got, u, b, owner = _site_arrays(OCTA, np.array([0]),
+                                        chart.frame.basis[None], [idx])
+        assert got.tolist() == idx and owner.tolist() == [0] * 5
+        w2 = b - (u * u).sum(axis=1)
         # squared weight = minus the squared normal part of each site
         assert sorted(-w2) == pytest.approx([-4.0, -1.0, -1.0, -1.0, -1.0])
         norms = sorted(np.linalg.norm(u, axis=1))
@@ -433,12 +439,76 @@ def test_scan_matches_per_centre_reference(build, delta0, min_entries,
             n_ties += len(gaps) != len(set(gaps))
         n_entries += len(want)
         sites = sorted(cplx.tree.query_ball_point(cplx.points[p], r_w))
-        got = _cosph_scan(cplx, p, delta0, gamma0, sites=sites)
+        (got,) = _cosph_scan(cplx, [p], delta0, gamma0, sites=sites)
         want = _merged_entries(cplx, p, delta0, gamma0, sites=sites)
         assert sorted(got) == sorted(want), p
         assert all(got[tau][0].weight == w.weight for tau, w in want.items())
     assert n_entries >= min_entries
     assert n_ties >= min_ties
+
+
+def _three_sphere_net_complex_045():
+    s3 = UnitSphere(3, 4)
+    net = farthest_point_net(s3.sample(20000, seed=1), eps=0.45, seed=1)
+    return assemble_complex(net, s3)
+
+
+def _flat_complex(seed):
+    return lambda: assemble_complex(
+        SampleSet(points=flat_sites(seed), epsilon=0.25, sparsity=0.0),
+        FlatPatch(2, 3))
+
+
+def _lattice_complex():
+    return assemble_complex(_lattice_patch(), FlatPatch(2, 3))
+
+
+@pytest.mark.parametrize("build,gamma0,n_bare", [
+    (_torus_net_complex, 0.05, 0), (_three_sphere_net_complex_045, 0.05, 0),
+    *((_flat_complex(seed), 0.05, 0) for seed in range(1, 6)),
+    (_lattice_complex, 0.3, 0), (_lattice_complex, 0.5, 1)],
+    ids=["torus", "s3", "flat1", "flat2", "flat3", "flat4", "flat5",
+         "lattice", "lattice-g0.5"])
+def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
+    """One scan over every star, and one witness scan of the stars
+    around a site against that site alone, give each star bitwise the
+    record of scanning it on its own: the same taus in the same order,
+    carriers, weights and generators.  A star none of whose small
+    m-simplices is good (``n_bare`` of them) gets an empty record."""
+    cplx = build()
+    delta0 = 0.24
+    m = cplx.manifold.m
+    bases = list(cplx.stars)[::-1]
+
+    def same(got, want):
+        assert list(got) == list(want)
+        for tau, (w, sigma) in want.items():
+            assert got[tau][0].carrier == w.carrier, tau
+            assert got[tau][0].weight == w.weight, tau
+            assert got[tau][1] == sigma, tau
+
+    full = _cosph_scan(cplx, bases, delta0, gamma0)
+    assert len(full) == len(bases)
+    for p, got in zip(bases, full):
+        same(got, cosph_scan_per_star(cplx, p, delta0, gamma0))
+    bare = [k for k, p in enumerate(bases)
+            if all(cplx.gamma_class(s, gamma0) is not GammaClass.GOOD
+                   for s, (_c, r) in cplx.stars[p].centers.items()
+                   if len(s) == m + 1 and r < cplx.epsilon)]
+    assert len(bare) == n_bare
+    assert all(full[k] == {} for k in bare)
+    n_witnessed = 0
+    for x in bases:
+        around = [int(p) for p in cplx.tree.query_ball_point(
+            cplx.points[x], 2.1 * cplx.epsilon, return_sorted=True) if p != x]
+        got = _cosph_scan(cplx, around, delta0, gamma0, sites=(x,))
+        for p, own in zip(around, got):
+            same(own, cosph_scan_per_star(cplx, p, delta0, gamma0,
+                                          sites=(x,)))
+            n_witnessed += bool(own)
+    assert sum(map(bool, full)) > 0 and n_witnessed > 0
+    assert _cosph_scan(cplx, [], delta0, gamma0) == []
+    assert _cosph_scan(cplx, [], delta0, gamma0, sites=(0,)) == []
 
 
 # ===== stacked tangent centres against the per-corner solve =====
@@ -447,7 +517,7 @@ def _tangent_center_per_corner(simplex, p, pts, chart):
     """One corner's equidistance system, solved alone: the reference for
     the stacked solve in ``_build_star``."""
     others = [q for q in simplex if q != p]
-    u, b, _ = _site_arrays(p, pts, others, chart)
+    u, b = site_arrays_per_star(p, pts, others, chart)
     a_mat = 2.0 * u
     if len(others) == chart.manifold.m:
         cond = np.linalg.cond(a_mat)
@@ -472,7 +542,7 @@ def _star_per_corner(p, cplx):
     while True:
         idx = np.array(sorted(
             i for i in tree.query_ball_point(pts[p], prune_r) if i != p))
-        u, b, _ = _site_arrays(p, pts, idx, chart)
+        u, b = site_arrays_per_star(p, pts, idx, chart)
         corners = _cell_corners(u, b, prune_r)
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(b.max(), (corners ** 2).sum(axis=1).max())
@@ -590,15 +660,45 @@ def _flat_net(seed):
 ], ids=["torus", "s3", "flat1", "flat2", "flat3", "flat4", "flat5", "octa"])
 def test_batch_build_equals_one_star_builds(make):
     """Every star of one batch over all vertices, and of the batch in
-    reverse order, is bitwise the star built on its own."""
+    reverse order, is bitwise the star built on its own; on the nets the
+    batch spans several ``_site_arrays`` chunks."""
     sample, manifold = make()
     n = len(sample.points)
+    assert n > 4 * _SITE_CHUNK or n == len(OCTA)
     batch = _batch(sample, manifold, range(n))
     backward = _batch(sample, manifold, range(n - 1, -1, -1))[::-1]
     for p in range(n):
         alone = compute_star(p, sample, manifold)
         _assert_identical_stars(batch[p], alone)
         _assert_identical_stars(backward[p], alone)
+
+
+@pytest.mark.parametrize("make", [_torus_net, _three_sphere_net],
+                         ids=["torus", "s3"])
+def test_site_arrays_match_per_star_product(make):
+    """Chunk by chunk over every vertex, as a batch build gathers them,
+    the stacked site rows are bitwise each star's own rel @ B.T and
+    |q - p|^2, for N = 3 and N = 4."""
+    sample, manifold = make()
+    pts = np.asarray(sample.points, dtype=float)
+    tree = cKDTree(pts)
+    n = len(pts)
+    charts = [tangent_chart(manifold, pts[p]) for p in range(n)]
+    frames = np.array([c.frame.basis for c in charts])
+    balls = tree.query_ball_point(pts, PRUNE_MULT * sample.epsilon,
+                                  return_sorted=True)
+    assert n > 4 * _SITE_CHUNK
+    for c0 in range(0, n, _SITE_CHUNK):
+        chunk = np.arange(c0, min(n, c0 + _SITE_CHUNK))
+        idx, u, b, owner = _site_arrays(pts, chunk, frames[chunk],
+                                        balls[c0:c0 + _SITE_CHUNK])
+        for k, p in enumerate(chunk):
+            want_idx = np.array([q for q in balls[p] if q != p])
+            want_u, want_b = site_arrays_per_star(p, pts, want_idx,
+                                                  charts[p])
+            assert idx[owner == k].tolist() == want_idx.tolist()
+            assert u[owner == k].tobytes() == want_u.tobytes(), p
+            assert b[owner == k].tobytes() == want_b.tobytes(), p
 
 
 def _widening_sample():
@@ -770,7 +870,7 @@ class TestInsertPoint:
         x = -0.55 * pts[rim] / np.linalg.norm(pts[rim])
         far_cut = [p for p in cplx.stars
                    if np.linalg.norm(pts[p] - x) > 12 * eps
-                   and cplx.star_is_cut_by(p, x)]
+                   and star_is_cut_by(cplx, p, x)]
         assert far_cut == [rim]
         info = cplx.insert_point(x)
         assert rim in info["recomputed"]

@@ -30,6 +30,8 @@ from .manifolds import (Manifold, SampleSet, farthest_point_net,
 from .refine import Parameters, check_hypotheses, derive_constants
 
 REPORT_SCHEMA = "tandel-report/1"
+# seed of the dense witness sample of ``tandel verify --dense-n``
+ORACLE_SEED = 7
 
 
 # ===== serialization helpers =====
@@ -150,9 +152,9 @@ def cmd_net(args) -> int:
 
 # ===== mesh =====
 
-def _mesh_measurements(state, manifold: Manifold) -> dict:
+def _mesh_measurements(state, cplx, manifold: Manifold) -> dict:
+    """Measurements of the refined output, whose closed complex is cplx."""
     pts = state.complex.points
-    cplx = verify.as_complex(state.complex.simplices())
     m = manifold.m
     edges = cplx.of_dim(1)
     min_edge = min(
@@ -227,12 +229,14 @@ def cmd_mesh(args) -> int:
     state = refine.refine_sample(net, manifold, params)
 
     pts = state.complex.points
+    # the closure of the star union, built once for the writers and the
+    # measurements
+    cplx = verify.as_complex(s for star in state.complex.stars.values()
+                             for s in star.centers)
     write_points(prefix + ".points.txt", pts)
-    stars.write_simplex_list(prefix + ".simplices.txt",
-                             state.complex.simplices())
+    stars.write_simplex_list(prefix + ".simplices.txt", cplx.simplices)
     if manifold.m == 2 and manifold.N == 3:
-        stars.write_off(prefix + ".off", pts,
-                        state.complex.m_simplices())
+        stars.write_off(prefix + ".off", pts, cplx.of_dim(2))
     with open(prefix + ".events.log", "w") as fh:
         for line in state.event_log:
             fh.write(line + "\n")
@@ -253,7 +257,7 @@ def cmd_mesh(args) -> int:
         },
         "counters": dict(state.counters),
         "final_audit": state.final_audit,
-        "measurements": _mesh_measurements(state, manifold),
+        "measurements": _mesh_measurements(state, cplx, manifold),
     }
     _write_json(prefix + ".report.json", report)
     meas = report["measurements"]
@@ -296,10 +300,9 @@ def cmd_verify(args) -> int:
             "ok": eu == args.euler, "value": eu, "expected": args.euler}
 
     if args.dense_n:
-        dense = manifold.sample(args.dense_n, args.oracle_seed)
+        dense = manifold.sample(args.dense_n, ORACLE_SEED)
         res = verify.restricted_delaunay_oracle(pts, manifold, dense)
-        match = verify.oracle_match_report(cplx, res, manifold.m,
-                                           factor=args.band_factor)
+        match = verify.oracle_match_report(cplx, res, manifold.m)
         checks["restricted_oracle"] = {
             "ok": match.equal_at_resolution,
             "band": res.band,
@@ -406,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--dense-n", type=int, default=0,
                        help="witness count for the restricted oracle "
                             "(0 skips it)")
-    p_ver.add_argument("--oracle-seed", type=int, default=7)
-    p_ver.add_argument("--band-factor", type=float, default=3.0)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
 

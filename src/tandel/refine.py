@@ -9,10 +9,17 @@ one that fails the gamma0 quality test, either inside a star or among
 the almost-cospherical simplices seen from a star -- and inserts a
 point picked uniformly from a ball around the offending center, redrawn
 until it is not a vertex of any small thin simplex (a "hitting set").
+
+Both rule-2 tests are refinement policy and live with the refinement
+state: the gamma0 class of a simplex is cached in
+``RefinementState.gamma_classes``, and the almost-cospherical records of
+a list of stars come from one stacked ``_cosph_scan`` over the state's
+delta0 and gamma0.  ``stars`` holds star geometry only.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,20 +36,23 @@ from .errors import (
     SparsityViolation,
 )
 from .geometry import (  # noqa: F401 - classify_gamma is re-exported
+    ElementaryWeight,
     GammaClass,
+    _edge_lengths,
     affine_ranks,
     classify_gamma,
     gamma_classes,
     min_weighted_radius,
 )
 from .manifolds import Manifold, SampleSet, lift_from_tangent
-from .stars import TangentialComplex, _cosph_scan, assemble_complex
+from .stars import TangentialComplex, assemble_complex
 
 # how far past reach/2 a chart lift may be attempted before shrinking
 _CHART_SLACK = 2.0
 
 MU0 = 1.0 / 9.0
 EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
+XI_TILDE = 1.0 / 16.0  # chart margin xi over the reach
 
 
 # ===== parameters =====
@@ -142,14 +152,13 @@ class DerivedConstants:
         return max(self.b_hyp, self.b_lemma)
 
 
-def derive_constants(params: Parameters, manifold: Manifold,
-                     xi: float | None = None,
-                     a_vol: float | None = None) -> DerivedConstants:
+def derive_constants(params: Parameters, manifold: Manifold
+                     ) -> DerivedConstants:
     """All quantities downstream bounds need, from (params, manifold).
 
-    ``xi`` is the tubular-neighborhood margin used when comparing charts
-    (default reach/16) and ``a_vol`` the chart-overlap multiplicity
-    bound (default 2^m); both are heuristics and may be overridden.
+    ``xi`` is the tubular-neighborhood margin used when comparing charts,
+    ``XI_TILDE`` times the reach, and ``a_vol`` the chart-overlap
+    multiplicity bound 2^m; both are heuristics.
     """
     m = manifold.m
     rch = manifold.reach
@@ -157,14 +166,9 @@ def derive_constants(params: Parameters, manifold: Manifold,
     beta_prime = beta / (1.0 - 16.0 * EPS_TILDE0)
     b_hyp = 4.0 + 2.0 * (1.0 + 1152.0 * beta ** 2) ** 2
     b_lemma = 4.0 + 96.0 * beta * (1.0 + 1152.0 * beta ** 2)
-    if a_vol is None:
-        a_vol = float(2 ** m)
-    if xi is None:
-        xi = rch / 16.0
-        xi_tilde = 1.0 / 16.0
-    else:
-        xi_tilde = xi / rch if math.isfinite(rch) else 0.0
-    ax = a_vol * xi_tilde
+    a_vol = float(2 ** m)
+    xi = rch * XI_TILDE
+    ax = a_vol * XI_TILDE
     if ax >= 1.0:
         raise ValueError(
             f"overlap bound times chart margin must stay below 1 (got {ax:g})")
@@ -240,11 +244,7 @@ def check_hypotheses(params: Parameters, manifold: Manifold,
         "H3", d0 ** 2 <= h3_bound, d0 ** 2, h3_bound,
         "delta0 squared under gamma0^(m+1)"))
 
-    if math.isfinite(manifold.reach):
-        xi_tilde = constants.xi / manifold.reach
-    else:
-        xi_tilde = 1.0 / 16.0
-    h4_bound = min(xi_tilde / (2.0 * (b + constants.beta_prime)),
+    h4_bound = min(XI_TILDE / (2.0 * (b + constants.beta_prime)),
                    g0 ** (m + 1) / (8.0 * b))
     items.append(HypothesisItem(
         "H4", constants.eps_tilde <= h4_bound, constants.eps_tilde, h4_bound,
@@ -283,6 +283,8 @@ class UnfitConfiguration:
 class RefinementState:
     """Everything the loop mutates: complex, cosph records, logs, caches.
 
+    ``gamma_cache`` maps a simplex of sample points to its class at
+    ``params.gamma0`` (``gamma_classes``), so a state keeps one gamma0.
     The unfit index holds, per configuration kind, each star's non-empty
     ``_star_*`` scan list (``unfit``) and the stars whose list is stale
     (``dirty``); ``incident`` maps a vertex to the stars with an
@@ -296,6 +298,7 @@ class RefinementState:
         self.params = params
         self.constants = constants
         self.cosph = {}
+        self.gamma_cache: dict = {}
         self.events: list[dict] = []
         self.counters = {
             "rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
@@ -324,13 +327,24 @@ class RefinementState:
         return self.complex.epsilon
 
     def gamma_classes(self, simplices) -> list:
-        return self.complex.gamma_classes(simplices, self.params.gamma0)
+        """``geometry.gamma_classes`` of simplices of sample points (all of
+        one size) against ``params.gamma0``, cached.
+
+        Points are only ever appended, so a class never goes stale.  The
+        cache misses are classified in one stacked call, whose rows equal
+        one-row calls.
+        """
+        cache = self.gamma_cache
+        missing = list(dict.fromkeys(s for s in simplices if s not in cache))
+        if missing:
+            cache.update(zip(missing, gamma_classes(
+                missing, self.complex.points, self.params.gamma0)))
+        return [cache[s] for s in simplices]
 
     def refresh_cosph(self, bases):
         """New cosph records for the given stars, from one stacked
         ``_cosph_scan``."""
-        self.cosph.update(zip(bases, _cosph_scan(
-            self.complex, bases, self.params.delta0, self.params.gamma0)))
+        self.cosph.update(zip(bases, _cosph_scan(self, bases)))
 
     def refresh_stars(self, bases):
         """New cosph records for freshly built stars (one stacked scan,
@@ -623,6 +637,89 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
         f"(base={config.base}, kind={config.kind.value})")
 
 
+# ===== cosphericity =====
+
+def _cosph_scan(state: RefinementState, bases, sites=None) -> list:
+    """Almost-cospherical (m+1)-simplices tau = q * sigma seen from each
+    of the given stars, in one stacked scan.
+
+    For a star p, sigma runs over the m-simplices of St(p) that are good
+    at the state's gamma0 and whose tangent ball (c, r) has r below the
+    sampling radius.  A site q gives an entry when its power gap
+    |q - c|^2 - r^2 lies in [0, (delta0 * L(tau))^2], with
+    L(tau) = min(L(sigma), min |q - sigma|) and delta0 the state's; a gap
+    down to -1e-9 r^2 is rounding of a site on the sphere and counts as
+    0.  A site farther than r (1 + delta0^2) / (1 - delta0^2) from c has a
+    gap above 4 delta0^2 r^2 >= (delta0 * L)^2 and is skipped.  ``sites``
+    defaults to every sample point.  The centres of all the stars are
+    classified in one gamma0 batch, and the gaps of all (centre, site)
+    pairs are one array; every step is row-wise, so a star's record does
+    not depend on the other stars scanned with it.
+
+    Returns one dict {tau: (ElementaryWeight(q, sqrt(gap)), sigma)} per
+    base, in the order given.  Per star and tau the generator sigma is
+    the one with the smallest gap, the smaller sigma on a tie.
+
+    Raises:
+        ValueError: delta0 outside (0, 1/4).
+    """
+    delta0 = state.params.delta0
+    if not 0.0 < delta0 < 0.25:
+        raise ValueError("delta0 must lie in (0, 1/4)")
+    cplx = state.complex
+    m = cplx.manifold.m
+    pts = cplx.points
+    small = [(k, s, c, r) for k, p in enumerate(bases)
+             for s, (c, r) in cplx.stars[p].centers.items()
+             if len(s) == m + 1 and r < cplx.epsilon]
+    classes = state.gamma_classes([s for _k, s, _c, _r in small])
+    chosen = [row for row, cls in zip(small, classes)
+              if cls is GammaClass.GOOD]
+    records = [{} for _ in bases]
+    if not chosen:
+        return records
+    sig = np.array([s for _k, s, _c, _r in chosen], dtype=np.intp)
+    cen = np.array([c for _k, _s, c, _r in chosen])
+    rad = np.array([r for _k, _s, _c, r in chosen])
+    reach = rad * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
+    if sites is None:
+        near = cplx.tree.query_ball_point(cen, reach)
+        ci = np.repeat(np.arange(len(sig)), [len(h) for h in near])
+        qi = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                         count=len(ci))
+    else:
+        qs = np.asarray(sites, dtype=np.intp)
+        ci = np.repeat(np.arange(len(sig)), len(qs))
+        qi = np.tile(qs, len(sig))
+        within = np.linalg.norm(pts[qi] - cen[ci], axis=1) <= reach[ci]
+        ci, qi = ci[within], qi[within]
+    keep = (sig[ci] != qi[:, None]).all(axis=1)
+    ci, qi = ci[keep], qi[keep]
+    r2 = rad[ci] * rad[ci]
+    gap = ((pts[qi] - cen[ci]) ** 2).sum(axis=1) - r2
+    # interference (a site inside the ball) would have been caught upstream
+    outside = gap >= -1e-9 * np.maximum(r2, 1e-30)
+    ci, qi, gap = ci[outside], qi[outside], gap[outside]
+    ell_sigma = _edge_lengths(pts[sig]).min(axis=1)
+    dq = np.linalg.norm(pts[qi][:, None, :] - pts[sig[ci]], axis=2)
+    ell_tau = np.minimum(ell_sigma[ci], dq.min(axis=1))
+    # C pow, as the scalar (delta0 * ell) ** 2 was: ** 2 on an array
+    # squares, which rounds differently in about one case in a thousand
+    hit = gap <= np.float_power(delta0 * ell_tau, 2)
+    # per (star, tau): the smallest (gap, sigma) and its weight
+    best = {}
+    for i, q, g, w in zip(ci[hit].tolist(), qi[hit].tolist(),
+                          gap[hit].tolist(),
+                          np.sqrt(np.maximum(gap[hit], 0.0)).tolist()):
+        k, sigma = chosen[i][:2]
+        key = (k, tuple(sorted(sigma + (q,))))
+        if key not in best or (g, sigma) < best[key][:2]:
+            best[key] = (g, sigma, ElementaryWeight(q, w))
+    for (k, tau), (_g, sigma, w) in best.items():
+        records[k][tau] = (w, sigma)
+    return records
+
+
 # ===== insertion =====
 
 def _witness_radius(epsilon: float, delta0: float) -> float:
@@ -682,9 +779,8 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     near = near[~np.isin(near, info["recomputed"] + [x_idx])]
     dist = np.linalg.norm(state.complex.points[near] - x, axis=1)
     witnessed = near[dist < r_witness].tolist()
-    for p, added in zip(witnessed, _cosph_scan(
-            state.complex, witnessed, state.params.delta0,
-            state.params.gamma0, sites=(x_idx,))):
+    for p, added in zip(witnessed, _cosph_scan(state, witnessed,
+                                               sites=(x_idx,))):
         if added:
             state.cosph[p].update(added)
             state.dirty[ConfigKind.BAD_COSPH].add(p)

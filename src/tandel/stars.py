@@ -31,8 +31,7 @@ corner walk stay per star.  Each star comes out bit-identical to
 building it alone, and a failing batch raises the error of its first
 failing vertex.  The same holds around a build: an insertion tests all
 its candidate cells against the new site in one stack
-(``TangentialComplex._cells_cut_by``), and the cosph records of a list
-of stars come from one stacked scan (``_cosph_scan``).
+(``TangentialComplex._cells_cut_by``).
 """
 from __future__ import annotations
 
@@ -50,13 +49,7 @@ from .errors import (
     SparsityViolation,
     TandelError,
 )
-from .geometry import (
-    ElementaryWeight,
-    GammaClass,
-    _edge_lengths,
-    faces,
-    gamma_classes,
-)
+from .geometry import faces
 from .manifolds import Manifold, SampleSet, TangentChart, tangent_charts
 
 COND_LIMIT = 1e12
@@ -205,29 +198,21 @@ def tangent_centers(pts, base, others, basis):
 
 
 def tangent_center(simplex, p: int, pts, chart: TangentChart):
-    """Center on T_pM equidistant from all vertices of the simplex.
+    """Center on T_pM equidistant from all vertices of a degenerate
+    (cospherical) simplex: p and more than m other sites.
 
-    An m-simplex is one row of ``tangent_centers``; a larger
-    (cospherical) simplex is solved by least squares and must fit to a
-    residual of 1e-7.  The center is returned in ambient coordinates
-    together with its radius.
+    The overdetermined system is solved by least squares and must fit to
+    a residual of 1e-7; m-simplices are rows of ``tangent_centers``.  The
+    center is returned in ambient coordinates together with its radius.
 
     Raises:
-        SingularSystem: the square system is rejected by
-            ``tangent_centers``, or the least-squares residual is too
-            large.
+        SingularSystem: the least-squares residual is too large.
     """
     simplex = tuple(simplex)
     if p not in simplex:
         raise ValueError(f"{p} is not a vertex of {simplex}")
     others = [q for q in simplex if q != p]
     pts = np.asarray(pts, dtype=float)
-    if len(others) == chart.manifold.m:
-        centres, r2, accepted = tangent_centers(
-            pts, p, [others], chart.frame.basis)
-        if not accepted[0]:
-            raise SingularSystem(_singular_message(simplex, p))
-        return centres[0], float(np.sqrt(r2[0]))
     _idx, u, b, _owner = _site_arrays(pts, np.array([p]),
                                       chart.frame.basis[None], [others])
     a_mat = 2.0 * u
@@ -465,98 +450,6 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
     return _build_stars([p], pts, cKDTree(pts), manifold, sample.epsilon)[0]
 
 
-# ===== cosphericity stars =====
-
-def _cosph_scan(cplx, bases, delta0, gamma0, sites=None) -> list:
-    """Almost-cospherical (m+1)-simplices tau = q * sigma seen from each
-    of the given stars, in one stacked scan.
-
-    For a star p, sigma runs over the good m-simplices of St(p) whose
-    tangent ball (c, r) has r below the sampling radius.  A site q gives
-    an entry when its power gap |q - c|^2 - r^2 lies in
-    [0, (delta0 * L(tau))^2], with L(tau) = min(L(sigma), min |q - sigma|);
-    a gap down to -1e-9 r^2 is rounding of a site on the sphere and
-    counts as 0.  A site farther than r (1 + delta0^2) / (1 - delta0^2)
-    from c has a gap above 4 delta0^2 r^2 >= (delta0 * L)^2 and is
-    skipped.  ``sites`` defaults to every sample point.  The centres of
-    all the stars are classified in one gamma0 batch, and the gaps of all
-    (centre, site) pairs are one array; every step is row-wise, so a
-    star's record does not depend on the other stars scanned with it.
-
-    Returns one dict {tau: (ElementaryWeight(q, sqrt(gap)), sigma)} per
-    base, in the order given.  Per star and tau the generator sigma is
-    the one with the smallest gap, the smaller sigma on a tie.
-
-    Raises:
-        ValueError: delta0 outside (0, 1/4).
-    """
-    if not 0.0 < delta0 < 0.25:
-        raise ValueError("delta0 must lie in (0, 1/4)")
-    m = cplx.manifold.m
-    pts = cplx.points
-    small = [(k, s, c, r) for k, p in enumerate(bases)
-             for s, (c, r) in cplx.stars[p].centers.items()
-             if len(s) == m + 1 and r < cplx.epsilon]
-    classes = cplx.gamma_classes([s for _k, s, _c, _r in small], gamma0)
-    chosen = [row for row, cls in zip(small, classes)
-              if cls is GammaClass.GOOD]
-    records = [{} for _ in bases]
-    if not chosen:
-        return records
-    sig = np.array([s for _k, s, _c, _r in chosen], dtype=np.intp)
-    cen = np.array([c for _k, _s, c, _r in chosen])
-    rad = np.array([r for _k, _s, _c, r in chosen])
-    reach = rad * (1.0 + delta0 ** 2) / (1.0 - delta0 ** 2) * (1.0 + 1e-9)
-    if sites is None:
-        near = cplx.tree.query_ball_point(cen, reach)
-        ci = np.repeat(np.arange(len(sig)), [len(h) for h in near])
-        qi = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
-                         count=len(ci))
-    else:
-        qs = np.asarray(sites, dtype=np.intp)
-        ci = np.repeat(np.arange(len(sig)), len(qs))
-        qi = np.tile(qs, len(sig))
-        within = np.linalg.norm(pts[qi] - cen[ci], axis=1) <= reach[ci]
-        ci, qi = ci[within], qi[within]
-    keep = (sig[ci] != qi[:, None]).all(axis=1)
-    ci, qi = ci[keep], qi[keep]
-    r2 = rad[ci] * rad[ci]
-    gap = ((pts[qi] - cen[ci]) ** 2).sum(axis=1) - r2
-    # interference (a site inside the ball) would have been caught upstream
-    outside = gap >= -1e-9 * np.maximum(r2, 1e-30)
-    ci, qi, gap = ci[outside], qi[outside], gap[outside]
-    ell_sigma = _edge_lengths(pts[sig]).min(axis=1)
-    dq = np.linalg.norm(pts[qi][:, None, :] - pts[sig[ci]], axis=2)
-    ell_tau = np.minimum(ell_sigma[ci], dq.min(axis=1))
-    # C pow, as the scalar (delta0 * ell) ** 2 was: ** 2 on an array
-    # squares, which rounds differently in about one case in a thousand
-    hit = gap <= np.float_power(delta0 * ell_tau, 2)
-    # per (star, tau): the smallest (gap, sigma) and its weight
-    best = {}
-    for i, q, g, w in zip(ci[hit].tolist(), qi[hit].tolist(),
-                          gap[hit].tolist(),
-                          np.sqrt(np.maximum(gap[hit], 0.0)).tolist()):
-        k, sigma = chosen[i][:2]
-        key = (k, tuple(sorted(sigma + (q,))))
-        if key not in best or (g, sigma) < best[key][:2]:
-            best[key] = (g, sigma, ElementaryWeight(q, w))
-    for (k, tau), (_g, sigma, w) in best.items():
-        records[k][tau] = (w, sigma)
-    return records
-
-
-def cosph_star(p: int, delta0: float, cplx: "TangentialComplex",
-               gamma0: float) -> dict:
-    """Entries tau = q * sigma^m that are almost cospherical at p.
-
-    Each maps tau to (ElementaryWeight, sigma): the weight on q that
-    would make q exactly cospherical with the tangent ball of sigma^m,
-    a good m-simplex of St(p) with radius below the sampling radius.
-    A one-star ``_cosph_scan``.
-    """
-    return _cosph_scan(cplx, [p], delta0, gamma0)[0]
-
-
 # ===== the union complex =====
 
 class TangentialComplex:
@@ -570,7 +463,6 @@ class TangentialComplex:
         self.stars: dict[int, Star] = {}
         # max_radius() of every built star, in step with self.stars
         self.cell_radii = np.zeros(self.n_points)
-        self._gamma_classes: dict = {}
 
     @property
     def n_points(self) -> int:
@@ -587,26 +479,6 @@ class TangentialComplex:
     def build(self):
         self._build(range(self.n_points))
         return self
-
-    def gamma_classes(self, simplices, gamma0: float) -> list:
-        """``geometry.gamma_classes`` of simplices of sample points (all of
-        one size), cached.
-
-        Points are only ever appended, so a class never goes stale; the
-        key is (simplex, gamma0).  The cache misses are classified in one
-        stacked call, whose rows equal one-row calls.
-        """
-        cache = self._gamma_classes
-        missing = list(dict.fromkeys(s for s in simplices
-                                     if (s, gamma0) not in cache))
-        if missing:
-            cache.update(zip(((s, gamma0) for s in missing),
-                             gamma_classes(missing, self.points, gamma0)))
-        return [cache[(s, gamma0)] for s in simplices]
-
-    def gamma_class(self, simplex, gamma0: float) -> GammaClass:
-        """``gamma_classes`` of one simplex."""
-        return self.gamma_classes([simplex], gamma0)[0]
 
     def simplices(self, max_dim: int | None = None) -> list:
         """All simplices of the complex (closure of the star union)."""
@@ -682,7 +554,7 @@ class TangentialComplex:
         testing every candidate before rebuilding any is the same as
         rebuilding each as it is found cut.  Returns the new vertex id,
         the rebuilt star ids, and the candidates that were left alone.
-        Cosph caches are the caller's.
+        Cosph records are the caller's.
         """
         x = np.asarray(x, dtype=float)
         new_idx = self.n_points

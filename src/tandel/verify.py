@@ -39,6 +39,9 @@ MAX_BRUTE_AMBIENT_DIM = 4
 MAX_SUBSET_ENUM_POINTS = 12
 
 _EMPTINESS_REL_TOL = 1e-9
+# a claimed simplex the restricted oracle sees only beyond this many
+# bands is extra; between one band and this, it is ambiguous
+EXTRA_BAND_FACTOR = 3.0
 
 
 # ===== Abstract complexes =====
@@ -558,7 +561,8 @@ class OracleMatch:
 
     ``missing`` holds oracle simplices with clean witnesses (sharp value,
     uncontested gap) that the complex lacks; ``extra`` holds complex
-    simplices the oracle cannot see even at factor times the band.
+    simplices the oracle cannot see even at ``EXTRA_BAND_FACTOR`` times
+    the band.
     Disagreements the scan saw only at contested or marginal evidence are
     listed as ambiguous and do not fail the match: they sit below the
     scan's resolution and need an exact route to adjudicate.
@@ -569,11 +573,9 @@ class OracleMatch:
     extra: list
     ambiguous: list
     band: float
-    factor: float
 
 
-def oracle_match_report(cplx, oracle: OracleResult, dim: int,
-                        factor: float = 3.0) -> OracleMatch:
+def oracle_match_report(cplx, oracle: OracleResult, dim: int) -> OracleMatch:
     """Judge complex-vs-oracle equality honestly at the scan resolution."""
     target = as_complex(cplx)
     claimed = set(target.of_dim(dim))
@@ -588,13 +590,13 @@ def oracle_match_report(cplx, oracle: OracleResult, dim: int,
             ambiguous.append(simplex)
     for simplex in sorted(claimed):
         spread = seen.get(simplex, math.inf)
-        if spread > oracle.band * factor:
+        if spread > oracle.band * EXTRA_BAND_FACTOR:
             extra.append(simplex)
         elif spread > oracle.band:
             ambiguous.append(simplex)
     return OracleMatch(equal_at_resolution=not missing and not extra,
                        missing=missing, extra=extra, ambiguous=ambiguous,
-                       band=oracle.band, factor=factor)
+                       band=oracle.band)
 
 
 # ===== Combinatorial manifold tests =====

@@ -1,6 +1,7 @@
 """Shared fixtures: reference samples; the one-at-a-time references for
 the power-cell corners, the farthest-point net, the site arrays, the cut
-test and the cosph scan; and session-scoped refinement runs."""
+test and the cosph scan; a refinement state around a built complex; and
+session-scoped refinement runs."""
 import itertools
 import math
 import time
@@ -13,10 +14,10 @@ from scipy.spatial import cKDTree
 
 from tandel import stars
 from tandel.geometry import (ElementaryWeight, GammaClass, _edge_lengths,
-                             as_simplex, circumsphere)
+                             as_simplex, circumsphere, gamma_classes)
 from tandel.manifolds import (FlatPatch, TorusOfRevolution, UnitSphere,
                               farthest_point_net)
-from tandel.refine import Parameters, refine_sample
+from tandel.refine import Parameters, RefinementState, refine_sample
 
 # Property tests draw the same examples on every run (no example database
 # replays earlier failures first), and a slow example is not a failure.
@@ -163,14 +164,25 @@ def star_is_cut_by(cplx, p, x):
     return bool(margin.min() <= 1e-9 * max(b_x, 1e-30))
 
 
+def cosph_state(cplx, delta0, gamma0):
+    """A refinement state around a built complex, with the given delta0
+    and gamma0: what the cosph scan reads."""
+    params = Parameters(epsilon=cplx.epsilon, gamma0=gamma0, alpha=0.25,
+                        beta=4.5, delta0=delta0)
+    return RefinementState(cplx, params, None)
+
+
 def cosph_scan_per_star(cplx, p, delta0, gamma0, sites=None):
     """The cosph scan of one star on its own: the reference for the
-    stacked ``stars._cosph_scan``, which scans a list of stars at once."""
+    stacked ``refine._cosph_scan``, which scans a list of stars at once.
+    It classifies with ``geometry.gamma_classes``, uncached."""
     m = cplx.manifold.m
     pts = cplx.points
     small = [(s, c, r) for s, (c, r) in cplx.stars[p].centers.items()
              if len(s) == m + 1 and r < cplx.epsilon]
-    classes = cplx.gamma_classes([s for s, _c, _r in small], gamma0)
+    # gamma_classes rejects an empty list, which is one-dimensional
+    classes = (gamma_classes([s for s, _c, _r in small], pts, gamma0)
+               if small else [])
     chosen = [row for row, cls in zip(small, classes)
               if cls is GammaClass.GOOD]
     if not chosen:

@@ -12,7 +12,6 @@ from scipy.spatial import cKDTree
 from test_acceptance import _lattice_patch
 from tandel import cli
 from tandel import refine as refine_module
-from tandel import stars as stars_module
 from tandel.errors import (
     AttemptBudgetExhausted,
     DegenerateSimplex,
@@ -33,6 +32,7 @@ from tandel.manifolds import (FlatPatch, SampleSet, TorusOfRevolution,
                               tangent_chart)
 from tandel.refine import (
     ConfigKind,
+    _cosph_scan,
     _star_bad_cosph,
     _star_bad_stars,
     _star_bigs,
@@ -54,11 +54,11 @@ from tandel.refine import (
     unit_ball_volume,
     write_parameters,
 )
-from tandel.stars import (Star, TangentialComplex, _cosph_scan,
-                          assemble_complex)
-from tandel.verify import euler_characteristic, manifold_complex_check
+from tandel.stars import Star, TangentialComplex, assemble_complex
+from tandel.verify import (as_complex, euler_characteristic,
+                           manifold_complex_check)
 
-from conftest import RUN_PARAMS, disk_points, star_is_cut_by
+from conftest import RUN_PARAMS, cosph_state, disk_points, star_is_cut_by
 
 SPHERE = UnitSphere(2, 3)
 FLAT = FlatPatch(2, 3)
@@ -98,8 +98,10 @@ class TestConstants:
         assert not math.isfinite(flat.xi)
 
     def test_overlap_margin_guard(self):
+        # a_vol * xi / reach = 2^m / 16 reaches 1 at m = 4
+        derive_constants(params_ok(), UnitSphere(3, 4))
         with pytest.raises(ValueError):
-            derive_constants(params_ok(), SPHERE, xi=0.9, a_vol=4.0)
+            derive_constants(params_ok(), UnitSphere(4, 5))
 
     def test_d_vol_uses_the_larger_b(self):
         c = derive_constants(params_ok(beta=4.5), SPHERE)
@@ -731,7 +733,7 @@ def test_site_beyond_witness_radius_adds_no_entry():
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), FLAT)
         cplx.stars[0] = Star(base=0, chart=tangent_chart(FLAT, p),
                              centers={(0, 1, 2): (c, r)})
-        (got,) = _cosph_scan(cplx, [0], delta0, gamma0,
+        (got,) = _cosph_scan(cosph_state(cplx, delta0, gamma0), [0],
                              sites=range(3, len(pts)))
         for tau, (w, sigma) in got.items():
             assert sigma == (0, 1, 2)
@@ -1015,11 +1017,12 @@ def test_unfit_index_follows_growth_outside_insert():
 
 
 def test_cached_gamma_classes_equal_one_row_calls(torus_run):
-    cplx = torus_run[0].complex
-    cached = cplx._gamma_classes
+    state = torus_run[0]
+    cached = state.gamma_cache
     assert len(cached) > 500
-    for (simplex, gamma0), cls in cached.items():
-        assert classify_gamma(simplex, gamma0, cplx.points) is cls
+    for simplex, cls in cached.items():
+        assert classify_gamma(simplex, state.params.gamma0,
+                              state.complex.points) is cls
 
 
 def test_gamma_classes_fill_misses_in_one_call(monkeypatch):
@@ -1028,21 +1031,21 @@ def test_gamma_classes_fill_misses_in_one_call(monkeypatch):
     cplx = state.complex
     m_simplices = sorted({s for star in cplx.stars.values()
                           for s in star.m_simplices()})
-    cplx._gamma_classes.clear()
-    cplx.gamma_class(m_simplices[0], 0.02)
+    state.gamma_cache.clear()
+    state.gamma_classes(m_simplices[:1])
     calls = []
-    real = stars_module.gamma_classes
+    real = refine_module.gamma_classes
 
     def spy(taus, pts, gamma0):
-        calls.append(len(taus))
+        calls.append((len(taus), gamma0))
         return real(taus, pts, gamma0)
 
-    monkeypatch.setattr(stars_module, "gamma_classes", spy)
+    monkeypatch.setattr(refine_module, "gamma_classes", spy)
     asked = m_simplices[:6] + m_simplices[1:3]
-    got = cplx.gamma_classes(asked, 0.02)
-    assert calls == [5]
+    got = state.gamma_classes(asked)
+    assert calls == [(5, 0.02)]
     assert got == [classify_gamma(s, 0.02, cplx.points) for s in asked]
-    assert cplx.gamma_classes([], 0.02) == [] and calls == [5]
+    assert state.gamma_classes([]) == [] and calls == [(5, 0.02)]
 
 
 @pytest.mark.parametrize("run", ["torus_run", "sphere_run"])
@@ -1052,7 +1055,8 @@ def test_mesh_min_thickness_equals_per_simplex_loop(run, request):
     tops = state.complex.m_simplices()
     per_simplex = [thickness(s, pts) for s in tops]
     assert thicknesses(tops, pts).tolist() == per_simplex
-    got = cli._mesh_measurements(state, manifold)["min_thickness"]
+    closed = as_complex(state.complex.simplices())
+    got = cli._mesh_measurements(state, closed, manifold)["min_thickness"]
     assert got == min(per_simplex)
 
 

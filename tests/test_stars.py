@@ -1,18 +1,20 @@
-"""Tangent-plane star construction, cosphericity scans, and the union complex."""
+"""Tangent-plane star construction and the union complex, and the cosph
+scan of ``refine`` over built stars."""
 import itertools
 
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import (cosph_scan_per_star, flat_sites, reference_star,
-                      site_arrays_per_star, star_is_cut_by)
+from conftest import (cosph_scan_per_star, cosph_state, flat_sites,
+                      reference_star, site_arrays_per_star, star_is_cut_by)
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
                            SingularSystem, SparsityViolation)
 from tandel.geometry import (ElementaryWeight, GammaClass, as_simplex,
-                             circumsphere, edge_extremes, faces)
+                             circumsphere, classify_gamma, edge_extremes,
+                             faces)
 from tandel.manifolds import (
     FlatPatch,
     SampleSet,
@@ -21,6 +23,7 @@ from tandel.manifolds import (
     farthest_point_net,
     tangent_chart,
 )
+from tandel.refine import _cosph_scan
 from tandel.stars import (
     COND_LIMIT,
     PRUNE_MULT,
@@ -28,11 +31,9 @@ from tandel.stars import (
     TangentialComplex,
     _build_stars,
     _cell_corners,
-    _cosph_scan,
     _site_arrays,
     assemble_complex,
     compute_star,
-    cosph_star,
     tangent_center,
     tangent_centers,
     write_off,
@@ -120,16 +121,30 @@ def test_too_sparse_raises():
 
 def test_tangent_center_octahedron():
     chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-    c, r = tangent_center((0, 1, 2), 0, OCTA, chart)
-    assert r == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert np.abs(c) == pytest.approx([1.0, 1.0, 1.0])
+    centres, r2, accepted = tangent_centers(OCTA, 0, [(1, 2)],
+                                            chart.frame.basis)
+    assert accepted.tolist() == [True]
+    assert np.sqrt(r2[0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert np.abs(centres[0]) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_tangent_center_singular():
     chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
     # antipodal equator points project to opposite rays: rank-1 system
+    centres, r2, accepted = tangent_centers(OCTA, 0, [(1, 3), (1, 2)],
+                                            chart.frame.basis)
+    assert accepted.tolist() == [False, True]
+    assert np.isnan(centres[0]).all() and np.isnan(r2[0])
+    # a degenerate corner's least-squares solve: the four square
+    # corners fit, a non-cocircular quadruple does not
+    flat_chart = tangent_chart(FlatPatch(2, 3), SQUARE[0])
+    c, r = tangent_center((0, 1, 2, 3), 0, SQUARE, flat_chart)
+    assert c == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+    assert r == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    kite = SQUARE.copy()
+    kite[2, 1] = 1.2
     with pytest.raises(SingularSystem):
-        tangent_center((0, 1, 3), 0, OCTA, chart)
+        tangent_center((0, 1, 2, 3), 0, kite, flat_chart)
     with pytest.raises(ValueError):
         tangent_center((1, 2, 3), 0, OCTA, chart)
 
@@ -285,7 +300,7 @@ class TestCocircularSquare:
 
     def test_cosph_witness_weight_zero(self):
         cplx = assemble_complex(self.sample(), FlatPatch(2, 3))
-        entries = cosph_star(0, 0.2, cplx, gamma0=0.1)
+        (entries,) = _cosph_scan(cosph_state(cplx, 0.2, 0.1), [0])
         assert list(entries) == [(0, 1, 2, 3)]
         w, sigma = entries[(0, 1, 2, 3)]
         assert 0 in sigma and w.carrier not in sigma
@@ -301,7 +316,7 @@ class TestCosphGaps:
 
     def test_small_gap_entry_value(self):
         cplx = assemble_complex(self.almost_square(1.02), FlatPatch(2, 3))
-        entries = cosph_star(0, 0.2, cplx, gamma0=0.1)
+        (entries,) = _cosph_scan(cosph_state(cplx, 0.2, 0.1), [0])
         assert list(entries) == [(0, 1, 2, 3)]
         w, sigma = entries[(0, 1, 2, 3)]
         # two star simplices see the same tau; the smaller gap wins:
@@ -312,21 +327,25 @@ class TestCosphGaps:
 
     def test_gap_beyond_threshold_is_ignored(self):
         cplx = assemble_complex(self.almost_square(1.2), FlatPatch(2, 3))
-        assert cosph_star(0, 0.2, cplx, gamma0=0.1) == {}
+        assert _cosph_scan(cosph_state(cplx, 0.2, 0.1), [0]) == [{}]
 
     def test_delta0_domain(self):
         cplx = assemble_complex(self.almost_square(1.2), FlatPatch(2, 3))
+        state = cosph_state(cplx, 0.2, 0.1)
         for bad in (0.0, 0.25, 0.3, -0.1):
+            # Parameters itself rejects 0 and -0.1; the scan must too
+            state.params.delta0 = bad
             with pytest.raises(ValueError):
-                cosph_star(0, bad, cplx, gamma0=0.1)
+                _cosph_scan(state, [0])
 
     def test_generic_net_has_no_entries_at_tiny_delta0(self):
         M = UnitSphere(2, 3)
         dense = M.sample(2500, seed=2)
         net = farthest_point_net(dense, 0.3, seed=0)
         cplx = assemble_complex(net, M)
+        state = cosph_state(cplx, 0.001, 0.01)
         for p in range(0, len(net.points), 11):
-            assert cosph_star(p, 0.001, cplx, gamma0=0.01) == {}
+            assert _cosph_scan(state, [p]) == [{}]
 
 
 # ===== one scan against the per-centre reference =====
@@ -337,7 +356,7 @@ def _entries_for_center(cplx, sigma, c, r, delta0, gamma0, sites=None):
     m = cplx.manifold.m
     if len(sigma) != m + 1 or r >= cplx.epsilon:
         return []
-    if cplx.gamma_class(sigma, gamma0) is not GammaClass.GOOD:
+    if classify_gamma(sigma, gamma0, cplx.points) is not GammaClass.GOOD:
         return []
     pts = cplx.points
     if sites is None:
@@ -421,10 +440,11 @@ def test_scan_matches_per_centre_reference(build, delta0, min_entries,
     weights as the unfiltered per-centre scan over those sites."""
     cplx = build()
     gamma0 = 0.05
+    state = cosph_state(cplx, delta0, gamma0)
     r_w = 2.1 * cplx.epsilon
     n_entries = n_ties = 0
     for p in cplx.stars:
-        got = cosph_star(p, delta0, cplx, gamma0)
+        (got,) = _cosph_scan(state, [p])
         want = _merged_entries(cplx, p, delta0, gamma0)
         assert sorted(got) == sorted(want), p
         for tau, w in want.items():
@@ -439,7 +459,7 @@ def test_scan_matches_per_centre_reference(build, delta0, min_entries,
             n_ties += len(gaps) != len(set(gaps))
         n_entries += len(want)
         sites = sorted(cplx.tree.query_ball_point(cplx.points[p], r_w))
-        (got,) = _cosph_scan(cplx, [p], delta0, gamma0, sites=sites)
+        (got,) = _cosph_scan(state, [p], sites=sites)
         want = _merged_entries(cplx, p, delta0, gamma0, sites=sites)
         assert sorted(got) == sorted(want), p
         assert all(got[tau][0].weight == w.weight for tau, w in want.items())
@@ -477,6 +497,7 @@ def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
     m-simplices is good (``n_bare`` of them) gets an empty record."""
     cplx = build()
     delta0 = 0.24
+    state = cosph_state(cplx, delta0, gamma0)
     m = cplx.manifold.m
     bases = list(cplx.stars)[::-1]
 
@@ -487,12 +508,13 @@ def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
             assert got[tau][0].weight == w.weight, tau
             assert got[tau][1] == sigma, tau
 
-    full = _cosph_scan(cplx, bases, delta0, gamma0)
+    full = _cosph_scan(state, bases)
     assert len(full) == len(bases)
     for p, got in zip(bases, full):
         same(got, cosph_scan_per_star(cplx, p, delta0, gamma0))
     bare = [k for k, p in enumerate(bases)
-            if all(cplx.gamma_class(s, gamma0) is not GammaClass.GOOD
+            if all(classify_gamma(s, gamma0, cplx.points)
+                   is not GammaClass.GOOD
                    for s, (_c, r) in cplx.stars[p].centers.items()
                    if len(s) == m + 1 and r < cplx.epsilon)]
     assert len(bare) == n_bare
@@ -501,14 +523,14 @@ def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
     for x in bases:
         around = [int(p) for p in cplx.tree.query_ball_point(
             cplx.points[x], 2.1 * cplx.epsilon, return_sorted=True) if p != x]
-        got = _cosph_scan(cplx, around, delta0, gamma0, sites=(x,))
+        got = _cosph_scan(state, around, sites=(x,))
         for p, own in zip(around, got):
             same(own, cosph_scan_per_star(cplx, p, delta0, gamma0,
                                           sites=(x,)))
             n_witnessed += bool(own)
     assert sum(map(bool, full)) > 0 and n_witnessed > 0
-    assert _cosph_scan(cplx, [], delta0, gamma0) == []
-    assert _cosph_scan(cplx, [], delta0, gamma0, sites=(0,)) == []
+    assert _cosph_scan(state, []) == []
+    assert _cosph_scan(state, [], sites=(0,)) == []
 
 
 # ===== stacked tangent centres against the per-corner solve =====

@@ -61,7 +61,7 @@ XI_TILDE = 1.0 / 16.0  # chart margin xi over the reach
 class Parameters:
     """Run parameters.  Construction is lenient; check_hypotheses judges.
 
-    No parameter sets how far an insertion reaches: ``insert`` rebuilds
+    No parameter sets how far an insertion reaches: ``insert`` updates
     exactly the stars whose cells the new site cuts, and derives its
     cosph witness radius from epsilon and delta0.
     """
@@ -750,14 +750,16 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
            base: int = -1, simplex=None) -> dict:
     """Insert x into the complex and keep every cache coherent.
 
-    ``insert_point`` rebuilds exactly the stars x cuts; they and the new
-    star get fresh cosph records, from one stacked scan, and dirty unfit
-    lists (``RefinementState.refresh_stars``).  Of the others, only those
-    within ``_witness_radius`` of x can gain a cosph entry with x as
-    witness, so only they are scanned, in one more stacked scan against
-    x alone.  Every entry that scan adds contains x, so it joins the
-    record without meeting an old one, and only a star that gains one
-    has its cosph list dirtied.
+    ``insert_point`` updates exactly the stars x cuts, clipping each
+    simple cut cell with x's halfspace and rebuilding the others with
+    the new star; either way a cut star is the star a fresh build makes.
+    The cut stars and the new star get fresh cosph records, from one
+    stacked scan, and dirty unfit lists (``RefinementState.refresh_stars``).
+    Of the others, only those within ``_witness_radius`` of x can gain a
+    cosph entry with x as witness, so only they are scanned, in one more
+    stacked scan against x alone.  Every entry that scan adds contains
+    x, so it joins the record without meeting an old one, and only a
+    star that gains one has its cosph list dirtied.
 
     Raises:
         SparsityViolation: x sits within mu0 * epsilon of the sample,

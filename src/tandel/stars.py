@@ -14,27 +14,39 @@ Corners therefore correspond exactly to the m-simplices of the star.
 
 Cells are intersected with a bounding box, and the corners of the
 result come from one Qhull halfspace intersection for every m (Barber,
-Dobkin & Huhdanpaa, ACM TOMS 1996).  Corners supported by box
-walls ("synthetic" corners) mark directions where the true cell runs
-past the box, which on a compact manifold can only happen when the
-sampling radius is violated there.
+Dobkin & Huhdanpaa, ACM TOMS 1996).  Qhull finds which sites are tight
+at each corner; a real corner is then stored as its equidistance
+system's solution t*, the same value whichever route produced it.
+Corners supported by box walls ("synthetic" corners) keep Qhull's
+coordinates; they mark directions where the true cell runs past the
+box, which on a compact manifold can only happen when the sampling
+radius is violated there.
 
 A star depends only on the sites within O(epsilon) of its vertex
 (Boissonnat & Ghosh, DCG 2014), so stars are independent and are built
 together: ``_build_stars`` takes a list of vertices (all of them for the
-initial complex, the cut stars and the new one for an insertion) and
-runs rounds in which the ball queries, the charts, the equidistance
-solves and the emptiness queries are one stacked call each, and the
-site arrays and their checks one stacked pass per chunk of
-``_SITE_CHUNK`` stars, while the Qhull cell, its tight keys and the
-corner walk stay per star.  Each star comes out bit-identical to
-building it alone, and a failing batch raises the error of its first
-failing vertex.  The same holds around a build: an insertion tests all
-its candidate cells against the new site in one stack
-(``TangentialComplex._cells_cut_by``).
+initial complex, the new one and the cut stars the clip cannot update
+for an insertion) and runs rounds in which the ball queries, the
+charts, the equidistance solves and the emptiness queries are one
+stacked call each, and the site arrays and their checks one stacked
+pass per chunk of ``_SITE_CHUNK`` stars, while the Qhull cell, its
+tight keys and the corner walk stay per star.  Each star comes out
+bit-identical to building it alone, and a failing batch raises the
+error of its first failing vertex.
+
+An insertion changes a cell in one way only: it intersects the cell
+with the new site's halfspace, the cavity step of incremental Delaunay
+(Bowyer 1981; Watson 1981).  ``TangentialComplex.insert_point`` tests
+all its candidate cells against the new site in one stack
+(``_cells_cut_by``) and clips each simple cut cell (``_clip_stars``):
+it keeps the corners on the site's side, adds one corner per crossing
+edge, and checks the new corners' balls; a cut star the clip cannot
+decide is rebuilt.  A clipped star is bitwise the star a rebuild makes,
+up to the order of its corners.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +81,11 @@ class Star:
     tangent coordinates of every cell corner; ``corner_simplex[i]`` is
     the simplex of corner i, or None for a synthetic (box-supported)
     corner, whose norm is then only a lower bound for the cell extent.
+    A real corner is its simplex's solved tangent centre t, with
+    c_p = p + B^T t and R_p = |t|, whether the star was built or
+    clipped; a synthetic corner is where Qhull put it.  The order of the
+    corners (and of ``centers``) depends on how the star was made, and
+    no result depends on it.
     """
     base: int
     chart: TangentChart
@@ -128,6 +145,15 @@ def _site_arrays(pts, bases, frames, balls):
 
 # ===== corner extraction =====
 
+@functools.cache
+def _box_walls(m):
+    """The normals of the 2m box walls, t_i <= box then -t_i <= box;
+    read-only, as every cell shares them."""
+    walls = np.vstack([np.eye(m), -np.eye(m)])
+    walls.flags.writeable = False
+    return walls
+
+
 def _cell_corners(u, b, box):
     """Corners of the cell {t : 2u.t <= b} inside the box [-box, box]^m.
 
@@ -143,8 +169,7 @@ def _cell_corners(u, b, box):
     halfspaces = np.empty((n + 2 * m, m + 1))
     halfspaces[:n, :m] = 2.0 * u
     halfspaces[:n, m] = -b
-    halfspaces[n:n + m, :m] = np.eye(m)
-    halfspaces[n + m:, :m] = -np.eye(m)
+    halfspaces[n:, :m] = _box_walls(m)
     halfspaces[n:, m] = -float(box)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,9 +204,9 @@ def tangent_centers(pts, base, others, basis):
     differently.
 
     Returns:
-        (centres, r2, accepted): the K x N ambient centres, the squared
-        radii t . t, and the mask of accepted rows; rejected rows hold
-        NaN.
+        (centres, r2, accepted, t): the K x N ambient centres, the squared
+        radii t . t, the mask of accepted rows and the K x m tangent
+        solutions t; rejected rows hold NaN.
     """
     pts = np.asarray(pts, dtype=float)
     rel = pts[np.asarray(others, dtype=np.intp)] - pts[base][..., None, :]
@@ -194,7 +219,7 @@ def tangent_centers(pts, base, others, basis):
     t[accepted] = np.linalg.solve(a_mat[accepted],
                                   rhs[accepted][..., None])[..., 0]
     centres = pts[base] + (basis_t @ t[..., None])[..., 0]
-    return centres, np.vecdot(t, t), accepted
+    return centres, np.vecdot(t, t), accepted, t
 
 
 def tangent_center(simplex, p: int, pts, chart: TangentChart):
@@ -202,8 +227,9 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
     (cospherical) simplex: p and more than m other sites.
 
     The overdetermined system is solved by least squares and must fit to
-    a residual of 1e-7; m-simplices are rows of ``tangent_centers``.  The
-    center is returned in ambient coordinates together with its radius.
+    a residual of 1e-7; m-simplices are rows of ``tangent_centers``.
+    Returns the center in ambient coordinates, its radius |t| and its
+    tangent coordinates t.
 
     Raises:
         SingularSystem: the least-squares residual is too large.
@@ -222,7 +248,7 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
         raise SingularSystem(
             f"overdetermined equidistance residual {resid:.3e}")
     c = pts[p] + chart.frame.basis.T @ t
-    return c, float(np.linalg.norm(t))
+    return c, float(np.linalg.norm(t)), t
 
 
 def _singular_message(simplex, p) -> str:
@@ -286,9 +312,12 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
     """Walk the corners in order into the star of p, or None when a site
     beyond the pruning radius interferes with a corner.
 
-    ``solved`` maps each m-site key to (c, r, accepted, d_min), with
-    d_min the distance from c to the nearest site.  A degenerate corner
-    (more than m tight sites) is solved here by ``tangent_center``.
+    ``solved`` maps each m-site key to (c, r, t, accepted, d_min), with t
+    the tangent solution and d_min the distance from c to the nearest
+    site.  A degenerate corner (more than m tight sites) is solved here
+    by ``tangent_center``.  A real corner's row of ``corners`` becomes its
+    key's solved t, so it does not depend on the Qhull call that found
+    it; synthetic corners keep Qhull's coordinates.
 
     Raises:
         SingularSystem: at the first corner whose system is rejected.
@@ -297,17 +326,17 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
     m = chart.manifold.m
     star = Star(base=p, chart=chart, corners=corners)
     seen = {}
-    for key in keys:
+    for i, key in enumerate(keys):
         if len(key) < m:
             star.corner_simplex.append(None)
             continue
         if key not in seen:
             if len(key) == m:
-                c, r, accepted, d_min = solved[key]
+                c, r, t, accepted, d_min = solved[key]
                 if not accepted:
                     raise SingularSystem(_singular_message((p,) + key, p))
             else:
-                c, r = tangent_center((p,) + key, p, pts, chart)
+                c, r, t = tangent_center((p,) + key, p, pts, chart)
                 d_min = float(tree.query(c)[0])
             # global emptiness: no site may be strictly inside
             if d_min < r * (1.0 - 1e-9):
@@ -317,19 +346,20 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
                 # tight site misclassified; treat corner as synthetic
                 seen[key] = None
             else:
-                seen[key] = (c, r)
+                seen[key] = (c, r, t)
         entry = seen[key]
         if entry is None:
             star.corner_simplex.append(None)
             continue
+        c, r, corners[i] = entry
         full = tuple(sorted((p,) + key))
         star.corner_simplex.append(full)
-        star.centers[full] = entry
+        star.centers[full] = c, r
         if len(key) > m:
             # degenerate corner: record every m-subset alongside the
             # full cospherical simplex
             for sub in itertools.combinations(key, m):
-                star.centers[tuple(sorted((p,) + sub))] = entry
+                star.centers[tuple(sorted((p,) + sub))] = c, r
     if not star.m_simplices():
         raise NeighborhoodTooSparse(f"no {m}-simplex in the star of vertex {p}")
     return star
@@ -402,13 +432,13 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
                          [len(own) for own in key_lists])
         others = np.array([k for own in key_lists for k in own],
                           dtype=np.intp).reshape(-1, m)
-        centres, r2, accepted = tangent_centers(
+        centres, r2, accepted, t = tangent_centers(
             pts, base_idx[rows], others, frames[rows])
         d_min = np.full(len(rows), np.nan)
         if accepted.any():
             d_min[accepted] = tree.query(centres[accepted])[0]
-        solved = list(zip(centres, np.sqrt(r2).tolist(), accepted.tolist(),
-                          d_min.tolist()))
+        solved = list(zip(centres, np.sqrt(r2).tolist(), t,
+                          accepted.tolist(), d_min.tolist()))
         todo = []
         start = 0
         for (i, corners, keys), own in zip(cells, key_lists):
@@ -450,6 +480,119 @@ def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
     return _build_stars([p], pts, cKDTree(pts), manifold, sample.epsilon)[0]
 
 
+# ===== clipping a cut star =====
+
+# how far the clip's tolerance exceeds the one of the rebuild it replaces
+_CLIP_SAFETY = 4.0
+
+
+def _clip_stars(stars, margins, radii, x_idx, pts, tree, epsilon) -> dict:
+    """The cut stars that the new site x = pts[x_idx] changes simply,
+    each with its cell clipped by x's halfspace.
+
+    Star k has the corner margins ``margins[k]`` of x (b_x - 2 u_x . t,
+    from ``_cells_cut_by``, padded) and the cell radius ``radii[k]``.
+    The rebuild finds a corner's key as the sites within
+    tol = 1e-9 max(b.max(), max |t|^2) of it, in power units.  A star
+    is clipped only when a rebuild is sure to find what the clip finds:
+
+    - every corner is real, with exactly m key sites and its own
+      simplex, so the cell is a simple polytope;
+    - its radius is below PRUNE_MULT * epsilon / 2.  A site q can bound
+      the cell only where |t| >= |q - p| / 2, so no site beyond the first
+      pruning radius does, the rebuild closes in its first round, and
+      its tol is at most 1e-9 (PRUNE_MULT * epsilon)^2 = tol_1;
+    - x is more than ``_CLIP_SAFETY`` * tol_1 from tight at every corner.
+
+    The clip keeps the corners with positive margin.  Each edge (two
+    corners sharing m - 1 key sites) with one corner kept and one dropped
+    gives a new corner, whose key is the shared sites and x; the new keys
+    of all stars are one ``tangent_centers`` stack.  One
+    ``tree.query(k=m+2)`` over every corner of every clipped star then
+    checks that no site other than the key lies within
+    ``_CLIP_SAFETY`` * tol_1 of the corner's ball, which also makes the
+    ball empty.  Kept corners keep their centre and solved t, and new
+    ones are rows of the same stacked solve a rebuild runs, so a clipped
+    star is bitwise the star a rebuild makes, up to the order of its
+    corners.
+
+    Returns {base: clipped star} for the stars that pass every check.
+    """
+    if not stars:
+        return {}
+    m = stars[0].chart.manifold.m
+    simple = [k for k, star in enumerate(stars)
+              if star.corner_simplex and None not in star.corner_simplex
+              and len(set(star.corner_simplex)) == len(star.corner_simplex)
+              and all(len(s) == m + 1 for s in star.corner_simplex)]
+    if not simple:
+        return {}
+    tol = _CLIP_SAFETY * 1e-9 * (PRUNE_MULT * epsilon) ** 2
+    margins = margins[simple]
+    counts = np.array([len(stars[k].corner_simplex) for k in simple])
+    padding = np.arange(margins.shape[1]) >= counts[:, None]
+    ready = ((radii[simple] < 0.5 * PRUNE_MULT * epsilon * (1.0 - 1e-6))
+             & ~((np.abs(margins) <= tol) & ~padding).any(axis=1)).tolist()
+    plans, new_keys, others = [], [], []
+    for k, keep, go in zip(simple, (margins > 0.0).tolist(), ready):
+        if not go:
+            continue
+        star = stars[k]
+        p = star.base
+        # edge -> its corners; a simple bounded cell has two per edge
+        edges = {}
+        for i, s in enumerate(star.corner_simplex):
+            for j in range(m + 1):
+                if s[j] != p:
+                    edges.setdefault(s[:j] + s[j + 1:], []).append(i)
+        if any(len(ends) != 2 for ends in edges.values()):
+            continue
+        cross = [edge for edge, (i, j) in edges.items() if keep[i] != keep[j]]
+        kept = [i for i in range(len(star.corner_simplex)) if keep[i]]
+        plans.append((star, kept, len(new_keys), len(cross)))
+        # x has the largest id, so it ends every sorted new simplex
+        new_keys += [edge + (x_idx,) for edge in cross]
+        others += [[q for q in edge if q != p] + [x_idx] for edge in cross]
+    if not plans:
+        return {}
+    owner = np.repeat(np.arange(len(plans)), [n for *_s, n in plans])
+    bases = np.array([plan[0].base for plan in plans], dtype=np.intp)
+    frames = np.array([plan[0].chart.frame.basis for plan in plans])
+    centres, r2, accepted, t_new = tangent_centers(
+        pts, bases[owner], np.array(others, dtype=np.intp).reshape(-1, m),
+        frames[owner])
+    solved = list(zip(centres, np.sqrt(r2).tolist()))
+    accepted = accepted.tolist()
+    clipped = []
+    for star, kept, start, count in plans:
+        end = start + count
+        if not all(accepted[start:end]):
+            continue
+        simplices = [star.corner_simplex[i] for i in kept]
+        centers = {s: star.centers[s] for s in simplices}
+        centers.update(zip(new_keys[start:end], solved[start:end]))
+        clipped.append(Star(
+            base=star.base, chart=star.chart, centers=centers,
+            corners=np.concatenate([star.corners[kept], t_new[start:end]]),
+            corner_simplex=simplices + new_keys[start:end]))
+    if not clipped:
+        return {}
+    # every corner ball: its m + 1 vertices on it, every other site
+    # farther than the tolerance
+    simplex = np.array([s for star in clipped for s in star.corner_simplex],
+                       dtype=np.intp)
+    ball = [star.centers[s] for star in clipped for s in star.corner_simplex]
+    c = np.array([c for c, _r in ball])
+    r = np.array([r for _c, r in ball])
+    dist, near = tree.query(c, k=m + 2)
+    is_vertex = (near[:, :, None] == simplex[:, None, :]).any(axis=2)
+    clear = is_vertex | (dist * dist - (r * r)[:, None] > tol)
+    ok = np.logical_and.reduceat(clear.all(axis=1), np.cumsum(
+        [0] + [len(star.corner_simplex) for star in clipped[:-1]]))
+    return {star.base: star for star, good in zip(clipped, ok.tolist())
+            if good}
+
+
 # ===== the union complex =====
 
 class TangentialComplex:
@@ -468,16 +611,15 @@ class TangentialComplex:
     def n_points(self) -> int:
         return len(self.points)
 
-    def _build(self, bases):
-        """Build the stars of bases in one ``_build_stars`` batch and store
-        them."""
-        for star in _build_stars(bases, self.points, self.tree,
-                                 self.manifold, self.epsilon):
+    def _store(self, stars):
+        """Store stars and their cell radii."""
+        for star in stars:
             self.stars[star.base] = star
             self.cell_radii[star.base] = star.max_radius()
 
     def build(self):
-        self._build(range(self.n_points))
+        self._store(_build_stars(range(self.n_points), self.points,
+                                 self.tree, self.manifold, self.epsilon))
         return self
 
     def simplices(self, max_dim: int | None = None) -> list:
@@ -510,18 +652,21 @@ class TangentialComplex:
 
     # ---- incremental insertion ----
 
-    def _cells_cut_by(self, bases, x) -> np.ndarray:
+    def _cells_cut_by(self, bases, x):
         """Exact test for each star of bases: does a site at x remove part
         of its recorded cell?
 
-        The cell is a polytope and the power difference against x,
-        |x - p|^2 - 2 u_x . t, is affine in t, so its minimum over the cell
-        sits at a corner; the cell is cut when that minimum is at most
-        1e-9 |x - p|^2, and a star without corners always is.  The stars'
-        corners are padded into one stack with t = 0, which lies inside
-        every cell, so the padding changes no verdict; each star's
+        The cell is a polytope and the power difference against x, the
+        margin |x - p|^2 - 2 u_x . t, is affine in t, so its minimum over
+        the cell sits at a corner; the cell is cut when that minimum is at
+        most 1e-9 |x - p|^2, and a star without corners always is.  The
+        stars' corners are padded into one stack with t = 0, which lies
+        inside every cell, so the padding changes no verdict; each star's
         products are the matrix-vector calls of testing it alone, row for
         row.
+
+        Returns (cut, margin): the verdicts, and the margin of every
+        corner, row k holding star k's corners in order, then padding.
         """
         stars = [self.stars[p] for p in bases]
         counts = np.array([0 if s.corners is None else len(s.corners)
@@ -537,24 +682,30 @@ class TangentialComplex:
         u_x = frames @ rel[:, :, None]
         b_x = (rel[:, None, :] @ rel[:, :, None])[:, 0]
         margin = b_x - 2.0 * (corners @ u_x)[..., 0]
-        return (counts == 0) | (margin.min(axis=1, initial=np.inf)
-                                <= 1e-9 * np.maximum(b_x[:, 0], 1e-30))
+        cut = (counts == 0) | (margin.min(axis=1, initial=np.inf)
+                               <= 1e-9 * np.maximum(b_x[:, 0], 1e-30))
+        return cut, margin
 
     def insert_point(self, x) -> dict:
-        """Append x and rebuild exactly the stars whose cells it cuts.
+        """Append x and update exactly the stars whose cells it cuts: clip
+        the simple ones, rebuild the rest.
 
         x cuts the cell of p only if some corner t has
         2 u_x . t >= |x - p|^2 (1 - 1e-9) (``_cells_cut_by``), and
         |u_x| <= |x - p| with |t| <= rho_p = ``Star.max_radius()``, so
         only stars with |x - p| <= 2 rho_p can be cut (the factor
         1 + 1e-6 covers rounding).  Those candidates are tested in one
-        ``_cells_cut_by`` stack and the cut ones rebuilt, with the new
-        star, in one ``_build_stars`` batch; every other star is provably
-        unchanged.  The test reads only the old star it tests, so
-        testing every candidate before rebuilding any is the same as
-        rebuilding each as it is found cut.  Returns the new vertex id,
-        the rebuilt star ids, and the candidates that were left alone.
-        Cosph records are the caller's.
+        ``_cells_cut_by`` stack; every other star is provably unchanged.
+        The cut stars that ``_clip_stars`` can update are clipped with
+        x's halfspace, and the others are rebuilt with the new star in
+        one ``_build_stars`` batch.  Either way a cut star comes out as a
+        fresh build of it would.  The clipped stars are stored only once
+        that batch returns, so an insertion whose build raises replaces
+        no star.  The test reads only the old star it tests, so testing
+        every candidate before updating any is the same as updating each
+        as it is found cut.  Returns the new vertex id, the cut star ids
+        (``recomputed``), those of them that were clipped, and the
+        candidates that were left alone.  Cosph records are the caller's.
         """
         x = np.asarray(x, dtype=float)
         new_idx = self.n_points
@@ -568,12 +719,20 @@ class TangentialComplex:
         dist = np.linalg.norm(self.points[near] - x, axis=1)
         candidates = [p for p in near[dist <= reach[near]].tolist()
                       if p in self.stars]
-        cut = self._cells_cut_by(candidates, x).tolist()
-        recomputed = [p for p, c in zip(candidates, cut) if c]
-        untouched = [p for p, c in zip(candidates, cut) if not c]
+        cut, margin = self._cells_cut_by(candidates, x)
+        rows = np.flatnonzero(cut).tolist()
+        recomputed = [candidates[k] for k in rows]
+        untouched = [p for p, c in zip(candidates, cut.tolist()) if not c]
+        clipped = _clip_stars([self.stars[p] for p in recomputed],
+                              margin[rows], self.cell_radii[recomputed],
+                              new_idx, self.points, self.tree, self.epsilon)
         self.cell_radii = np.append(self.cell_radii, 0.0)
-        self._build(recomputed + [new_idx])
+        built = _build_stars([p for p in recomputed if p not in clipped]
+                             + [new_idx], self.points, self.tree,
+                             self.manifold, self.epsilon)
+        self._store(itertools.chain(clipped.values(), built))
         return {"index": new_idx, "recomputed": recomputed,
+                "clipped": [p for p in recomputed if p in clipped],
                 "untouched": untouched}
 
 

@@ -783,7 +783,7 @@ def power_protection_audit(cplx, points, manifold: Manifold,
                        tangent_charts(manifold, pts[vertices])])
     basis = frames.reshape(-1, m, pts.shape[1])[
         [slot[p] for p in base.tolist()]]
-    centres, r2, accepted = tangent_centers(pts, base, others, basis)
+    centres, r2, accepted, _t = tangent_centers(pts, base, others, basis)
     margin = np.full(len(base), math.inf)
     if len(pts) > m + 1 and accepted.any():
         tree = cKDTree(pts)

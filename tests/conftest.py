@@ -1,7 +1,8 @@
 """Shared fixtures: reference samples; the one-at-a-time references for
 the power-cell corners, the farthest-point net, the site arrays, the cut
-test and the cosph scan; a refinement state around a built complex; and
-session-scoped refinement runs."""
+test and the cosph scan; a bitwise comparison of two stars; a
+refinement state around a built complex; and session-scoped refinement
+runs."""
 import itertools
 import math
 import time
@@ -162,6 +163,26 @@ def star_is_cut_by(cplx, p, x):
         return True
     margin = b_x - 2.0 * (star.corners @ u_x)
     return bool(margin.min() <= 1e-9 * max(b_x, 1e-30))
+
+
+def assert_same_star_bitwise(a, b):
+    """Stars a and b of one vertex are the same bit for bit, whatever the
+    order of their corners: the centre and radius of every key, the
+    corner simplices as a multiset, and the corners of each simplex."""
+    assert a.base == b.base
+    assert sorted(a.centers) == sorted(b.centers), a.base
+    for key, (c, r) in a.centers.items():
+        assert b.centers[key][0].tobytes() == c.tobytes(), (a.base, key)
+        assert b.centers[key][1] == r, (a.base, key)
+
+    def by_simplex(star):
+        corners = {}
+        for s, t in zip(star.corner_simplex, star.corners):
+            corners.setdefault(s, []).append(t.tobytes())
+        return {s: sorted(ts) for s, ts in corners.items()}
+
+    assert by_simplex(a) == by_simplex(b), a.base
+    assert a.max_radius() == b.max_radius(), a.base
 
 
 def cosph_state(cplx, delta0, gamma0):

@@ -54,11 +54,13 @@ from tandel.refine import (
     unit_ball_volume,
     write_parameters,
 )
-from tandel.stars import Star, TangentialComplex, assemble_complex
+from tandel.stars import (Star, TangentialComplex, _build_stars,
+                          assemble_complex)
 from tandel.verify import (as_complex, euler_characteristic,
                            manifold_complex_check)
 
-from conftest import RUN_PARAMS, cosph_state, disk_points, star_is_cut_by
+from conftest import (RUN_PARAMS, assert_same_star_bitwise, cosph_state,
+                      disk_points, star_is_cut_by)
 
 SPHERE = UnitSphere(2, 3)
 FLAT = FlatPatch(2, 3)
@@ -976,6 +978,57 @@ def _quadruple_case(request):
 def _three_sphere_case(request):
     return (request.getfixturevalue("three_sphere_net"), THREE_SPHERE,
             params_ok(epsilon=0.45, seed=1))
+
+
+def _sphere_case(request):
+    params = Parameters(**RUN_PARAMS)
+    return (farthest_point_net(SPHERE.sample(20000, seed=params.seed),
+                               eps=params.epsilon, seed=params.seed),
+            SPHERE, params)
+
+
+def _three_sphere_035_case(request):
+    return (farthest_point_net(THREE_SPHERE.sample(20000, seed=1), 0.35,
+                               seed=1),
+            THREE_SPHERE, params_ok(epsilon=0.35, gamma0=0.2, seed=1))
+
+
+def _lattice_case(request):
+    return _lattice_patch(), FLAT, params_ok(epsilon=0.5, gamma0=0.3, seed=5)
+
+
+@pytest.mark.parametrize("case", [_torus_case, _sphere_case,
+                                  _three_sphere_035_case, _lattice_case],
+                         ids=["torus", "sphere", "s3", "lattice"])
+def test_clipped_stars_equal_fresh_builds(case, request, monkeypatch):
+    """At every insertion of a seeded refinement, each star that the
+    insertion clipped is bitwise the star ``_build_stars`` makes on the
+    new points: the same centres per key, corner simplices and corners
+    per simplex, and its cell radius."""
+    real_insert_point = TangentialComplex.insert_point
+    n_clipped, n_rebuilt = [], []
+
+    def spied(cplx, x):
+        info = real_insert_point(cplx, x)
+        clipped = info["clipped"]
+        assert set(clipped) <= set(info["recomputed"])
+        fresh = _build_stars(clipped, cplx.points, cplx.tree,
+                             cplx.manifold, cplx.epsilon) if clipped else []
+        for p, star in zip(clipped, fresh):
+            assert_same_star_bitwise(cplx.stars[p], star)
+            assert cplx.cell_radii[p] == star.max_radius()
+        n_clipped.append(len(clipped))
+        n_rebuilt.append(len(info["recomputed"]) - len(clipped))
+        return info
+
+    monkeypatch.setattr(TangentialComplex, "insert_point", spied)
+    sample, manifold, params = case(request)
+    state = refine_sample(sample, manifold, params)
+    assert len(n_clipped) == len(state.events) > 0
+    if case is _torus_case:
+        assert sum(n_clipped) > 0
+    if case is _lattice_case:
+        assert sum(n_rebuilt) > 0
 
 
 @pytest.mark.parametrize("case", [_torus_case, _sphere_cap_case,

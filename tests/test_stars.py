@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import (cosph_scan_per_star, cosph_state, flat_sites,
-                      reference_star, site_arrays_per_star, star_is_cut_by)
+from conftest import (assert_same_star_bitwise, cosph_scan_per_star,
+                      cosph_state, flat_sites, reference_star,
+                      site_arrays_per_star, star_is_cut_by)
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
@@ -121,26 +122,32 @@ def test_too_sparse_raises():
 
 def test_tangent_center_octahedron():
     chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-    centres, r2, accepted = tangent_centers(OCTA, 0, [(1, 2)],
-                                            chart.frame.basis)
+    centres, r2, accepted, t = tangent_centers(OCTA, 0, [(1, 2)],
+                                               chart.frame.basis)
     assert accepted.tolist() == [True]
     assert np.sqrt(r2[0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert np.abs(centres[0]) == pytest.approx([1.0, 1.0, 1.0])
+    # the tangent solution: r2 = t . t and c = p + B^T t
+    assert r2[0] == np.vecdot(t[0], t[0])
+    assert centres[0].tobytes() == (OCTA[0] + chart.frame.basis.T
+                                    @ t[0]).tobytes()
 
 
 def test_tangent_center_singular():
     chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
     # antipodal equator points project to opposite rays: rank-1 system
-    centres, r2, accepted = tangent_centers(OCTA, 0, [(1, 3), (1, 2)],
-                                            chart.frame.basis)
+    centres, r2, accepted, t = tangent_centers(OCTA, 0, [(1, 3), (1, 2)],
+                                               chart.frame.basis)
     assert accepted.tolist() == [False, True]
     assert np.isnan(centres[0]).all() and np.isnan(r2[0])
+    assert np.isnan(t[0]).all()
     # a degenerate corner's least-squares solve: the four square
     # corners fit, a non-cocircular quadruple does not
     flat_chart = tangent_chart(FlatPatch(2, 3), SQUARE[0])
-    c, r = tangent_center((0, 1, 2, 3), 0, SQUARE, flat_chart)
+    c, r, t = tangent_center((0, 1, 2, 3), 0, SQUARE, flat_chart)
     assert c == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
     assert r == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert r == float(np.linalg.norm(t))
     kite = SQUARE.copy()
     kite[2, 1] = 1.2
     with pytest.raises(SingularSystem):
@@ -537,7 +544,7 @@ def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
 
 def _tangent_center_per_corner(simplex, p, pts, chart):
     """One corner's equidistance system, solved alone: the reference for
-    the stacked solve in ``_build_star``."""
+    the stacked solve in ``_build_stars``.  Returns (c, r, t)."""
     others = [q for q in simplex if q != p]
     u, b = site_arrays_per_star(p, pts, others, chart)
     a_mat = 2.0 * u
@@ -552,12 +559,13 @@ def _tangent_center_per_corner(simplex, p, pts, chart):
         if resid > 1e-7 * max(1.0, np.abs(b).max()):
             raise SingularSystem(
                 f"overdetermined equidistance residual {resid:.3e}")
-    return pts[p] + chart.frame.basis.T @ t, float(np.linalg.norm(t))
+    return pts[p] + chart.frame.basis.T @ t, float(np.linalg.norm(t)), t
 
 
 def _star_per_corner(p, cplx):
     """The star of p with every corner's centre solved and checked for
-    emptiness one at a time, in corner order."""
+    emptiness one at a time, in corner order.  A real corner is its own
+    solve's t; a synthetic one keeps the coordinates of the Qhull cell."""
     pts, tree, m = cplx.points, cplx.tree, cplx.manifold.m
     chart = tangent_chart(cplx.manifold, pts[p])
     prune_r = PRUNE_MULT * cplx.epsilon
@@ -568,17 +576,18 @@ def _star_per_corner(p, cplx):
         corners = _cell_corners(u, b, prune_r)
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(b.max(), (corners ** 2).sum(axis=1).max())
-        centers, corner_simplex, seen = {}, [], {}
+        centers, corner_simplex, seen, real = {}, [], {}, {}
         for row in slack:
             key = tuple(sorted(int(q) for q in idx[np.abs(row) <= tol]))
             if len(key) < m:
                 corner_simplex.append(None)
                 continue
             if key not in seen:
-                c, r = _tangent_center_per_corner((p,) + key, p, pts, chart)
+                c, r, t = _tangent_center_per_corner((p,) + key, p, pts,
+                                                     chart)
                 d_min = float(tree.query(c)[0])
                 if d_min >= r * (1.0 - 1e-9):
-                    seen[key] = (c, r)
+                    seen[key] = (c, r, t)
                 elif d_min >= prune_r - r:
                     break
                 else:
@@ -586,13 +595,17 @@ def _star_per_corner(p, cplx):
             if seen[key] is None:
                 corner_simplex.append(None)
                 continue
+            c, r, t = seen[key]
+            real[len(corner_simplex)] = t
             full = tuple(sorted((p,) + key))
             corner_simplex.append(full)
-            centers[full] = seen[key]
+            centers[full] = (c, r)
             if len(key) > m:
                 for sub in itertools.combinations(key, m):
-                    centers[tuple(sorted((p,) + sub))] = seen[key]
+                    centers[tuple(sorted((p,) + sub))] = (c, r)
         else:
+            for i, t in real.items():
+                corners[i] = t
             return centers, corner_simplex, corners
         # a site beyond the pruning radius interferes: widen and redo
         prune_r *= 2.0
@@ -631,14 +644,16 @@ def test_stacked_star_matches_per_corner_solve(build):
 def test_stacked_centres_reject_singular_rows_only():
     # row 0 is the antipodal (rank-1) system of test_tangent_center_singular
     chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-    centres, r2, accepted = tangent_centers(
+    centres, r2, accepted, t = tangent_centers(
         OCTA, 0, [[1, 3], [1, 2], [2, 3]], chart.frame.basis)
     assert accepted.tolist() == [False, True, True]
     assert np.isnan(centres[0]).all() and np.isnan(r2[0])
     for row, others in ((1, (1, 2)), (2, (2, 3))):
-        c, r = _tangent_center_per_corner((0,) + others, 0, OCTA, chart)
+        c, r, t_one = _tangent_center_per_corner((0,) + others, 0, OCTA,
+                                                 chart)
         assert centres[row].tobytes() == c.tobytes()
         assert np.sqrt(r2[row]) == r
+        assert t[row].tobytes() == t_one.tobytes()
 
 
 # ===== batch star builds =====
@@ -818,6 +833,8 @@ class TestInsertPoint:
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), M)
 
     def assert_same_stars(self, cplx, ref):
+        """Every star has the keys of a fresh build, with the same
+        centres and radii bit for bit, and its cell radius."""
         assert cplx.m_simplices() == ref.m_simplices()
         for p in range(cplx.n_points):
             assert sorted(cplx.stars[p].centers) == \
@@ -825,9 +842,15 @@ class TestInsertPoint:
             for s in cplx.stars[p].centers:
                 ca, ra = cplx.stars[p].centers[s]
                 cb, rb = ref.stars[p].centers[s]
-                assert ra == pytest.approx(rb, rel=1e-9)
-                assert np.allclose(ca, cb, atol=1e-9)
+                assert ra == rb, (p, s)
+                assert ca.tobytes() == cb.tobytes(), (p, s)
             assert cplx.cell_radii[p] == ref.stars[p].max_radius()
+
+    def assert_rebuilt(self, cplx, info, ref, p):
+        """p was cut and rebuilt, not clipped, into the star of a fresh
+        build, corners included."""
+        assert p in info["recomputed"] and p not in info["clipped"]
+        assert_same_star_bitwise(cplx.stars[p], ref.stars[p])
 
     def test_insert_matches_full_rebuild(self):
         M, pts, cplx = self.build_flat()
@@ -897,6 +920,105 @@ class TestInsertPoint:
         info = cplx.insert_point(x)
         assert rim in info["recomputed"]
         self.assert_same_stars(cplx, self.fresh(M, cplx.points, eps))
+
+    # ---- clip or rebuild ----
+
+    def test_interior_stars_are_clipped(self):
+        M, pts, cplx = self.build_flat()
+        info = cplx.insert_point(np.array([0.431, 0.277, 0.0]))
+        assert info["clipped"] == info["recomputed"]
+        ref = self.fresh(M, cplx.points, 0.5)
+        for p in info["clipped"]:
+            assert_same_star_bitwise(cplx.stars[p], ref.stars[p])
+
+    def test_hull_star_with_synthetic_corners_is_rebuilt(self):
+        M, pts, cplx = self.build_flat()
+        hull = [p for p, star in cplx.stars.items()
+                if None in star.corner_simplex]
+        assert hull
+        h = hull[0]
+        out = pts[h] - pts.mean(axis=0)
+        x = pts[h] + 0.1 * out / np.linalg.norm(out)
+        info = cplx.insert_point(x)
+        ref = self.fresh(M, cplx.points, 0.5)
+        self.assert_rebuilt(cplx, info, ref, h)
+        self.assert_same_stars(cplx, ref)
+
+    def test_degenerate_rim_corner_is_rebuilt(self):
+        """A rim vertex of the lattice's removed vertex has one corner
+        with its five cocircular rim neighbours."""
+        M, sample = FlatPatch(2, 3), _lattice_patch()
+        cplx = assemble_complex(sample, M)
+        hole = np.array([1.2, 0.4 * np.sqrt(3.0), 0.0])
+        rim = [p for p in range(cplx.n_points)
+               if abs(np.linalg.norm(cplx.points[p] - hole) - 0.4) < 1e-9]
+        assert len(rim) == 6
+        v = rim[0]
+        assert any(s is not None and len(s) == 6
+                   for s in cplx.stars[v].corner_simplex)
+        info = cplx.insert_point(cplx.points[v]
+                                 + 0.35 * (cplx.points[v] - hole))
+        ref = self.fresh(M, cplx.points, sample.epsilon)
+        self.assert_rebuilt(cplx, info, ref, v)
+        self.assert_same_stars(cplx, ref)
+
+    def test_site_on_a_corner_ball_is_rebuilt(self):
+        """x opposite p on the ball of p's first corner is tight there,
+        so the clip cannot tell which sites a rebuild finds tight."""
+        M, pts, cplx = self.build_flat()
+        p = 3
+        s = cplx.stars[p].corner_simplex[0]
+        c, r = cplx.stars[p].centers[s]
+        x = 2.0 * c - pts[p]
+        assert np.linalg.norm(x - c) == pytest.approx(r, rel=1e-12)
+        info = cplx.insert_point(x)
+        ref = self.fresh(M, cplx.points, 0.5)
+        for q in s:
+            self.assert_rebuilt(cplx, info, ref, q)
+        assert any(len(k) == 4 for k in cplx.stars[p].centers)
+        self.assert_same_stars(cplx, ref)
+
+    def test_widened_star_is_rebuilt(self):
+        """As in ``_widening_sample``, vertex 0 sees sites 1 and 2 within
+        its first pruning radius, and a ring beyond it that bounds its
+        cell: the star comes from a second round and its corners, all
+        real, reach past half the first radius."""
+        eps = 0.1
+        rings = [np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0],
+                           [0.0, 0.7, 0.0]])]
+        for r, n in [(0.9, 12), (1.2, 16), (1.5, 20)]:
+            a = 2 * np.pi * (np.arange(n) + 0.5 * (n == 16)) / n
+            rings.append(np.column_stack([r * np.cos(a), r * np.sin(a),
+                                          np.zeros(n)]))
+        M, pts = FlatPatch(2, 3), np.vstack(rings)
+        cplx = self.fresh(M, pts, eps)
+        star = cplx.stars[0]
+        assert None not in star.corner_simplex
+        assert any(np.linalg.norm(pts[v]) > PRUNE_MULT * eps
+                   for s in star.corner_simplex for v in s)
+        assert cplx.cell_radii[0] > 0.5 * PRUNE_MULT * eps
+        info = cplx.insert_point(np.array([-0.2, -0.1, 0.0]))
+        ref = self.fresh(M, cplx.points, eps)
+        self.assert_rebuilt(cplx, info, ref, 0)
+        self.assert_same_stars(cplx, ref)
+
+    def test_failed_new_star_replaces_no_star(self, monkeypatch):
+        """x off the patch fails the new star's chart after the clip has
+        run: every star and cell radius stays as it was."""
+        M, pts, cplx = self.build_flat()
+        before = dict(cplx.stars)
+        radii = cplx.cell_radii.copy()
+        clips = []
+        real = stars_module._clip_stars
+        monkeypatch.setattr(stars_module, "_clip_stars",
+                            lambda *args: clips.append(real(*args))
+                            or clips[-1])
+        with pytest.raises(PointNotOnManifold):
+            cplx.insert_point(np.array([0.431, 0.277, 1e-3]))
+        assert clips and clips[0]
+        assert set(cplx.stars) == set(before)
+        assert all(cplx.stars[p] is star for p, star in before.items())
+        assert cplx.cell_radii[:len(radii)].tobytes() == radii.tobytes()
 
 
 # ===== exports =====

@@ -857,7 +857,12 @@ class TestInsertPoint:
         x = np.array([0.431, 0.277, 0.0])
         info = cplx.insert_point(x)
         assert info["index"] == 40
-        self.assert_same_stars(cplx, self.fresh(M, cplx.points, 0.5))
+        ref = self.fresh(M, cplx.points, 0.5)
+        self.assert_same_stars(cplx, ref)
+        # every cut star here is interior and simple, so it was clipped
+        assert info["clipped"] == info["recomputed"]
+        for p in info["clipped"]:
+            assert_same_star_bitwise(cplx.stars[p], ref.stars[p])
 
     def test_far_insert_leaves_far_stars_alone(self):
         M, pts, cplx = self.build_flat(n=120, seed=4, extent=8.0, eps=0.6)
@@ -922,14 +927,6 @@ class TestInsertPoint:
         self.assert_same_stars(cplx, self.fresh(M, cplx.points, eps))
 
     # ---- clip or rebuild ----
-
-    def test_interior_stars_are_clipped(self):
-        M, pts, cplx = self.build_flat()
-        info = cplx.insert_point(np.array([0.431, 0.277, 0.0]))
-        assert info["clipped"] == info["recomputed"]
-        ref = self.fresh(M, cplx.points, 0.5)
-        for p in info["clipped"]:
-            assert_same_star_bitwise(cplx.stars[p], ref.stars[p])
 
     def test_hull_star_with_synthetic_corners_is_rebuilt(self):
         M, pts, cplx = self.build_flat()

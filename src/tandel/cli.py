@@ -85,6 +85,9 @@ def _load_complex(path, n_points: int):
             if simplex[0] < 0 or simplex[-1] >= n_points:  # sorted labels
                 raise ValueError(f"{path}:{ln}: vertex labels must be in "
                                  f"0..{n_points - 1}")
+            if len(set(simplex)) != len(simplex):
+                raise ValueError(f"{path}:{ln}: duplicate vertex indices in "
+                                 f"simplex {simplex}")
             simplices.append(simplex)
     if not simplices:
         raise ValueError(f"{path}: no simplices")
@@ -156,10 +159,11 @@ def _mesh_measurements(state, cplx, manifold: Manifold) -> dict:
     """Measurements of the refined output, whose closed complex is cplx."""
     pts = state.complex.points
     m = manifold.m
-    edges = cplx.of_dim(1)
-    min_edge = min(
-        (float(np.linalg.norm(pts[a] - pts[b])) for a, b in edges),
-        default=math.inf)
+    edges = np.array(cplx.of_dim(1), dtype=np.intp).reshape(-1, 2)
+    diff = pts[edges[:, 0]] - pts[edges[:, 1]]
+    # vecdot takes the dot product np.linalg.norm takes, row by row
+    min_edge = (float(np.sqrt(np.vecdot(diff, diff)).min()) if len(edges)
+                else math.inf)
     tops = cplx.of_dim(m)
     min_thick = (float(geometry.thicknesses(tops, pts).min()) if tops
                  else math.inf)

@@ -3,23 +3,30 @@
 Everything here recomputes from first principles: Delaunay membership by
 exhaustive empty-sphere tests, restricted/intrinsic Delaunay membership
 by nearest-site scans over dense witness samples, combinatorial manifold
-tests on the abstract complex, and power-protection margins measured
-against every other point.  The oracles share no code with the
-incremental construction, so agreement between the two routes is
-meaningful.  The protection audit shares only the tangent-centre solve
-(``stars.tangent_centers``): it measures margins of the output, whose
-centres are defined by that solve, and does not judge membership.
+tests on index arrays of the abstract complex's top cells, and
+power-protection margins against every other point.  A margin comes
+from the KD-tree neighbours of its centre: one k-nearest query, widened
+(k doubled) only where the k-th neighbour may still tie the nearest
+competitor, returns a set of sites that holds the scan's minimiser, so
+it equals a scan over all points bit for bit.  The oracles share no
+code with the incremental construction, so agreement between the two
+routes is meaningful.  The protection audit shares only the
+tangent-centre solve (``stars.tangent_centers``): it measures margins
+of the output, whose centres are defined by that solve, and does not
+judge membership.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DenseSampleTooCoarse,
@@ -59,14 +66,14 @@ class AbstractComplex:
 
     @staticmethod
     def from_simplices(items) -> "AbstractComplex":
+        # largest first, so a face already closed skips its own walk
         closed = set()
-        for item in items:
-            simplex = as_simplex(item)
+        for simplex in sorted({as_simplex(item) for item in items}, key=len,
+                              reverse=True):
             if simplex in closed:
                 continue
             for k in range(1, len(simplex) + 1):
-                for face in itertools.combinations(simplex, k):
-                    closed.add(face)
+                closed.update(itertools.combinations(simplex, k))
         return AbstractComplex(simplices=frozenset(closed))
 
     def __len__(self) -> int:
@@ -89,10 +96,8 @@ class AbstractComplex:
         return max(len(s) for s in self.simplices) - 1
 
     def counts(self) -> dict:
-        out = {}
-        for s in self.simplices:
-            out[len(s) - 1] = out.get(len(s) - 1, 0) + 1
-        return dict(sorted(out.items()))
+        sizes = Counter(map(len, self.simplices))
+        return {size - 1: n for size, n in sorted(sizes.items())}
 
     def filtered(self, max_dim: int) -> "AbstractComplex":
         kept = frozenset(s for s in self.simplices if len(s) - 1 <= max_dim)
@@ -602,54 +607,52 @@ def oracle_match_report(cplx, oracle: OracleResult, dim: int) -> OracleMatch:
 # ===== Combinatorial manifold tests =====
 
 
-def _ridge_counts(top_cells: list) -> dict:
-    counts: dict = {}
-    for cell in top_cells:
-        for ridge in itertools.combinations(cell, len(cell) - 1):
-            counts[ridge] = counts.get(ridge, 0) + 1
-    return counts
+def _split_cells(cells: np.ndarray, size: int):
+    """Each size-vertex face of every cell and the cell's other vertices,
+    as two row stacks in (cell, ``_combos`` order) order."""
+    width = cells.shape[1]
+    faces = _combos(width, size)
+    # the complements of lexicographic k-subsets come in reverse order
+    rest = _combos(width, width - size)[::-1]
+    return (cells[:, faces].reshape(-1, size),
+            cells[:, rest].reshape(-1, width - size))
 
 
-def _is_single_cycle(edges: list) -> bool:
-    """True when the edge list forms one simple closed cycle."""
-    if not edges:
-        return False
-    deg: dict = {}
-    for a, b in edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    if len(edges) != len(deg):
-        return False
-    return _is_connected(list(deg.keys()), edges)
+def _unique_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    by one lexsort, without the structured view that makes it slow."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    group = np.cumsum(first) - 1
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = group
+    return ordered[first], inverse, np.bincount(group)
 
 
-def _is_connected(nodes: list, edges: list) -> bool:
-    if not nodes:
-        return False
-    adj: dict = {v: [] for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)
+def _link_components(owner_parts, n_labels: int, n_owners: int):
+    """Connected components of every owner's link graph, in one call.
 
-
-def _cells_around(top_cells: list, k: int) -> dict:
-    """Map each k-vertex face of the top cells to the cells containing
-    it, in top-cell order; one pass over the cells."""
-    around: dict = {}
-    for cell in top_cells:
-        for face in itertools.combinations(cell, k):
-            around.setdefault(face, []).append(cell)
-    return around
+    ``owner_parts`` holds (owner, rest) pairs of stacks: row i puts the
+    vertices ``rest[i]`` of one top cell in the link of owner
+    ``owner[i]`` (a global owner index), joined pairwise by link edges.
+    Returns the number of components of each owner's link.
+    """
+    pairs = []
+    for owner, rest in owner_parts:
+        node = owner[:, None] * n_labels + rest
+        pairs += [node[:, [a, b]] for a, b in _combos(rest.shape[1], 2)]
+    # a link cell has two vertices or more, so every node ends an edge
+    nodes, at = np.unique(np.concatenate(pairs).reshape(-1),
+                          return_inverse=True)
+    edges = at.reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                       shape=(len(nodes), len(nodes)))
+    n_comp, label = connected_components(graph, directed=False)
+    # links of different owners share no node, so each component has one
+    owner_of = np.empty(n_comp, dtype=np.intp)
+    owner_of[label] = nodes // n_labels
+    return np.bincount(owner_of, minlength=n_owners)
 
 
 def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
@@ -662,6 +665,17 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     connected surface of Euler characteristic 2.  The complex must also
     be pure (every simplex a face of an m-simplex).
 
+    The checks run on index arrays of the top cells.  The ridges are
+    counted by one sort of their rows (``_unique_rows``).  The complex is pure exactly when the
+    closure of its top cells has as many faces of each dimension as the
+    complex.  A node of the link of a face f is a vertex w with f + w in
+    a top cell, and its degree is the number of top cells on the ridge
+    through f + w (for a vertex link in m = 3, whether that ridge count
+    is 2 decides closedness).  So a codimension-2 link is a single cycle
+    and an m = 3 vertex link is closed exactly when the face has a top
+    cell and lies in no bad ridge, and what remains is connectedness,
+    judged for every link at once by one ``connected_components`` call.
+
     Returns:
         (ok, diagnostics) where diagnostics names the offending
         vertices, ridges, and impure simplices.
@@ -672,42 +686,59 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     if m not in (2, 3):
         raise UnsupportedDim(f"manifold test supports m in {{2, 3}}, not {m}")
     k = as_complex(cplx)
-    top = k.of_dim(m)
+    top_cells = k.of_dim(m)
     diagnostics: dict = {"bad_ridges": [], "bad_links": [], "impure": []}
-    if not top:
+    if not top_cells:
         diagnostics["impure"] = sorted(k.simplices)
         return False, diagnostics
-    covered = AbstractComplex.from_simplices(top).simplices
-    diagnostics["impure"] = sorted(k.simplices - covered)
-    for ridge, count in sorted(_ridge_counts(top).items()):
-        if count != 2:
-            diagnostics["bad_ridges"].append((ridge, count))
-    star_of = _cells_around(top, 1)
-    for v in k.vertices:
-        link = [tuple(w for w in cell if w != v)
-                for cell in star_of.get((v,), [])]
-        if m == 2:
-            if not _is_single_cycle(link):
-                diagnostics["bad_links"].append(v)
-            continue
-        # m == 3: the link must be a closed connected surface with chi 2.
-        if not link:
-            diagnostics["bad_links"].append(v)
-            continue
-        link_ridges = _ridge_counts(link)
-        closed = all(c == 2 for c in link_ridges.values())
-        nodes = sorted({w for tri in link for w in tri})
-        connected = _is_connected(nodes, list(link_ridges.keys()))
-        chi = len(nodes) - len(link_ridges) + len(set(link))
-        if not (closed and connected and chi == 2):
-            diagnostics["bad_links"].append(v)
+    top = np.array(top_cells, dtype=np.intp)
+    ridge_of, _rest = _split_cells(top, m)
+    ridges, ridge_at, ridge_count = _unique_rows(ridge_of)
+    bad = ridge_count != 2
+    diagnostics["bad_ridges"] = list(zip(map(tuple, ridges[bad].tolist()),
+                                         ridge_count[bad].tolist()))
+    # the ridge opposite position j of a cell comes (m - j)-th
+    bad_ridge_at = bad[ridge_at.reshape(-1, m + 1)][:, ::-1]
+
+    # faces of the top-cell closure, and the owners of the judged links:
+    # vertices (m = 2) or edges and vertices (m = 3)
+    closure = {m: top, m - 1: ridges}
+    n_labels = int(top.max()) + 1
+    parts, judged, offset = [], [], 0
+    for d in range(m - 2, -1, -1):
+        face_of, rest = _split_cells(top, d + 1)
+        faces, owner, _count = _unique_rows(face_of)
+        closure[d] = faces
+        # a face lies in a bad ridge when some top cell on it has one
+        # opposite a vertex outside the face
+        positions = _combos(m + 1, m - d)[::-1]
+        in_bad = bad_ridge_at[:, positions].any(axis=2).reshape(-1)
+        bad_face = np.bincount(owner[in_bad], minlength=len(faces)) > 0
+        parts.append((owner + offset, rest))
+        judged.append((faces, bad_face, offset))
+        offset += len(faces)
+    components = _link_components(parts, n_labels, offset)
+
+    counts = k.counts()
+    if counts != {d: len(faces) for d, faces in closure.items()}:
+        covered = AbstractComplex.from_simplices(top_cells).simplices
+        diagnostics["impure"] = sorted(k.simplices - covered)
+    bad_links = {}
+    for faces, bad_face, start in judged:
+        d = faces.shape[1] - 1
+        bad_face |= components[start:start + len(faces)] != 1
+        if d == 0 and m == 3:
+            chi = (np.bincount(closure[1].reshape(-1), minlength=n_labels)
+                   - np.bincount(ridges.reshape(-1), minlength=n_labels)
+                   + np.bincount(top.reshape(-1), minlength=n_labels))
+            bad_face |= chi[faces[:, 0]] != 2
+        # a face of the complex outside the closure has an empty link
+        bad_links[d] = sorted(
+            [tuple(s) for s in faces[bad_face].tolist()]
+            + [s for s in diagnostics["impure"] if len(s) == d + 1])
+    diagnostics["bad_links"] = [v for (v,) in bad_links[0]]
     if m == 3:
-        cells_of_edge = _cells_around(top, 2)
-        for edge in k.of_dim(1):
-            around = [tuple(w for w in cell if w not in edge)
-                      for cell in cells_of_edge.get(edge, [])]
-            if not _is_single_cycle(around):
-                diagnostics["bad_links"].append(edge)
+        diagnostics["bad_links"] += bad_links[1]
     ok = (not diagnostics["bad_ridges"] and not diagnostics["bad_links"]
           and not diagnostics["impure"])
     return ok, diagnostics
@@ -728,22 +759,86 @@ class ProtectionEntry:
 
 @dataclass
 class ProtectionReport:
-    """Power-protection margins of every top simplex in every vertex chart."""
+    """Power-protection margins of every top simplex in every vertex chart.
+
+    Entry i is vertex ``vertices[i]`` of simplex ``simplices[i]``; a row
+    whose centre system was rejected as singular has ``accepted`` False
+    and NaN margin and radius.
+    """
 
     threshold: float
-    entries: list
+    simplices: np.ndarray
+    vertices: np.ndarray
+    margins: np.ndarray
+    radii: np.ndarray
+    accepted: np.ndarray
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.accepted & (self.margins > self.threshold)
 
     @property
     def ok(self) -> bool:
-        return bool(self.entries) and all(e.ok for e in self.entries)
+        return bool(len(self.margins)) and bool(self.passed.all())
 
     @property
     def min_margin(self) -> float:
-        margins = [e.margin for e in self.entries if e.error is None]
-        return min(margins) if margins else math.nan
+        margins = self.margins[self.accepted]
+        return float(margins.min()) if len(margins) else math.nan
+
+    def _entries(self, rows) -> list:
+        out = []
+        for i in rows:
+            simplex = tuple(self.simplices[i].tolist())
+            p = int(self.vertices[i])
+            if not self.accepted[i]:
+                out.append(ProtectionEntry(
+                    simplex=simplex, vertex=p, margin=math.nan,
+                    radius=math.nan, ok=False,
+                    error=f"tangent center system for {simplex} at vertex "
+                          f"{p} is singular"))
+                continue
+            out.append(ProtectionEntry(
+                simplex=simplex, vertex=p, margin=float(self.margins[i]),
+                radius=float(self.radii[i]),
+                ok=bool(self.margins[i] > self.threshold)))
+        return out
+
+    @property
+    def entries(self) -> list:
+        return self._entries(range(len(self.margins)))
 
     def failures(self) -> list:
-        return [e for e in self.entries if not e.ok]
+        return self._entries(np.flatnonzero(~self.passed).tolist())
+
+
+def _protection_margins(pts, centres, r2, verts) -> np.ndarray:
+    """min over sites q outside row i's simplex of |centres[i] - q|^2 - r2[i]
+    (see ``power_protection_audit``); inf when every site is a vertex."""
+    n, width = len(pts), verts.shape[1]
+    margin = np.full(len(centres), math.inf)
+    if n <= width or not len(centres):
+        return margin
+    tree = cKDTree(pts)
+    rows = np.arange(len(centres))
+    radius = None
+    k = min(width + 2, n)
+    while len(rows):
+        dist, near = tree.query(centres[rows], k=k)
+        outside = (near[:, :, None] != verts[rows][:, None, :]).all(axis=2)
+        if radius is None:
+            radius = (np.where(outside, dist, math.inf).min(axis=1)
+                      * (1.0 + 1e-9))
+        # the scan's arithmetic
+        gap = (((pts[near] - centres[rows][:, None, :]) ** 2).sum(axis=2)
+               - r2[rows][:, None])
+        margin[rows] = np.where(outside, gap, math.inf).min(axis=1)
+        if k == n:
+            break
+        wide = dist[:, -1] <= radius
+        rows, radius = rows[wide], radius[wide]
+        k = min(2 * k, n)
+    return margin
 
 
 def power_protection_audit(cplx, points, manifold: Manifold,
@@ -759,15 +854,20 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     system is rejected as singular is reported as a failing entry rather
     than raised.  Entries run simplex by simplex, vertex by vertex.
 
-    The minimum is taken over a KD-tree candidate ball, exactly.  The
-    m + 2 nearest sites of C include at least one non-vertex, so the
-    query gives d*, the tree's distance to the nearest non-vertex site.
-    The site q' that minimises the computed gap minimises the computed
-    |C - q|^2, which is within a few ulps of the tree's own squared
-    distance; so the tree puts q' within d* (1 + O(1e-16)) of C, inside
-    the ball of radius d* (1 + 1e-9).  The gaps of the sites in that
-    ball are recomputed with the arithmetic of a scan over all points,
-    and their minimum is the scan's minimum, bit for bit.
+    The minimum is taken over KD-tree neighbours, exactly.  One query
+    fetches the k = m + 3 nearest sites of every C (k is capped at the
+    number of sites n).  The m + 2 nearest include at least one
+    non-vertex, so the query gives d*, the tree's distance to the
+    nearest non-vertex site.  The site q' that minimises the computed
+    gap minimises the computed |C - q|^2, which is within a few ulps of
+    the tree's own squared distance; so the tree puts q' within
+    d* (1 + O(1e-16)) of C, inside the ball of radius d* (1 + 1e-9).
+    When the k-th distance of a row exceeds that radius, its k
+    neighbours hold the whole ball; the other rows are queried again
+    with k doubled until they do or k reaches n.  The gaps of the
+    non-vertex neighbours are computed with the arithmetic of a scan
+    over all points; they include q' and are a subset of that scan, so
+    their minimum is the scan's minimum, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     m = manifold.m
@@ -784,32 +884,10 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     basis = frames.reshape(-1, m, pts.shape[1])[
         [slot[p] for p in base.tolist()]]
     centres, r2, accepted, _t = tangent_centers(pts, base, others, basis)
-    margin = np.full(len(base), math.inf)
-    if len(pts) > m + 1 and accepted.any():
-        tree = cKDTree(pts)
-        rows = np.flatnonzero(accepted)
-        dist, near = tree.query(centres[rows], k=m + 2)
-        is_vertex = (near[:, :, None] == verts[rows][:, None, :]).any(axis=2)
-        d_star = np.where(is_vertex, math.inf, dist).min(axis=1)
-        ball = tree.query_ball_point(centres[rows], d_star * (1.0 + 1e-9))
-        entry = np.repeat(rows, [len(got) for got in ball])
-        q = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.intp,
-                        count=len(entry))
-        outside = (q[:, None] != verts[entry]).all(axis=1)
-        entry, q = entry[outside], q[outside]
-        gap = ((pts[q] - centres[entry]) ** 2).sum(axis=1) - r2[entry]
-        np.minimum.at(margin, entry, gap)
-    entries = []
-    for i, (simplex, p) in enumerate(zip(verts.tolist(), base.tolist())):
-        simplex = tuple(simplex)
-        if not accepted[i]:
-            entries.append(ProtectionEntry(
-                simplex=simplex, vertex=p, margin=math.nan,
-                radius=math.nan, ok=False,
-                error=f"tangent center system for {simplex} at vertex {p} "
-                      f"is singular"))
-            continue
-        entries.append(ProtectionEntry(
-            simplex=simplex, vertex=p, margin=float(margin[i]),
-            radius=math.sqrt(r2[i]), ok=bool(margin[i] > threshold)))
-    return ProtectionReport(threshold=threshold, entries=entries)
+    margins = np.full(len(base), math.nan)
+    rows = np.flatnonzero(accepted)
+    margins[rows] = _protection_margins(pts, centres[rows], r2[rows],
+                                        verts[rows])
+    return ProtectionReport(threshold=threshold, simplices=verts,
+                            vertices=base, margins=margins,
+                            radii=np.sqrt(r2), accepted=accepted)

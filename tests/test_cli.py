@@ -294,20 +294,24 @@ class TestVerify:
             f"error: {pts}:4: non-finite coordinate\n")
 
 
-    @pytest.mark.parametrize("label", ["7", "3", "-1"])
+    @pytest.mark.parametrize("line,message", [
+        pytest.param(f"0 1 {label}", "vertex labels must be in 0..2",
+                     id=label) for label in ("7", "3", "-1")] + [
+        pytest.param("1 1 2", "duplicate vertex indices in simplex (1, 1, 2)",
+                     id="repeated")])
     def test_vertex_label_out_of_range_is_usage_error(self, tmp_path,
-                                                      capsys, label):
+                                                      capsys, line, message):
         # a label past the points used to end in an IndexError traceback,
-        # and a negative one indexed from the end and passed
+        # a negative one indexed from the end and passed, and a repeated
+        # one was reported without its line
         pts = tmp_path / "p.txt"
         pts.write_text("0 0 1\n1 0 0\n0 1 0\n")
         cpx = tmp_path / "k.txt"
-        cpx.write_text(f"# header\n0 1 {label}\n")
+        cpx.write_text(f"# header\n{line}\n")
         code = main(["verify", "--complex", str(cpx), "--points", str(pts),
                      "--manifold", SPHERE, "--delta2", "1e-9"])
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {cpx}:2: vertex labels must be in 0..2\n")
+        assert capsys.readouterr().err == f"error: {cpx}:2: {message}\n"
 
 
 def test_non_finite_net_in_row_is_usage_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from tandel.manifolds import (
     tangent_chart,
 )
 from tandel.stars import COND_LIMIT, TangentialComplex, assemble_complex
+from tandel import verify
 from tandel.verify import (
     AbstractComplex,
     ambient_delaunay_bruteforce,
@@ -39,9 +40,6 @@ from tandel.verify import (
     restricted_delaunay_oracle,
     _delaunay_by_lifting,
     _delaunay_by_sphere_enumeration,
-    _is_connected,
-    _is_single_cycle,
-    _ridge_counts,
     _scan_rows,
     _TIE_WINDOW_CAP,
 )
@@ -489,9 +487,50 @@ class TestManifoldComplexCheck:
                 AbstractComplex.from_simplices([(0, 1, 2, 3, 4)]), 4)
 
 
+def _ridge_counts(top_cells: list) -> dict:
+    counts: dict = {}
+    for cell in top_cells:
+        for ridge in itertools.combinations(cell, len(cell) - 1):
+            counts[ridge] = counts.get(ridge, 0) + 1
+    return counts
+
+
+def _is_single_cycle(edges: list) -> bool:
+    """True when the edge list forms one simple closed cycle."""
+    if not edges:
+        return False
+    deg: dict = {}
+    for a, b in edges:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    if len(edges) != len(deg):
+        return False
+    return _is_connected(list(deg.keys()), edges)
+
+
+def _is_connected(nodes: list, edges: list) -> bool:
+    if not nodes:
+        return False
+    adj: dict = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(nodes)
+
+
 def _manifold_check_by_scan(cplx, m):
     """``manifold_complex_check`` with every vertex and edge link found
-    by a scan over all top cells: the reference for the one-pass maps."""
+    by a scan over all top cells and judged one at a time: the
+    reference for the array checks."""
     k = as_complex(cplx)
     top = k.of_dim(m)
     diagnostics = {"bad_ridges": [], "bad_links": [], "impure": []}
@@ -542,6 +581,12 @@ _BROKEN = {
     "impure-extra-edge": (OCTA_FACES + [(0, 5), (6,)], 2),
     "three-on-a-triangle": ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)], 3),
     "cross-polytope-minus-one": (_CROSS_POLYTOPE[1:], 3),
+    # every ridge and edge link is fine, but the two cone points have
+    # torus links (chi 0)
+    "suspended-torus": ([(7,) + t for t in TORUS7]
+                        + [(8,) + t for t in TORUS7], 3),
+    # 0 and 1 are antipodal, so their edge lies in no tetrahedron
+    "cross-polytope-plus-a-diagonal": (_CROSS_POLYTOPE + [(0, 1)], 3),
     "two-cross-polytopes-on-a-vertex": (
         _CROSS_POLYTOPE + [tuple(v + 7 if v else 0 for v in t)
                            for t in _CROSS_POLYTOPE], 3),
@@ -564,11 +609,19 @@ def test_manifold_check_matches_scan_on_outputs(torus_run):
     s3_out = as_complex(assemble_complex(
         farthest_point_net(s3.sample(20000, seed=1), eps=0.45, seed=1),
         s3).m_simplices())
-    for k, m in ((torus_out, 2), (s3_out, 3),
-                 (AbstractComplex.from_simplices(_CROSS_POLYTOPE), 3)):
+    flat = FlatPatch(2, 3)
+    flat_out = as_complex(assemble_complex(
+        farthest_point_net(flat.sample(3000, seed=4), eps=0.12, seed=4),
+        flat).m_simplices())
+    for k, m, closed in ((torus_out, 2, True), (s3_out, 3, True),
+                         (AbstractComplex.from_simplices(_CROSS_POLYTOPE), 3,
+                          True),
+                         (flat_out, 2, False)):
         got = manifold_complex_check(k, m)
         assert got == _manifold_check_by_scan(k, m)
-        assert got[0] is True
+        assert got[0] is closed
+    # the patch's boundary: ridges in one triangle and links that are paths
+    assert got[1]["bad_ridges"] and got[1]["bad_links"]
 
 
 # ===== power protection =====
@@ -719,3 +772,52 @@ def test_audit_no_competitors_and_exact_cosphere():
                                      0.0)
     assert all(e.margin == 0.0 for e in rep.entries)
     assert not _assert_audit_matches_scan([], square, flat, 0.0).entries
+
+
+class _QueryLog(cKDTree):
+    """A KD-tree that records the (rows, k) of every k-nearest query."""
+
+    calls: list = []
+
+    def query(self, x, k=1, **kwargs):
+        self.calls.append((len(x), k))
+        return super().query(x, k=k, **kwargs)
+
+
+def _queries(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_QueryLog, "calls", calls)
+    monkeypatch.setattr(verify, "cKDTree", _QueryLog)
+    return calls
+
+
+def test_audit_widens_past_tied_competitors(monkeypatch):
+    # six sites tied at distance 2 from the centre (0.5, 0.5) of the
+    # triangle: the first five neighbours end inside the ball, so the
+    # query is repeated with k = 10, which reaches a far site
+    flat = FlatPatch(2, 3)
+    tie = [(2, 0), (-2, 0), (1.2, 1.6), (-1.6, -1.2), (1.6, -1.2),
+           (-1.2, 1.6)]
+    far = [(3, 4), (-4, 3), (0, -5)]
+    tri = [(0, 0), (1, 0), (0, 1)]
+    pts = np.array([(x, y, 0.0) for x, y in tri]
+                   + [(0.5 + x, 0.5 + y, 0.0) for x, y in tie + far])
+    calls = _queries(monkeypatch)
+    rep = _assert_audit_matches_scan([(0, 1, 2)], pts, flat, 1.0)
+    assert calls == [(3, 5), (3, 10)]
+    assert rep.ok and rep.min_margin == pytest.approx(3.5, rel=1e-12)
+    # without the far sites every neighbour stays tied until k = n = 9
+    calls.clear()
+    _assert_audit_matches_scan([(0, 1, 2)], pts[:9], flat, 1.0)
+    assert calls == [(3, 5), (3, 9)]
+
+
+def test_audit_on_m_plus_two_points_caps_k(monkeypatch):
+    # k = m + 3 would ask for more sites than there are
+    flat = FlatPatch(2, 3)
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.9, 1.1, 0]],
+                   dtype=float)
+    calls = _queries(monkeypatch)
+    rep = _assert_audit_matches_scan([(0, 1, 2), (1, 2, 3)], pts, flat, 0.0)
+    assert calls == [(6, 4)]
+    assert rep.ok

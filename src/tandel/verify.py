@@ -666,15 +666,17 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     be pure (every simplex a face of an m-simplex).
 
     The checks run on index arrays of the top cells.  The ridges are
-    counted by one sort of their rows (``_unique_rows``).  The complex is pure exactly when the
-    closure of its top cells has as many faces of each dimension as the
-    complex.  A node of the link of a face f is a vertex w with f + w in
-    a top cell, and its degree is the number of top cells on the ridge
-    through f + w (for a vertex link in m = 3, whether that ridge count
-    is 2 decides closedness).  So a codimension-2 link is a single cycle
-    and an m = 3 vertex link is closed exactly when the face has a top
-    cell and lies in no bad ridge, and what remains is connectedness,
-    judged for every link at once by one ``connected_components`` call.
+    counted by one sort of their rows (``_unique_rows``).  The complex
+    is pure exactly when the closure of its top cells has as many faces
+    of each dimension as the complex.  A node of the link of a face f is
+    a vertex w with f + w in a top cell, and its degree is the number of
+    top cells on the ridge through f + w (for a vertex link in m = 3,
+    whether that ridge count is 2 decides closedness).  So a
+    codimension-2 link is a single cycle and an m = 3 vertex link is
+    closed exactly when the face has a top cell and lies in no bad
+    ridge, and what remains is connectedness, judged for every link at
+    once by one ``connected_components`` call, and for m = 3 vertex
+    links the Euler characteristic, from per-vertex face counts.
 
     Returns:
         (ok, diagnostics) where diagnostics names the offending
@@ -691,12 +693,15 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     if not top_cells:
         diagnostics["impure"] = sorted(k.simplices)
         return False, diagnostics
-    top = np.array(top_cells, dtype=np.intp)
+    # labels from 0 (top_cells is sorted), so that they index counts and
+    # key link nodes
+    lo = top_cells[0][0]
+    top = np.array(top_cells, dtype=np.intp) - lo
     ridge_of, _rest = _split_cells(top, m)
     ridges, ridge_at, ridge_count = _unique_rows(ridge_of)
     bad = ridge_count != 2
-    diagnostics["bad_ridges"] = list(zip(map(tuple, ridges[bad].tolist()),
-                                         ridge_count[bad].tolist()))
+    diagnostics["bad_ridges"] = list(zip(
+        map(tuple, (ridges[bad] + lo).tolist()), ridge_count[bad].tolist()))
     # the ridge opposite position j of a cell comes (m - j)-th
     bad_ridge_at = bad[ridge_at.reshape(-1, m + 1)][:, ::-1]
 
@@ -734,7 +739,7 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
             bad_face |= chi[faces[:, 0]] != 2
         # a face of the complex outside the closure has an empty link
         bad_links[d] = sorted(
-            [tuple(s) for s in faces[bad_face].tolist()]
+            [tuple(s) for s in (faces[bad_face] + lo).tolist()]
             + [s for s in diagnostics["impure"] if len(s) == d + 1])
     diagnostics["bad_links"] = [v for (v,) in bad_links[0]]
     if m == 3:

@@ -581,6 +581,8 @@ _BROKEN = {
     "impure-extra-edge": (OCTA_FACES + [(0, 5), (6,)], 2),
     "three-on-a-triangle": ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)], 3),
     "cross-polytope-minus-one": (_CROSS_POLYTOPE[1:], 3),
+    "cross-polytope-minus-one-negative-labels": (
+        [tuple(v - 4 for v in t) for t in _CROSS_POLYTOPE[1:]], 3),
     # every ridge and edge link is fine, but the two cone points have
     # torus links (chi 0)
     "suspended-torus": ([(7,) + t for t in TORUS7]

@@ -719,6 +719,12 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
         positions = _combos(m + 1, m - d)[::-1]
         in_bad = bad_ridge_at[:, positions].any(axis=2).reshape(-1)
         bad_face = np.bincount(owner[in_bad], minlength=len(faces)) > 0
+        if d == 0 and m == 3:
+            # chi of a vertex link: edges - triangles + tetrahedra on it
+            chi = sum((-1) ** j * np.bincount(closure[j + 1].reshape(-1),
+                                              minlength=n_labels)
+                      for j in range(3))
+            bad_face |= chi[faces[:, 0]] != 2
         parts.append((owner + offset, rest))
         judged.append((faces, bad_face, offset))
         offset += len(faces)
@@ -732,11 +738,6 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     for faces, bad_face, start in judged:
         d = faces.shape[1] - 1
         bad_face |= components[start:start + len(faces)] != 1
-        if d == 0 and m == 3:
-            chi = (np.bincount(closure[1].reshape(-1), minlength=n_labels)
-                   - np.bincount(ridges.reshape(-1), minlength=n_labels)
-                   + np.bincount(top.reshape(-1), minlength=n_labels))
-            bad_face |= chi[faces[:, 0]] != 2
         # a face of the complex outside the closure has an empty link
         bad_links[d] = sorted(
             [tuple(s) for s in (faces[bad_face] + lo).tolist()]

@@ -64,10 +64,13 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_points(path):
+def _load_points(path, manifold: Manifold):
     pts = read_points(path)
     if pts.size == 0:
         raise ValueError(f"{path}: no points")
+    if pts.shape[1] != manifold.N:
+        raise ValueError(f"{path}: {pts.shape[1]} columns, manifold is "
+                         f"embedded in dimension {manifold.N}")
     return pts
 
 
@@ -209,11 +212,7 @@ def cmd_mesh(args) -> int:
         return 1
 
     if args.net_in:
-        pts_in = _load_points(args.net_in)
-        if pts_in.shape[1] != manifold.N:
-            raise ValueError(
-                f"{args.net_in}: {pts_in.shape[1]} columns, "
-                f"manifold is embedded in dimension {manifold.N}")
+        pts_in = _load_points(args.net_in, manifold)
         gaps, nbrs = cKDTree(pts_in).query(pts_in, k=2)
         i = int(np.argmin(gaps[:, 1]))
         # with repeated rows the query may list i itself second
@@ -276,7 +275,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_verify(args) -> int:
     manifold = parse_manifold(args.manifold)
-    pts = _load_points(args.points)
+    pts = _load_points(args.points, manifold)
     cplx = _load_complex(args.complex, len(pts))
     checks = {}
 

@@ -1,4 +1,5 @@
-"""Analytic submanifolds of R^N: charts, projections, nets, geodesics.
+"""Analytic submanifolds of R^N: tangent frames, projections, nets,
+geodesics.
 
 Four builtin manifolds are provided, each with closed-form reach,
 closest-point projection, tangent/normal frames, and a chart inverse
@@ -11,7 +12,10 @@ closest-point projection, tangent/normal frames, and a chart inverse
 * ``FlatPatch(m, N)`` -- the coordinate m-plane (infinite reach).
 
 Everything is deterministic: samplers take explicit seeds, frames come
-from closed-form parametrizations or SVD of fixed projectors.
+from closed-form parametrizations or SVD of fixed projectors.  A tangent
+frame is a plain (m, N) array of orthonormal rows (``tangent_frames``
+stacks them); the torus lifts recompute the angles of their base point
+with the ``math`` calls that built its frame.
 """
 from __future__ import annotations
 
@@ -31,48 +35,12 @@ from .errors import (
     OutOfChart,
     PointNotOnManifold,
 )
-from .geometry import AffineFrame, check_orthonormal
+from .geometry import check_orthonormal
 
 ON_MANIFOLD_TOL = 1e-9
 # a query this close to the medial axis (relative to reach) has no
 # trustworthy unique foot point
 MEDIAL_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TangentChart:
-    """Tangent and normal frames of a manifold at a base point.
-
-    ``frame`` spans T_pM (m rows), ``normal_frame`` spans N_pM (N-m
-    rows); the two are mutually orthogonal.  ``params`` carries the
-    parametric coordinates of the base point for manifolds that have
-    them (used to seed chart-inverse solves).
-    """
-    manifold: "Manifold"
-    base: np.ndarray
-    frame: AffineFrame
-    normal_frame: AffineFrame
-    params: tuple = ()
-
-    def __post_init__(self):
-        _check_orthogonal(self.frame.basis, self.normal_frame.basis)
-
-
-def _check_orthogonal(tan: np.ndarray, nrm: np.ndarray):
-    """The ``TangentChart`` check of one pair of frames, or of two
-    stacks of them at once."""
-    cross = tan @ np.swapaxes(nrm, -1, -2)
-    if cross.size and np.abs(cross).max() > 1e-10:
-        raise ValueError("tangent and normal frames are not orthogonal")
-
-
-def _unchecked(cls, **fields):
-    """A frozen dataclass instance built without its ``__post_init__``
-    check, for one row of a stack whose check the caller made at once."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -110,12 +78,15 @@ class Manifold:
 
     def _frames(self, points):
         """Frames at a stack of on-manifold points (n, N): tangent rows
-        (n, m, N), normal rows (n, N - m, N) and a params tuple per
-        point.  Angles come from ``math`` one row at a time, because
-        ``np.arctan2`` and ``np.hypot`` can round differently."""
+        (n, m, N) and normal rows (n, N - m, N).  Angles come from
+        ``math`` one row at a time, because ``np.arctan2`` and
+        ``np.hypot`` can round differently."""
         raise NotImplementedError
 
-    def _lift(self, chart: TangentChart, y: np.ndarray) -> np.ndarray:
+    def _lift(self, base: np.ndarray, basis: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
+        """The lift of y from the tangent frame basis at base; angles
+        of base come from the ``math`` calls of ``_frames``."""
         raise NotImplementedError
 
     # ---- sampling ----
@@ -155,12 +126,13 @@ def closest_point(manifold: Manifold, x) -> np.ndarray:
     return manifold._foot_point(x)
 
 
-def tangent_charts(manifold: Manifold, points) -> list[TangentChart]:
-    """Orthonormal tangent/normal frames at every row of points.
+def tangent_frames(manifold: Manifold, points) -> np.ndarray:
+    """Orthonormal tangent frames at every row of points, shape (n, m, N).
 
     One stacked frame build (``Manifold._frames``) whose rows do not
-    depend on one another; the frame checks of ``AffineFrame`` and
-    ``TangentChart`` run once over the whole stack, not once per chart.
+    depend on one another; the orthonormality of the tangent and normal
+    frames and their mutual orthogonality are checked once over the
+    whole stack.
 
     Raises:
         PointNotOnManifold: for the first row whose implicit residual
@@ -173,36 +145,19 @@ def tangent_charts(manifold: Manifold, points) -> list[TangentChart]:
             raise PointNotOnManifold(
                 f"residual {resid:.3e} exceeds {ON_MANIFOLD_TOL}")
     if not len(points):
-        return []
-    tan, nrm, params = manifold._frames(points)
+        return np.zeros((0, manifold.m, manifold.N))
+    tan, nrm = manifold._frames(points)
     check_orthonormal(tan)
     check_orthonormal(nrm)
-    _check_orthogonal(tan, nrm)
-    return [_unchecked(TangentChart, manifold=manifold, base=p,
-                       frame=_unchecked(AffineFrame, origin=p, basis=t),
-                       normal_frame=_unchecked(AffineFrame, origin=p,
-                                               basis=q),
-                       params=par)
-            for p, t, q, par in zip(points, tan, nrm, params)]
+    if np.abs(tan @ np.swapaxes(nrm, 1, 2)).max() > 1e-10:
+        raise ValueError("tangent and normal frames are not orthogonal")
+    return tan
 
 
-def tangent_chart(manifold: Manifold, p) -> TangentChart:
-    """``tangent_charts`` of one point.
-
-    Raises:
-        PointNotOnManifold: implicit residual exceeds 1e-9 or is NaN.
-    """
-    return tangent_charts(manifold, np.asarray(p, dtype=float)[None])[0]
-
-
-def project_to_tangent(chart: TangentChart, x) -> np.ndarray:
-    """Coordinates of x - base in the tangent frame (base maps to 0)."""
-    x = np.asarray(x, dtype=float)
-    return chart.frame.basis @ (x - chart.base)
-
-
-def lift_from_tangent(chart: TangentChart, y, max_radius: float | None = None):
-    """Chart inverse: the manifold point that projects to tangent coords y.
+def lift_from_tangent(manifold: Manifold, base, basis, y,
+                      max_radius: float | None = None):
+    """Chart inverse: the manifold point that projects to tangent coords y
+    in the tangent frame ``basis`` (m x N) at the manifold point ``base``.
 
     The lift is guaranteed well-defined for |y| < reach/2 (the default
     cap); callers that have verified a wider validity radius may pass
@@ -214,13 +169,14 @@ def lift_from_tangent(chart: TangentChart, y, max_radius: float | None = None):
         NoConvergence: the iterative solve (torus) failed its budget.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (chart.manifold.m,):
-        raise ValueError(f"expected tangent coords of dimension {chart.manifold.m}")
-    cap = chart.manifold.reach / 2.0 if max_radius is None else float(max_radius)
+    if y.shape != (manifold.m,):
+        raise ValueError(f"expected tangent coords of dimension {manifold.m}")
+    cap = manifold.reach / 2.0 if max_radius is None else float(max_radius)
     r = float(np.linalg.norm(y))
     if r >= cap:
         raise OutOfChart(f"|y| = {r:.6g} >= cap {cap:.6g}")
-    return chart.manifold._lift(chart, y)
+    return manifold._lift(np.asarray(base, dtype=float),
+                          np.asarray(basis, dtype=float), y)
 
 
 # ===== builtin manifolds =====
@@ -267,13 +223,13 @@ class UnitSphere(Manifold):
         nrm = np.zeros((n, self.N - self.m, self.N))
         nrm[:, 0, :k] = pb
         nrm[:, 1:, k:] = np.eye(self.N - k)
-        return tan, nrm, [()] * n
+        return tan, nrm
 
-    def _lift(self, chart, y):
+    def _lift(self, base, basis, y):
         r2 = float(y @ y)
         if r2 >= 1.0:
             raise OutOfChart("tangent coords leave the projected hemisphere")
-        return math.sqrt(1.0 - r2) * chart.base + chart.frame.basis.T @ y
+        return math.sqrt(1.0 - r2) * base + basis.T @ y
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -332,29 +288,24 @@ class TorusOfRevolution(Manifold):
         return min(d_axis, d_core)
 
     def _foot_point(self, x):
-        u = math.atan2(x[1], x[0])
-        rho = math.hypot(x[0], x[1])
-        v = math.atan2(x[2], rho - self.R)
-        return self.embed(u, v)
+        return self.embed(*self._params_of(x))
 
     def _frames(self, points):
-        uv = [self._params_of(p) for p in points.tolist()]
         cu, su, cv, sv = np.array(
             [(math.cos(u), math.sin(u), math.cos(v), math.sin(v))
-             for u, v in uv]).T
+             for u, v in map(self._params_of, points.tolist())]).T
         tan = np.zeros((len(points), 2, 3))
         tan[:, 0, 0], tan[:, 0, 1] = -su, cu
         tan[:, 1] = np.stack([-sv * cu, -sv * su, cv], axis=-1)
         nrm = np.stack([cv * cu, cv * su, sv], axis=-1)[:, None, :]
-        return tan, nrm, uv
+        return tan, nrm
 
-    def _lift(self, chart, y):
-        u0, v0 = chart.params
+    def _lift(self, base, basis, y):
+        u0, v0 = self._params_of(base.tolist())
         ring0 = self.R + self.r * math.cos(v0)
         u, v = u0 + y[0] / ring0, v0 + y[1] / self.r
-        basis = chart.frame.basis
         for _ in range(100):
-            g = basis @ (self.embed(u, v) - chart.base) - y
+            g = basis @ (self.embed(u, v) - base) - y
             if float(np.linalg.norm(g)) <= 1e-12 * max(1.0, self.R):
                 return self.embed(u, v)
             ring = self.R + self.r * math.cos(v)
@@ -414,22 +365,23 @@ class CliffordTorus(Manifold):
         n2 = math.hypot(x[2], x[3])
         return np.array([x[0] / n1, x[1] / n1, x[2] / n2, x[3] / n2]) * self.r
 
+    def _params_of(self, p):
+        return math.atan2(p[1], p[0]), math.atan2(p[3], p[2])
+
     def _frames(self, points):
-        angles = [(math.atan2(p[1], p[0]), math.atan2(p[3], p[2]))
-                  for p in points.tolist()]
         c1, s1, c2, s2 = np.array(
             [(math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2))
-             for t1, t2 in angles]).T
+             for t1, t2 in map(self._params_of, points.tolist())]).T
         tan = np.zeros((len(points), 2, 4))
         nrm = np.zeros((len(points), 2, 4))
         tan[:, 0, 0], tan[:, 0, 1] = -s1, c1
         tan[:, 1, 2], tan[:, 1, 3] = -s2, c2
         nrm[:, 0, 0], nrm[:, 0, 1] = c1, s1
         nrm[:, 1, 2], nrm[:, 1, 3] = c2, s2
-        return tan, nrm, angles
+        return tan, nrm
 
-    def _lift(self, chart, y):
-        t1, t2 = chart.params
+    def _lift(self, base, basis, y):
+        t1, t2 = self._params_of(base.tolist())
         cap = self.r * (1.0 - 1e-12)
         if abs(y[0]) >= cap or abs(y[1]) >= cap:
             raise OutOfChart("tangent coords leave the per-circle hemisphere")
@@ -477,10 +429,10 @@ class FlatPatch(Manifold):
         n = len(points)
         eye = np.eye(self.N)
         return (np.tile(eye[: self.m], (n, 1, 1)),
-                np.tile(eye[self.m:], (n, 1, 1)), [()] * n)
+                np.tile(eye[self.m:], (n, 1, 1)))
 
-    def _lift(self, chart, y):
-        return chart.base + chart.frame.basis.T @ y
+    def _lift(self, base, basis, y):
+        return base + basis.T @ y
 
     def sample(self, n, seed, extent: float = 1.0):
         """Jittered-grid points in [0, extent]^m (embedded)."""
@@ -672,8 +624,9 @@ def read_points(path) -> np.ndarray:
     """Read one point per line (whitespace- or comma-separated, # comments).
 
     Raises:
-        ValueError: a row with a nan or infinite coordinate, or rows of
-            unequal width.
+        ValueError: naming ``path:line``, for a token that is not a
+            number, a nan or infinite coordinate, or a row whose width
+            differs from the first row's.
     """
     rows = []
     with open(path) as fh:
@@ -682,15 +635,18 @@ def read_points(path) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",") if "," in line else line.split()
-            row = [float(p) for p in parts]
+            try:
+                row = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"{path}:{ln}: non-finite coordinate")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{ln}: {len(row)} columns, the "
+                                 f"first row has {len(rows[0])}")
             rows.append(row)
     if not rows:
         return np.zeros((0, 0))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("inconsistent column counts in point file")
     return np.asarray(rows, dtype=float)
 
 

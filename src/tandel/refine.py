@@ -387,8 +387,8 @@ def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
     return state
 
 
-def _tangent_of(star, c):
-    return star.chart.frame.basis @ (np.asarray(c) - star.chart.base)
+def _tangent_of(state, star, c):
+    return star.frame @ (np.asarray(c) - state.complex.points[star.base])
 
 
 def _star_bigs(state: RefinementState, p: int):
@@ -401,7 +401,7 @@ def _star_bigs(state: RefinementState, p: int):
         c, r = star.centers[s]
         if r >= eps:
             out.append(UnfitConfiguration(
-                ConfigKind.BIG, p, s, r, _tangent_of(star, c)))
+                ConfigKind.BIG, p, s, r, _tangent_of(state, star, c)))
     if math.isfinite(state.manifold.reach):
         synth = [t for t, s in zip(star.corners, star.corner_simplex)
                  if s is None]
@@ -421,7 +421,7 @@ def _star_bad_stars(state: RefinementState, p: int):
         if cls is not GammaClass.GOOD:
             c, r = star.centers[s]
             out.append(UnfitConfiguration(
-                ConfigKind.BAD_STAR, p, s, r, _tangent_of(star, c)))
+                ConfigKind.BAD_STAR, p, s, r, _tangent_of(state, star, c)))
     return out
 
 
@@ -440,7 +440,7 @@ def _star_bad_cosph(state: RefinementState, p: int):
     for tau in sorted(entries):
         c, r = star.centers[entries[tau][1]]
         out.append(UnfitConfiguration(
-            ConfigKind.BAD_COSPH, p, tau, r, _tangent_of(star, c)))
+            ConfigKind.BAD_COSPH, p, tau, r, _tangent_of(state, star, c)))
     return out
 
 
@@ -459,7 +459,7 @@ def _star_inconsistent(state: RefinementState, p: int):
         if any(q != p and s not in stars[q].centers for q in s):
             c, r = star.centers[s]
             out.append(UnfitConfiguration(
-                ConfigKind.INCONSISTENT, p, s, r, _tangent_of(star, c)))
+                ConfigKind.INCONSISTENT, p, s, r, _tangent_of(state, star, c)))
     return out
 
 
@@ -580,7 +580,7 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
 def _pick_audit(x, config: UnfitConfiguration, state: RefinementState):
     """Distance checks a valid pick must satisfy under the hypotheses."""
     star = state.complex.stars[config.base]
-    c = star.chart.base + star.chart.frame.basis.T @ config.target
+    c = state.complex.points[star.base] + star.frame.T @ config.target
     r_ref = config.radius
     a = state.params.alpha
     slack = 4.5 * EPS_TILDE0
@@ -605,7 +605,7 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
     """
     params = state.params
     star = state.complex.stars[config.base]
-    chart = star.chart
+    base = state.complex.points[star.base]
     m = state.manifold.m
     rch = state.manifold.reach
     cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
@@ -621,7 +621,8 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
             continue
         y = t_c + direction / norm * r_pick * rng.uniform() ** (1.0 / m)
         try:
-            x = lift_from_tangent(chart, y, max_radius=cap)
+            x = lift_from_tangent(state.manifold, base, star.frame, y,
+                                  max_radius=cap)
         except (OutOfChart, NoConvergence):
             continue
         if find_hitting_set(x, config.radius, state) is not None:
@@ -796,17 +797,18 @@ def _rule1(state: RefinementState, config: UnfitConfiguration):
     """Insert the manifold point under a big corner, shrinking toward
     the base until the lift lands strictly inside the corner ball."""
     star = state.complex.stars[config.base]
-    chart = star.chart
+    base = state.complex.points[star.base]
     rch = state.manifold.reach
     cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
     t_star = np.asarray(config.target, dtype=float)
-    c = chart.base + chart.frame.basis.T @ t_star
+    c = base + star.frame.T @ t_star
     r = config.radius
     s = 1.0
     for _ in range(400):
         y = s * t_star
         try:
-            x = lift_from_tangent(chart, y, max_radius=cap)
+            x = lift_from_tangent(state.manifold, base, star.frame, y,
+                                  max_radius=cap)
         except (OutOfChart, NoConvergence):
             state.counters["shrinks"] += 1
             s *= 0.85

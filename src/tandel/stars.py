@@ -1,9 +1,10 @@
 """Weighted Delaunay stars in tangent planes, and their union complex.
 
 The star of a sample point p is computed inside the tangent plane
-T_pM: every other site q is projected to chart coordinates u_q and
-weighted by minus the squared norm of its normal component.  The power
-cell of p in that weighted diagram is the polytope
+T_pM, whose frame B is an (m, N) array of orthonormal rows: every other
+site q is projected to u_q = B (q - p) and weighted by minus the squared
+norm of its normal component.  The power cell of p in that weighted
+diagram is the polytope
 
     { t in R^m :  2 u_q . t  <=  |q - p|^2   for all q },
 
@@ -27,8 +28,8 @@ A star depends only on the sites within O(epsilon) of its vertex
 together: ``_build_stars`` takes a list of vertices (all of them for the
 initial complex, the new one and the cut stars the clip cannot update
 for an insertion) and runs rounds in which the ball queries, the
-charts, the equidistance solves and the emptiness queries are one
-stacked call each, and the site arrays and their checks one stacked
+tangent frames, the equidistance solves and the emptiness queries are
+one stacked call each, and the site arrays and their checks one stacked
 pass per chunk of ``_SITE_CHUNK`` stars, while the Qhull cell, its
 tight keys and the corner walk stay per star.  Each star comes out
 bit-identical to building it alone, and a failing batch raises the
@@ -62,7 +63,7 @@ from .errors import (
     TandelError,
 )
 from .geometry import faces
-from .manifolds import Manifold, SampleSet, TangentChart, tangent_charts
+from .manifolds import Manifold, SampleSet, tangent_frames
 
 COND_LIMIT = 1e12
 # sites within PRUNE_MULT * epsilon of a base enter its first cell attempt
@@ -85,16 +86,17 @@ class Star:
     c_p = p + B^T t and R_p = |t|, whether the star was built or
     clipped; a synthetic corner is where Qhull put it.  The order of the
     corners (and of ``centers``) depends on how the star was made, and
-    no result depends on it.
+    no result depends on it.  ``frame`` is the (m, N) tangent frame B at
+    the base point.
     """
     base: int
-    chart: TangentChart
+    frame: np.ndarray
     centers: dict = field(default_factory=dict)
     corners: np.ndarray = None
     corner_simplex: list = field(default_factory=list)
 
     def m_simplices(self):
-        m = self.chart.manifold.m
+        m = len(self.frame)
         return [s for s in self.centers if len(s) == m + 1]
 
     def max_radius(self) -> float:
@@ -222,9 +224,10 @@ def tangent_centers(pts, base, others, basis):
     return centres, np.vecdot(t, t), accepted, t
 
 
-def tangent_center(simplex, p: int, pts, chart: TangentChart):
-    """Center on T_pM equidistant from all vertices of a degenerate
-    (cospherical) simplex: p and more than m other sites.
+def tangent_center(simplex, p: int, pts, basis):
+    """Center on T_pM, whose tangent frame is basis (m x N), equidistant
+    from all vertices of a degenerate (cospherical) simplex: p and more
+    than m other sites.
 
     The overdetermined system is solved by least squares and must fit to
     a residual of 1e-7; m-simplices are rows of ``tangent_centers``.
@@ -239,15 +242,15 @@ def tangent_center(simplex, p: int, pts, chart: TangentChart):
         raise ValueError(f"{p} is not a vertex of {simplex}")
     others = [q for q in simplex if q != p]
     pts = np.asarray(pts, dtype=float)
-    _idx, u, b, _owner = _site_arrays(pts, np.array([p]),
-                                      chart.frame.basis[None], [others])
+    _idx, u, b, _owner = _site_arrays(pts, np.array([p]), basis[None],
+                                      [others])
     a_mat = 2.0 * u
     t, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
     resid = np.abs(a_mat @ t - b).max()
     if resid > 1e-7 * max(1.0, np.abs(b).max()):
         raise SingularSystem(
             f"overdetermined equidistance residual {resid:.3e}")
-    c = pts[p] + chart.frame.basis.T @ t
+    c = pts[p] + basis.T @ t
     return c, float(np.linalg.norm(t)), t
 
 
@@ -308,7 +311,7 @@ def _tight_keys(idx, u, b, corners):
     return [tuple(sites[a:z]) for a, z in zip([0] + ends, ends)]
 
 
-def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
+def _corner_star(p, frame, corners, keys, solved, pts, tree, prune_r):
     """Walk the corners in order into the star of p, or None when a site
     beyond the pruning radius interferes with a corner.
 
@@ -323,8 +326,8 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
         SingularSystem: at the first corner whose system is rejected.
         NeighborhoodTooSparse: the star has no m-simplex.
     """
-    m = chart.manifold.m
-    star = Star(base=p, chart=chart, corners=corners)
+    m = len(frame)
+    star = Star(base=p, frame=frame, corners=corners)
     seen = {}
     for i, key in enumerate(keys):
         if len(key) < m:
@@ -336,7 +339,7 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
                 if not accepted:
                     raise SingularSystem(_singular_message((p,) + key, p))
             else:
-                c, r, t = tangent_center((p,) + key, p, pts, chart)
+                c, r, t = tangent_center((p,) + key, p, pts, frame)
                 d_min = float(tree.query(c)[0])
             # global emptiness: no site may be strictly inside
             if d_min < r * (1.0 - 1e-9):
@@ -368,7 +371,7 @@ def _corner_star(p, chart, corners, keys, solved, pts, tree, prune_r):
 def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     """Stars of the given vertices, built together in rounds.
 
-    The charts come from one ``tangent_charts`` stack.  A round takes
+    The frames come from one ``tangent_frames`` stack.  A round takes
     every star still open: one ball query over their pruning radii
     (``PRUNE_MULT * epsilon`` in the first round), then per chunk of
     ``_SITE_CHUNK`` stars one gather and one product for their site
@@ -388,14 +391,14 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     Stars after a failed one are dropped, as they cannot change that.
 
     Raises:
-        PointNotOnManifold: from ``tangent_charts``.
+        PointNotOnManifold: from ``tangent_frames``.
         NeighborhoodTooSparse, SparsityViolation, SingularSystem: see
             ``_cells`` and ``_corner_star``; NeighborhoodTooSparse also
             for a star still open after 4 rounds.
     """
     bases = list(bases)
     try:
-        charts = tangent_charts(manifold, pts[bases])
+        frames = tangent_frames(manifold, pts[bases])
     except PointNotOnManifold:
         # the stars before the first off-manifold vertex fail first
         first = next(i for i, p in enumerate(bases)
@@ -404,8 +407,6 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
         raise
     m, n = manifold.m, len(bases)
     base_idx = np.array(bases, dtype=np.intp)
-    frames = np.array([chart.frame.basis for chart in charts]).reshape(
-        n, m, pts.shape[1])
     stars = [None] * n
     errors = {}
     prune = np.full(n, PRUNE_MULT * epsilon)
@@ -447,7 +448,7 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
             if i > min(errors, default=n):
                 break
             try:
-                star = _corner_star(bases[i], charts[i], corners, keys,
+                star = _corner_star(bases[i], frames[i], corners, keys,
                                     entries, pts, tree, float(prune[i]))
             except TandelError as exc:
                 errors[i] = exc
@@ -520,7 +521,7 @@ def _clip_stars(stars, margins, radii, x_idx, pts, tree, epsilon) -> dict:
     """
     if not stars:
         return {}
-    m = stars[0].chart.manifold.m
+    m = len(stars[0].frame)
     simple = [k for k, star in enumerate(stars)
               if star.corner_simplex and None not in star.corner_simplex
               and len(set(star.corner_simplex)) == len(star.corner_simplex)
@@ -557,7 +558,7 @@ def _clip_stars(stars, margins, radii, x_idx, pts, tree, epsilon) -> dict:
         return {}
     owner = np.repeat(np.arange(len(plans)), [n for *_s, n in plans])
     bases = np.array([plan[0].base for plan in plans], dtype=np.intp)
-    frames = np.array([plan[0].chart.frame.basis for plan in plans])
+    frames = np.array([plan[0].frame for plan in plans])
     centres, r2, accepted, t_new = tangent_centers(
         pts, bases[owner], np.array(others, dtype=np.intp).reshape(-1, m),
         frames[owner])
@@ -572,7 +573,7 @@ def _clip_stars(stars, margins, radii, x_idx, pts, tree, epsilon) -> dict:
         centers = {s: star.centers[s] for s in simplices}
         centers.update(zip(new_keys[start:end], solved[start:end]))
         clipped.append(Star(
-            base=star.base, chart=star.chart, centers=centers,
+            base=star.base, frame=star.frame, centers=centers,
             corners=np.concatenate([star.corners[kept], t_new[start:end]]),
             corner_simplex=simplices + new_keys[start:end]))
     if not clipped:
@@ -647,9 +648,6 @@ class TangentialComplex:
                 report[s] = missing
         return report
 
-    def is_consistent(self) -> bool:
-        return not self.consistency_report()
-
     # ---- incremental insertion ----
 
     def _cells_cut_by(self, bases, x):
@@ -677,7 +675,7 @@ class TangentialComplex:
             if counts[k]:
                 corners[k, :counts[k]] = star.corners
         rel = np.asarray(x, dtype=float) - self.points[bases]
-        frames = np.array([s.chart.frame.basis for s in stars]).reshape(
+        frames = np.array([s.frame for s in stars]).reshape(
             len(stars), m, self.points.shape[1])
         u_x = frames @ rel[:, :, None]
         b_x = (rel[:, None, :] @ rel[:, :, None])[:, 0]

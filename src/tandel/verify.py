@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDim,
 )
 from .geometry import _combos, as_simplex, circumsphere
-from .manifolds import Manifold, covering_radius_estimate, tangent_charts
+from .manifolds import Manifold, covering_radius_estimate, tangent_frames
 from .stars import tangent_centers
 
 # Hard ceilings for the exhaustive routes; beyond them the cost curve is
@@ -765,7 +765,8 @@ class ProtectionEntry:
 
 @dataclass
 class ProtectionReport:
-    """Power-protection margins of every top simplex in every vertex chart.
+    """Power-protection margins of every top simplex in the tangent plane
+    of each of its vertices.
 
     Entry i is vertex ``vertices[i]`` of simplex ``simplices[i]``; a row
     whose centre system was rejected as singular has ``accepted`` False
@@ -853,7 +854,7 @@ def power_protection_audit(cplx, points, manifold: Manifold,
 
     For each m-simplex and each of its vertices p, the center C on the
     tangent plane at p equidistant from the simplex vertices is solved
-    (the frames of every vertex from one ``tangent_charts`` stack, every
+    (the frames of every vertex from one ``tangent_frames`` stack, every
     entry in one ``stars.tangent_centers`` stack); the margin is
     min over points q outside the simplex of |C - q|^2 - R^2.  An entry
     passes when its margin exceeds the threshold; an entry whose center
@@ -885,9 +886,7 @@ def power_protection_audit(cplx, points, manifold: Manifold,
                       axis=1).reshape(-1, m)
     vertices = list(dict.fromkeys(base.tolist()))
     slot = dict(zip(vertices, range(len(vertices))))
-    frames = np.array([chart.frame.basis for chart in
-                       tangent_charts(manifold, pts[vertices])])
-    basis = frames.reshape(-1, m, pts.shape[1])[
+    basis = tangent_frames(manifold, pts[vertices])[
         [slot[p] for p in base.tolist()]]
     centres, r2, accepted, _t = tangent_centers(pts, base, others, basis)
     margins = np.full(len(base), math.nan)

@@ -1,8 +1,8 @@
-"""Shared fixtures: reference samples; the one-at-a-time references for
-the power-cell corners, the farthest-point net, the site arrays, the cut
-test and the cosph scan; a bitwise comparison of two stars; a
-refinement state around a built complex; and session-scoped refinement
-runs."""
+"""Shared fixtures: reference samples; the tangent frame at one point;
+the one-at-a-time references for the power-cell corners, the
+farthest-point net, the site arrays, the cut test and the cosph scan; a
+bitwise comparison of two stars; a refinement state around a built
+complex; and session-scoped refinement runs."""
 import itertools
 import math
 import time
@@ -17,7 +17,7 @@ from tandel import stars
 from tandel.geometry import (ElementaryWeight, GammaClass, _edge_lengths,
                              as_simplex, circumsphere, gamma_classes)
 from tandel.manifolds import (FlatPatch, TorusOfRevolution, UnitSphere,
-                              farthest_point_net)
+                              farthest_point_net, tangent_frames)
 from tandel.refine import Parameters, RefinementState, refine_sample
 
 # Property tests draw the same examples on every run (no example database
@@ -141,12 +141,17 @@ def reference_star(p, sample, manifold):
         return stars.compute_star(p, sample, manifold)
 
 
-def site_arrays_per_star(p, pts, idx, chart):
+def frame_at(manifold, p):
+    """The (m, N) tangent frame at one point: a one-row ``tangent_frames``."""
+    return tangent_frames(manifold, np.asarray(p, dtype=float)[None])[0]
+
+
+def site_arrays_per_star(p, pts, idx, basis):
     """The site rows of one star, u = B (q - p) and b = |q - p|^2, from
     its own product: the reference for the stacked
     ``stars._site_arrays``."""
     rel = pts[idx] - pts[p]
-    u = rel @ chart.frame.basis.T
+    u = rel @ basis.T
     b = (rel * rel).sum(axis=1)
     return u, b
 
@@ -157,7 +162,7 @@ def star_is_cut_by(cplx, p, x):
     ``TangentialComplex._cells_cut_by``."""
     star = cplx.stars[p]
     rel = np.asarray(x, dtype=float) - cplx.points[star.base]
-    u_x = star.chart.frame.basis @ rel
+    u_x = star.frame @ rel
     b_x = float(rel @ rel)
     if star.corners is None or len(star.corners) == 0:
         return True

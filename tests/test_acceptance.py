@@ -39,8 +39,6 @@ from tandel.manifolds import (
     TorusOfRevolution,
     UnitSphere,
     lift_from_tangent,
-    project_to_tangent,
-    tangent_chart,
 )
 from tandel.refine import (
     EPS_TILDE0,
@@ -69,7 +67,7 @@ from tandel.verify import (
     restricted_delaunay_oracle,
 )
 
-from conftest import exact_flat_member, flat_sites
+from conftest import exact_flat_member, flat_sites, frame_at
 
 REL = 1e-9
 FLAT = FlatPatch(2, 3)
@@ -360,10 +358,9 @@ def _torus_pair(rng, max_chord):
 
 
 def _dist_to_tangent(x, y, manifold):
-    chart = tangent_chart(manifold, x)
+    frame = frame_at(manifold, x)
     rel = y - x
-    return float(np.linalg.norm(rel - chart.frame.basis.T
-                                @ (chart.frame.basis @ rel)))
+    return float(np.linalg.norm(rel - frame.T @ (frame @ rel)))
 
 
 def _suite_federer(rng):
@@ -390,11 +387,11 @@ def _suite_lift_displacement(rng):
         rch = manifold.reach
         xs = manifold.sample(count, seed=seed)
         for x in xs:
-            chart = tangent_chart(manifold, x)
+            frame = frame_at(manifold, x)
             r = float(rng.uniform(1e-3, rch / 4.0))
             v = _unit_rows(rng, manifold.m) * r
-            y = lift_from_tangent(chart, v)
-            z = chart.base + chart.frame.basis.T @ v
+            y = lift_from_tangent(manifold, x, frame, v)
+            z = x + frame.T @ v
             assert np.linalg.norm(z - y) <= 2.0 * r * r / rch * (1.0 + REL)
 
 
@@ -404,13 +401,13 @@ def _suite_tangent_variation(rng):
         theta = rng.uniform(1e-4, 2.0 * math.asin(0.125))
         y = _sphere_offset(x, rng, theta)
         r = float(np.linalg.norm(y - x))
-        ang = subspace_angle(tangent_chart(S2, x).frame,
-                             tangent_chart(S2, y).frame)
+        ang = subspace_angle(AffineFrame(x, frame_at(S2, x)),
+                             AffineFrame(y, frame_at(S2, y)))
         assert math.sin(ang) < 6.0 * r * (1.0 + REL)
     for _ in range(N_PAIRS - N_PAIRS // 2):
         x, y, r = _torus_pair(rng, T2.reach / 4.0)
-        ang = subspace_angle(tangent_chart(T2, x).frame,
-                             tangent_chart(T2, y).frame)
+        ang = subspace_angle(AffineFrame(x, frame_at(T2, x)),
+                             AffineFrame(y, frame_at(T2, y)))
         assert math.sin(ang) < 6.0 * r / T2.reach * (1.0 + REL)
 
 
@@ -439,10 +436,10 @@ def _suite_metric_distortion(rng):
     done = 0
     while done < N_PAIRS // 2:
         p = _sphere_point(rng)
-        chart = tangent_chart(S2, p)
+        frame = frame_at(S2, p)
         cap = [_sphere_offset(p, rng, rng.uniform(0.0, 0.99 * r_cap))
                for _ in range(12)]
-        proj = [project_to_tangent(chart, x) for x in cap]
+        proj = [frame @ (x - p) for x in cap]
         for i in range(len(cap)):
             for k in range(i + 1, len(cap)):
                 d_m = math.acos(max(-1.0, min(1.0, float(cap[i] @ cap[k]))))
@@ -456,7 +453,7 @@ def _suite_metric_distortion(rng):
     while done < N_PAIRS - N_PAIRS // 2:
         u0, v0 = rng.uniform(0.0, 2.0 * np.pi, size=2)
         p = T2.embed(u0, v0)
-        chart = tangent_chart(T2, p)
+        frame = frame_at(T2, p)
         ring = T2.R + T2.r * math.cos(v0)
         nodes, mat, h, tree = _torus_cap_graph(
             u0, v0, 1.4 * r_cap / ring, 1.4 * r_cap / T2.r, 42, 42)
@@ -465,7 +462,7 @@ def _suite_metric_distortion(rng):
         inside = np.where(d0 <= 0.9 * r_cap)[0]
         sel = rng.permutation(inside)[:16]
         d_g = dijkstra(mat, directed=False, indices=sel)[:, sel]
-        proj = np.array([project_to_tangent(chart, nodes[i]) for i in sel])
+        proj = np.array([frame @ (nodes[i] - p) for i in sel])
         for i in range(len(sel)):
             for k in range(i + 1, len(sel)):
                 d_e = float(np.linalg.norm(proj[i] - proj[k]))

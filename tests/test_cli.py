@@ -156,6 +156,16 @@ class TestMesh:
         assert f"{net_path}: no points" in capsys.readouterr().err
         assert not (tmp_path / "e.points.txt").exists()
 
+    def test_net_in_width_is_usage_error(self, tmp_path, capsys):
+        net_path = tmp_path / "wide.txt"
+        net_path.write_text("0 0 1 0\n1 0 0 0\n")
+        code = run(*self.mesh_args(tmp_path / "w", **{"--net-in": net_path}))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {net_path}: 4 columns, manifold is embedded in "
+            f"dimension 3\n")
+        assert not (tmp_path / "w.points.txt").exists()
+
     def test_repeated_net_point_is_one_error_line(self, tmp_path, capsys):
         net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),
                                  eps=0.35, seed=5)
@@ -293,6 +303,24 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {pts}:4: non-finite coordinate\n")
 
+
+    @pytest.mark.parametrize("spec,rows,width,dim", [
+        ("torus:R=2,r=0.5", "2.5 0 0 0\n0 2.5 0 0\n1.5 0 0 0\n", 4, 3),
+        (SPHERE, "1 0\n0 1\n-1 0\n", 2, 3)], ids=["torus-4", "sphere-2"])
+    def test_point_width_is_usage_error(self, tmp_path, capsys, spec, rows,
+                                        width, dim):
+        # a wider file failed inside the protection audit with a numpy
+        # reshape error, a narrower one as a point off the manifold
+        pts = tmp_path / "p.txt"
+        pts.write_text(rows)
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 2\n")
+        code = main(["verify", "--complex", str(cpx), "--points", str(pts),
+                     "--manifold", spec, "--delta2", "1e-9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pts}: {width} columns, manifold is embedded in "
+            f"dimension {dim}\n")
 
     @pytest.mark.parametrize("line,message", [
         pytest.param(f"0 1 {label}", "vertex labels must be in 0..2",

@@ -1,4 +1,4 @@
-"""Builtin manifolds: projections, charts, lifts, nets, geodesics."""
+"""Builtin manifolds: projections, tangent frames, lifts, nets, geodesics."""
 import math
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import farthest_point_net_reference
+from conftest import farthest_point_net_reference, frame_at
 from tandel.errors import (
     DisconnectedGraph,
     EmptyInput,
@@ -30,10 +30,8 @@ from tandel.manifolds import (
     geodesic_estimate_many,
     lift_from_tangent,
     parse_manifold,
-    project_to_tangent,
     read_points,
-    tangent_chart,
-    tangent_charts,
+    tangent_frames,
     write_points,
 )
 
@@ -117,8 +115,7 @@ def test_closest_point_torus_tube():
     M = TorusOfRevolution(2, 0.5)
     foot = closest_point(M, np.array([2.0, 0.0, 0.2]))
     assert foot == pytest.approx([2.0, 0.0, 0.5])
-    chart = tangent_chart(M, foot)
-    resid = chart.frame.basis @ (np.array([2.0, 0.0, 0.2]) - foot)
+    resid = frame_at(M, foot) @ (np.array([2.0, 0.0, 0.2]) - foot)
     assert np.abs(resid).max() < 1e-9
 
 
@@ -149,69 +146,74 @@ def test_foot_point_orthogonality(manifold):
     rng = np.random.default_rng(5)
     pts = manifold.sample(20, seed=8)
     cap = 0.3 * min(manifold.reach, 1.0) if math.isfinite(manifold.reach) else 0.5
-    for p in pts:
-        chart = tangent_chart(manifold, p)
+    for p, normal in zip(pts, manifold._frames(pts)[1]):
         off = rng.normal(size=(manifold.N - manifold.m,))
         off *= cap * rng.uniform(0.1, 1.0) / np.linalg.norm(off)
-        x = p + chart.normal_frame.basis.T @ off
+        x = p + normal.T @ off
         foot = closest_point(manifold, x)
-        fchart = tangent_chart(manifold, foot)
-        resid = fchart.frame.basis @ (x - foot)
+        resid = frame_at(manifold, foot) @ (x - foot)
         assert np.abs(resid).max() < 1e-9
         # along pure normal offsets within the reach the foot is p itself
         assert foot == pytest.approx(p, abs=1e-6)
 
 
-# ===== charts =====
+# ===== tangent frames =====
 
 def test_sphere_chart_at_pole_is_xy_plane():
-    chart = tangent_chart(UnitSphere(2, 3), np.array([0.0, 0.0, 1.0]))
-    assert np.abs(chart.frame.basis[:, 2]).max() < 1e-12
-    assert chart.normal_frame.basis == pytest.approx(
+    M = UnitSphere(2, 3)
+    pole = np.array([0.0, 0.0, 1.0])
+    assert np.abs(frame_at(M, pole)[:, 2]).max() < 1e-12
+    assert M._frames(pole[None])[1][0] == pytest.approx(
         np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_torus_chart_at_outer_equator():
     M = TorusOfRevolution(2, 0.5)
-    chart = tangent_chart(M, np.array([2.5, 0.0, 0.0]))
-    got = {tuple(np.round(np.abs(row), 12)) for row in chart.frame.basis}
+    frame = frame_at(M, np.array([2.5, 0.0, 0.0]))
+    got = {tuple(np.round(np.abs(row), 12)) for row in frame}
     assert got == {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
-    gram = chart.frame.basis @ chart.frame.basis.T
+    gram = frame @ frame.T
     assert np.abs(gram - np.eye(2)).max() < 1e-12
 
 
 def test_chart_rejects_off_manifold_point():
     with pytest.raises(PointNotOnManifold):
-        tangent_chart(UnitSphere(2, 3), np.array([1.1, 0.0, 0.0]))
+        frame_at(UnitSphere(2, 3), np.array([1.1, 0.0, 0.0]))
     with pytest.raises(PointNotOnManifold):
-        tangent_chart(FlatPatch(2, 3), np.array([0.0, 0.0, 1e-6]))
+        frame_at(FlatPatch(2, 3), np.array([0.0, 0.0, 1e-6]))
 
 
 def test_chart_frames_are_orthogonal_complements(manifold):
-    for p in manifold.sample(10, seed=21):
-        chart = tangent_chart(manifold, p)
-        assert chart.frame.basis.shape == (manifold.m, manifold.N)
-        assert chart.normal_frame.basis.shape == (
-            manifold.N - manifold.m, manifold.N)
+    pts = manifold.sample(10, seed=21)
+    assert tangent_frames(manifold, pts).shape == (10, manifold.m, manifold.N)
+    assert manifold._frames(pts)[1].shape == (
+        10, manifold.N - manifold.m, manifold.N)
 
 
 def test_project_base_to_origin(manifold):
+    # tangent coordinates B (x - p): the base goes to the origin, and so
+    # does every normal offset from it
     p = manifold.sample(1, seed=2)[0]
-    chart = tangent_chart(manifold, p)
-    assert project_to_tangent(chart, p) == pytest.approx(np.zeros(manifold.m))
+    frame = frame_at(manifold, p)
+    assert (frame @ (p - p)).tolist() == [0.0] * manifold.m
+    normal = manifold._frames(p[None])[1][0]
+    offsets = p + normal.T @ np.linspace(0.1, 0.3, manifold.N - manifold.m)
+    assert frame @ (offsets - p) == pytest.approx(np.zeros(manifold.m),
+                                                  abs=1e-12)
 
 
 def test_sphere_projection_example():
-    chart = tangent_chart(UnitSphere(2, 3), np.array([0.0, 0.0, 1.0]))
-    y = project_to_tangent(chart, np.array([0.6, 0.0, 0.8]))
+    pole = np.array([0.0, 0.0, 1.0])
+    y = frame_at(UnitSphere(2, 3), pole) @ (np.array([0.6, 0.0, 0.8]) - pole)
     assert sorted(np.abs(y)) == pytest.approx([0.0, 0.6], abs=1e-12)
 
 
-# ===== stacked charts =====
+# ===== stacked frames =====
 
 def _scalar_frames(manifold, p):
-    """The frames of one point by the closed forms, one point at a time:
-    the reference for ``Manifold._frames``."""
+    """The frames of one point by the closed forms, one point at a time,
+    and the angles of the point for the torus lifts: the reference for
+    ``Manifold._frames`` and ``_params_of``."""
     if isinstance(manifold, UnitSphere):
         k = manifold.m + 1
         pb = p[:k] / np.linalg.norm(p[:k])
@@ -222,7 +224,7 @@ def _scalar_frames(manifold, p):
         nrm[0, :k] = pb
         for i in range(manifold.N - k):
             nrm[1 + i, k + i] = 1.0
-        return tan, nrm, ()
+        return tan, nrm, None
     if isinstance(manifold, TorusOfRevolution):
         u = math.atan2(p[1], p[0])
         v = math.atan2(p[2], math.hypot(p[0], p[1]) - manifold.R)
@@ -237,7 +239,7 @@ def _scalar_frames(manifold, p):
                 np.array([[c1, s1, 0.0, 0.0], [0.0, 0.0, c2, s2]]),
                 (t1, t2))
     eye = np.eye(manifold.N)
-    return eye[: manifold.m], eye[manifold.m:], ()
+    return eye[: manifold.m], eye[manifold.m:], None
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + ["sphere:m=3,N=5",
@@ -245,23 +247,22 @@ def _scalar_frames(manifold, p):
 def test_stacked_charts_match_scalar_frames(spec):
     """Every row of one stack is bitwise the closed-form frame of its
     point; ``np.arctan2`` and ``np.hypot`` round differently from
-    ``math`` on some inputs, so a vectorised angle would show here."""
+    ``math`` on some inputs, so a vectorised angle would show here.  The
+    torus lifts recompute the angles of their base point with
+    ``_params_of``, which must give the angles of the frame."""
     manifold = parse_manifold(spec)
     pts = manifold.sample(2000, seed=17)
-    charts = tangent_charts(manifold, pts)
-    assert len(charts) == len(pts)
-    for p, chart in zip(pts, charts):
+    frames = tangent_frames(manifold, pts)
+    assert frames.shape == (len(pts), manifold.m, manifold.N)
+    normals = manifold._frames(pts)[1]
+    for p, frame, normal in zip(pts, frames, normals):
         tan, nrm, params = _scalar_frames(manifold, p)
-        assert chart.frame.basis.tobytes() == tan.tobytes()
-        assert chart.normal_frame.basis.tobytes() == nrm.tobytes()
-        assert chart.params == params
-        assert chart.base.tobytes() == p.tobytes()
-        assert chart.frame.origin is chart.base
-        assert chart.manifold is manifold
-        one = tangent_chart(manifold, p)
-        assert one.frame.basis.tobytes() == tan.tobytes()
-        assert one.normal_frame.basis.tobytes() == nrm.tobytes()
-        assert one.params == params
+        assert frame.tobytes() == tan.tobytes()
+        assert normal.tobytes() == nrm.tobytes()
+        if params is not None:
+            assert manifold._params_of(p.tolist()) == params
+        assert frame_at(manifold, p).tobytes() == tan.tobytes()
+        assert manifold._frames(p[None])[1][0].tobytes() == nrm.tobytes()
 
 
 def test_stacked_charts_check_frames_once(monkeypatch):
@@ -269,24 +270,22 @@ def test_stacked_charts_check_frames_once(monkeypatch):
     real = manifolds_module.check_orthonormal
     monkeypatch.setattr(manifolds_module, "check_orthonormal",
                         lambda bases: checks.append(bases.shape) or real(bases))
-    monkeypatch.setattr(AffineFrame, "__post_init__",
-                        lambda self: checks.append("frame"))
     M = TorusOfRevolution(2, 0.5)
-    charts = tangent_charts(M, M.sample(50, seed=3))
-    assert len(charts) == 50
+    frames = tangent_frames(M, M.sample(50, seed=3))
+    assert frames.shape == (50, 2, 3)
     assert checks == [(50, 2, 3), (50, 1, 3)]
 
 
 def test_stacked_charts_reject_a_bad_frame_stack(monkeypatch):
     M = FlatPatch(2, 3)
-    tan, nrm, params = M._frames(M.sample(4, seed=1))
+    tan, nrm = M._frames(M.sample(4, seed=1))
     tan[2, 1] = tan[2, 0]
-    monkeypatch.setattr(M, "_frames", lambda points: (tan, nrm, params))
+    monkeypatch.setattr(M, "_frames", lambda points: (tan, nrm))
     with pytest.raises(ValueError, match="not orthonormal"):
-        tangent_charts(M, M.sample(4, seed=1))
+        tangent_frames(M, M.sample(4, seed=1))
     tan[2, 1] = [0.0, 0.0, 1.0]
     with pytest.raises(ValueError, match="not orthogonal"):
-        tangent_charts(M, M.sample(4, seed=1))
+        tangent_frames(M, M.sample(4, seed=1))
 
 
 def test_stacked_charts_name_the_first_bad_row():
@@ -295,61 +294,67 @@ def test_stacked_charts_name_the_first_bad_row():
     pts[2] *= 1.25
     pts[4] *= 1.5
     with pytest.raises(PointNotOnManifold, match="residual 2.500e-01"):
-        tangent_charts(M, pts)
-    assert tangent_charts(M, pts[:0]) == []
+        tangent_frames(M, pts)
+    assert tangent_frames(M, pts[:0]).shape == (0, 2, 3)
 
 
 # ===== lifts =====
 
 def test_sphere_lift_example():
-    chart = tangent_chart(UnitSphere(2, 3), np.array([0.0, 0.0, 1.0]))
-    y = project_to_tangent(chart, np.array([0.6, 0.0, 0.8]))
-    lifted = lift_from_tangent(chart, y, max_radius=0.9)
+    M = UnitSphere(2, 3)
+    pole = np.array([0.0, 0.0, 1.0])
+    frame = frame_at(M, pole)
+    y = frame @ (np.array([0.6, 0.0, 0.8]) - pole)
+    lifted = lift_from_tangent(M, pole, frame, y, max_radius=0.9)
     assert lifted == pytest.approx([0.6, 0.0, 0.8], abs=1e-12)
     # ambient embedding of y sits 0.2 above the lift; lemma bound is 0.72
-    emb = chart.base + chart.frame.basis.T @ y
+    emb = pole + frame.T @ y
     assert np.linalg.norm(emb - lifted) == pytest.approx(0.2)
 
 
 def test_lift_origin_is_base(manifold):
     p = manifold.sample(1, seed=11)[0]
-    chart = tangent_chart(manifold, p)
-    assert lift_from_tangent(chart, np.zeros(manifold.m)) == pytest.approx(p)
+    assert lift_from_tangent(manifold, p, frame_at(manifold, p),
+                             np.zeros(manifold.m)) == pytest.approx(p)
 
 
 def test_lift_default_cap():
-    chart = tangent_chart(UnitSphere(2, 3), np.array([0.0, 0.0, 1.0]))
+    M = UnitSphere(2, 3)
+    pole = np.array([0.0, 0.0, 1.0])
+    frame = frame_at(M, pole)
     with pytest.raises(OutOfChart):
-        lift_from_tangent(chart, np.array([0.5, 0.0]))
-    lift_from_tangent(chart, np.array([0.499, 0.0]))  # just inside
+        lift_from_tangent(M, pole, frame, np.array([0.5, 0.0]))
+    lift_from_tangent(M, pole, frame, np.array([0.499, 0.0]))  # just inside
 
 
 def test_lift_round_trip(manifold):
     rng = np.random.default_rng(13)
     cap = min(manifold.reach, 2.0)
     for p in manifold.sample(15, seed=17):
-        chart = tangent_chart(manifold, p)
+        frame = frame_at(manifold, p)
         y = rng.normal(size=manifold.m)
         y *= rng.uniform(0.05, 0.4) * cap / np.linalg.norm(y)
-        lifted = lift_from_tangent(chart, y, max_radius=cap)
+        lifted = lift_from_tangent(manifold, p, frame, y, max_radius=cap)
         assert manifold.implicit_residual(lifted) < 1e-9
-        back = project_to_tangent(chart, lifted)
+        back = frame @ (lifted - p)
         assert back == pytest.approx(y, abs=1e-9)
 
 
 def test_torus_lift_without_solution_raises():
     M = TorusOfRevolution(2, 0.5)
-    chart = tangent_chart(M, np.array([2.5, 0.0, 0.0]))
+    p = np.array([2.5, 0.0, 0.0])
     # the tube circle only reaches r=0.5 along the second tangent axis
     with pytest.raises(NoConvergence):
-        lift_from_tangent(chart, np.array([0.0, 0.9]), max_radius=2.0)
+        lift_from_tangent(M, p, frame_at(M, p), np.array([0.0, 0.9]),
+                          max_radius=2.0)
 
 
 def test_clifford_lift_per_block_cap():
     M = CliffordTorus(0.5)
-    chart = tangent_chart(M, M.sample(1, seed=3)[0])
+    p = M.sample(1, seed=3)[0]
     with pytest.raises(OutOfChart):
-        lift_from_tangent(chart, np.array([0.6, 0.0]), max_radius=1.0)
+        lift_from_tangent(M, p, frame_at(M, p), np.array([0.6, 0.0]),
+                          max_radius=1.0)
 
 
 # ===== the sampling-theory inequalities =====
@@ -359,10 +364,10 @@ def test_sphere_distance_to_tangent_is_sharp():
     M = UnitSphere(2, 3)
     pts = M.sample(60, seed=29)
     for x in pts[:10]:
-        chart = tangent_chart(M, x)
+        frame = frame_at(M, x)
         for y in pts:
             rel = y - x
-            d_tan = np.linalg.norm(rel - chart.frame.basis.T @ (chart.frame.basis @ rel))
+            d_tan = np.linalg.norm(rel - frame.T @ (frame @ rel))
             assert d_tan == pytest.approx((rel @ rel) / 2.0, abs=1e-12)
 
 
@@ -371,14 +376,13 @@ def test_distance_to_tangent_bound(manifold):
         pytest.skip("bound trivial for the flat patch")
     pts = manifold.sample(120, seed=31)
     for x in pts[:15]:
-        chart = tangent_chart(manifold, x)
+        frame = frame_at(manifold, x)
         for y in pts:
             r = np.linalg.norm(y - x)
             if not 0 < r < manifold.reach:
                 continue
             rel = y - x
-            d_tan = np.linalg.norm(
-                rel - chart.frame.basis.T @ (chart.frame.basis @ rel))
+            d_tan = np.linalg.norm(rel - frame.T @ (frame @ rel))
             assert d_tan <= r * r / (2 * manifold.reach) * (1 + 1e-9)
 
 
@@ -387,12 +391,12 @@ def test_lift_gap_bound(manifold):
         pytest.skip("lift gap is zero on the flat patch")
     rng = np.random.default_rng(37)
     for p in manifold.sample(15, seed=41):
-        chart = tangent_chart(manifold, p)
+        frame = frame_at(manifold, p)
         y = rng.normal(size=manifold.m)
         r = rng.uniform(0.02, 0.25) * manifold.reach
         y *= r / np.linalg.norm(y)
-        lifted = lift_from_tangent(chart, y)
-        emb = p + chart.frame.basis.T @ y
+        lifted = lift_from_tangent(manifold, p, frame, y)
+        emb = p + frame.T @ y
         assert np.linalg.norm(emb - lifted) <= 2 * r * r / manifold.reach
 
 
@@ -400,15 +404,15 @@ def test_tangent_variation_bound(manifold):
     if not math.isfinite(manifold.reach):
         pytest.skip("tangent space is constant on the flat patch")
     pts = manifold.sample(200, seed=43)
-    charts = [tangent_chart(manifold, p) for p in pts[:40]]
-    for i, ci in enumerate(charts):
-        for j, cj in enumerate(charts):
+    frames = [AffineFrame(p, frame_at(manifold, p)) for p in pts[:40]]
+    for i, ci in enumerate(frames):
+        for j, cj in enumerate(frames):
             if i == j:
                 continue
             r = np.linalg.norm(pts[i] - pts[j])
             if r > manifold.reach / 4:
                 continue
-            ang = subspace_angle(ci.frame, cj.frame)
+            ang = subspace_angle(ci, cj)
             assert math.sin(ang) < 6 * r / manifold.reach
 
 
@@ -622,7 +626,16 @@ def test_point_io_csv_and_comments(tmp_path):
 def test_point_io_ragged_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n4 5\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"bad.txt:2: 2 columns, the first row has 3$"):
+        read_points(path)
+
+
+def test_point_io_bad_token(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# heading\n1 2 3\n4 abc 6\n")
+    with pytest.raises(ValueError, match=r"bad.txt:3: could not convert "
+                                         r"string to float: 'abc'$"):
         read_points(path)
 
 
@@ -641,4 +654,4 @@ def test_point_io_non_finite_row(tmp_path, bad):
 def test_tangent_chart_nan_point_is_off_manifold(manifold, point):
     # a NaN residual compares false against the tolerance either way
     with pytest.raises(PointNotOnManifold):
-        tangent_chart(manifold, point)
+        frame_at(manifold, point)

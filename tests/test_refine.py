@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from test_acceptance import _lattice_patch
 from tandel import cli
@@ -27,10 +27,11 @@ from tandel.geometry import (
     thickness,
     thicknesses,
 )
-from tandel.manifolds import (FlatPatch, SampleSet, TorusOfRevolution,
-                              UnitSphere, closest_point, farthest_point_net,
-                              tangent_chart)
+from tandel.manifolds import (CliffordTorus, FlatPatch, SampleSet,
+                              TorusOfRevolution, UnitSphere, closest_point,
+                              farthest_point_net)
 from tandel.refine import (
+    MU0,
     ConfigKind,
     _cosph_scan,
     _star_bad_cosph,
@@ -57,10 +58,10 @@ from tandel.refine import (
 from tandel.stars import (Star, TangentialComplex, _build_stars,
                           assemble_complex)
 from tandel.verify import (as_complex, euler_characteristic,
-                           manifold_complex_check)
+                           manifold_complex_check, power_protection_audit)
 
 from conftest import (RUN_PARAMS, assert_same_star_bitwise, cosph_state,
-                      disk_points, star_is_cut_by)
+                      disk_points, frame_at, star_is_cut_by)
 
 SPHERE = UnitSphere(2, 3)
 FLAT = FlatPatch(2, 3)
@@ -559,7 +560,7 @@ class TestPickValid:
         cfg = first_unfit(state)
         star = state.complex.stars[0]
         c, r = next(iter(star.centers.values()))
-        target = star.chart.frame.basis @ (c - star.chart.base)
+        target = star.frame @ (c - state.complex.points[star.base])
         cfg = UnfitConfiguration(ConfigKind.BAD_STAR, 0,
                                  next(iter(star.centers)), r, target)
         x = pick_valid(cfg, state)
@@ -733,7 +734,7 @@ def test_site_beyond_witness_radius_adds_no_entry():
         pts = np.vstack([sigma_pts, near, beyond[None]])
         cplx = TangentialComplex(
             SampleSet(points=pts, epsilon=eps, sparsity=0.0), FLAT)
-        cplx.stars[0] = Star(base=0, chart=tangent_chart(FLAT, p),
+        cplx.stars[0] = Star(base=0, frame=frame_at(FLAT, p),
                              centers={(0, 1, 2): (c, r)})
         (got,) = _cosph_scan(cosph_state(cplx, delta0, gamma0), [0],
                              sites=range(3, len(pts)))
@@ -882,6 +883,66 @@ def test_three_sphere_refinement(three_sphere_net):
     ok, diagnostics = manifold_complex_check(tets, 3)
     assert ok, diagnostics
     assert euler_characteristic(tets) == 0
+
+
+def _assert_clean_output(state, manifold, params, chi):
+    """A finished run: clean final audit, nothing unfit, a closed
+    combinatorial manifold of Euler characteristic chi, every inserted
+    point on the manifold, and a passing protection audit, whose report
+    is returned."""
+    assert first_unfit(state) is None
+    audit = state.final_audit
+    assert audit["radius_ok"] and audit["sparsity_ok"]
+    assert audit["bad_m_simplices"] == 0
+    assert audit["cosph_entries"] == audit["bad_cosph_entries"] == 0
+    assert audit["inconsistencies"] == 0
+    assert all(manifold.implicit_residual(e["x"]) < 1e-12
+               for e in state.events)
+    k = as_complex(state.complex.simplices())
+    ok, diagnostics = manifold_complex_check(k, manifold.m)
+    assert ok, diagnostics
+    assert euler_characteristic(k) == chi
+    threshold = params.delta0 ** 2 * MU0 ** 2 * params.epsilon ** 2
+    protection = power_protection_audit(k, state.complex.points, manifold,
+                                        threshold)
+    assert protection.ok and protection.min_margin > threshold
+    return protection
+
+
+def test_clifford_torus_refinement():
+    """Rule-1 points come through the Clifford chart inverse, whose start
+    angles are recomputed from the base point."""
+    manifold = CliffordTorus(0.70710678)
+    params = Parameters(**RUN_PARAMS)
+    net = farthest_point_net(manifold.sample(60000, seed=params.seed),
+                             eps=params.epsilon, seed=params.seed)
+    state = refine_sample(net, manifold, params)
+    assert len(net.points) == 136
+    assert state.complex.n_points == 165
+    counters = state.counters
+    assert (counters["rule1"], counters["rule2_star"], counters["rule2_cosph"],
+            counters["rule2_inconsistent"]) == (18, 0, 2, 9)
+    _assert_clean_output(state, manifold, params, chi=0)
+
+
+def test_three_sphere_refinement_at_rule_two_scale():
+    """S^3 at epsilon 0.35 and gamma0 0.2, where rule 2 fires, through
+    the sphere's SVD frames at m = 3.  On the sphere the tangential
+    complex equals the convex hull of the points."""
+    net = farthest_point_net(THREE_SPHERE.sample(20000, seed=1), 0.35,
+                             seed=1)
+    params = params_ok(epsilon=0.35, gamma0=0.2, seed=1)
+    state = refine_sample(net, THREE_SPHERE, params)
+    assert len(net.points) == 262
+    assert state.complex.n_points == 387
+    counters = state.counters
+    assert (counters["rule1"], counters["rule2_star"], counters["rule2_cosph"],
+            counters["rule2_inconsistent"]) == (120, 1, 4, 0)
+    protection = _assert_clean_output(state, THREE_SPHERE, params, chi=0)
+    assert protection.min_margin > 2.5e-4
+    hull = sorted(tuple(sorted(s)) for s in
+                  ConvexHull(state.complex.points).simplices.tolist())
+    assert state.complex.m_simplices() == hull
 
 
 class TestSphereCapRun:

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 from conftest import (assert_same_star_bitwise, cosph_scan_per_star,
-                      cosph_state, flat_sites, reference_star,
+                      cosph_state, flat_sites, frame_at, reference_star,
                       site_arrays_per_star, star_is_cut_by)
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
@@ -22,7 +22,7 @@ from tandel.manifolds import (
     UnitSphere,
     TorusOfRevolution,
     farthest_point_net,
-    tangent_chart,
+    tangent_frames,
 )
 from tandel.refine import _cosph_scan
 from tandel.stars import (
@@ -95,9 +95,9 @@ class TestOctahedronStar:
         idx = sorted(i for i in cKDTree(OCTA).query_ball_point(
             OCTA[0], PRUNE_MULT * sample.epsilon) if i != 0)
         assert idx == [1, 2, 3, 4, 5]
-        chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-        got, u, b, owner = _site_arrays(OCTA, np.array([0]),
-                                        chart.frame.basis[None], [idx])
+        frame = frame_at(UnitSphere(2, 3), OCTA[0])
+        got, u, b, owner = _site_arrays(OCTA, np.array([0]), frame[None],
+                                        [idx])
         assert got.tolist() == idx and owner.tolist() == [0] * 5
         w2 = b - (u * u).sum(axis=1)
         # squared weight = minus the squared normal part of each site
@@ -121,39 +121,37 @@ def test_too_sparse_raises():
 
 
 def test_tangent_center_octahedron():
-    chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
-    centres, r2, accepted, t = tangent_centers(OCTA, 0, [(1, 2)],
-                                               chart.frame.basis)
+    frame = frame_at(UnitSphere(2, 3), OCTA[0])
+    centres, r2, accepted, t = tangent_centers(OCTA, 0, [(1, 2)], frame)
     assert accepted.tolist() == [True]
     assert np.sqrt(r2[0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert np.abs(centres[0]) == pytest.approx([1.0, 1.0, 1.0])
     # the tangent solution: r2 = t . t and c = p + B^T t
     assert r2[0] == np.vecdot(t[0], t[0])
-    assert centres[0].tobytes() == (OCTA[0] + chart.frame.basis.T
-                                    @ t[0]).tobytes()
+    assert centres[0].tobytes() == (OCTA[0] + frame.T @ t[0]).tobytes()
 
 
 def test_tangent_center_singular():
-    chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
+    frame = frame_at(UnitSphere(2, 3), OCTA[0])
     # antipodal equator points project to opposite rays: rank-1 system
     centres, r2, accepted, t = tangent_centers(OCTA, 0, [(1, 3), (1, 2)],
-                                               chart.frame.basis)
+                                               frame)
     assert accepted.tolist() == [False, True]
     assert np.isnan(centres[0]).all() and np.isnan(r2[0])
     assert np.isnan(t[0]).all()
     # a degenerate corner's least-squares solve: the four square
     # corners fit, a non-cocircular quadruple does not
-    flat_chart = tangent_chart(FlatPatch(2, 3), SQUARE[0])
-    c, r, t = tangent_center((0, 1, 2, 3), 0, SQUARE, flat_chart)
+    flat_frame = frame_at(FlatPatch(2, 3), SQUARE[0])
+    c, r, t = tangent_center((0, 1, 2, 3), 0, SQUARE, flat_frame)
     assert c == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
     assert r == pytest.approx(np.sqrt(0.5), rel=1e-12)
     assert r == float(np.linalg.norm(t))
     kite = SQUARE.copy()
     kite[2, 1] = 1.2
     with pytest.raises(SingularSystem):
-        tangent_center((0, 1, 2, 3), 0, kite, flat_chart)
+        tangent_center((0, 1, 2, 3), 0, kite, flat_frame)
     with pytest.raises(ValueError):
-        tangent_center((1, 2, 3), 0, OCTA, chart)
+        tangent_center((1, 2, 3), 0, OCTA, frame)
 
 
 # ===== flat patch agrees with the classical Delaunay triangulation =====
@@ -181,7 +179,6 @@ class TestFlatDelaunay:
         tri = Delaunay(pts[:, :2])
         want = sorted(tuple(sorted(int(v) for v in s)) for s in tri.simplices)
         assert cplx.m_simplices() == want
-        assert cplx.is_consistent()
         assert cplx.consistency_report() == {}
 
 
@@ -244,7 +241,7 @@ def test_three_sphere_complex_is_closed_manifold():
     M = UnitSphere(3, 4)
     net = farthest_point_net(M.sample(20000, seed=1), 0.45, seed=1)
     cplx = assemble_complex(net, M)
-    assert cplx.is_consistent()
+    assert not cplx.consistency_report()
     ok, diagnostics = manifold_complex_check(cplx.m_simplices(), 3)
     assert ok, diagnostics
     assert euler_characteristic(cplx.m_simplices()) == 0
@@ -297,7 +294,7 @@ class TestCocircularSquare:
 
     def test_complex_is_consistent_and_shared(self):
         cplx = assemble_complex(self.sample(), FlatPatch(2, 3))
-        assert cplx.is_consistent()
+        assert not cplx.consistency_report()
         # every vertex sees the one cocircular corner
         full = (0, 1, 2, 3)
         for v in range(4):
@@ -542,13 +539,13 @@ def test_stacked_cosph_scan_matches_per_star_loop(build, gamma0, n_bare):
 
 # ===== stacked tangent centres against the per-corner solve =====
 
-def _tangent_center_per_corner(simplex, p, pts, chart):
+def _tangent_center_per_corner(simplex, p, pts, frame):
     """One corner's equidistance system, solved alone: the reference for
     the stacked solve in ``_build_stars``.  Returns (c, r, t)."""
     others = [q for q in simplex if q != p]
-    u, b = site_arrays_per_star(p, pts, others, chart)
+    u, b = site_arrays_per_star(p, pts, others, frame)
     a_mat = 2.0 * u
-    if len(others) == chart.manifold.m:
+    if len(others) == len(frame):
         cond = np.linalg.cond(a_mat)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularSystem(f"equidistance system cond={cond:.3e}")
@@ -559,7 +556,7 @@ def _tangent_center_per_corner(simplex, p, pts, chart):
         if resid > 1e-7 * max(1.0, np.abs(b).max()):
             raise SingularSystem(
                 f"overdetermined equidistance residual {resid:.3e}")
-    return pts[p] + chart.frame.basis.T @ t, float(np.linalg.norm(t)), t
+    return pts[p] + frame.T @ t, float(np.linalg.norm(t)), t
 
 
 def _star_per_corner(p, cplx):
@@ -567,12 +564,12 @@ def _star_per_corner(p, cplx):
     emptiness one at a time, in corner order.  A real corner is its own
     solve's t; a synthetic one keeps the coordinates of the Qhull cell."""
     pts, tree, m = cplx.points, cplx.tree, cplx.manifold.m
-    chart = tangent_chart(cplx.manifold, pts[p])
+    frame = frame_at(cplx.manifold, pts[p])
     prune_r = PRUNE_MULT * cplx.epsilon
     while True:
         idx = np.array(sorted(
             i for i in tree.query_ball_point(pts[p], prune_r) if i != p))
-        u, b = site_arrays_per_star(p, pts, idx, chart)
+        u, b = site_arrays_per_star(p, pts, idx, frame)
         corners = _cell_corners(u, b, prune_r)
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(b.max(), (corners ** 2).sum(axis=1).max())
@@ -584,7 +581,7 @@ def _star_per_corner(p, cplx):
                 continue
             if key not in seen:
                 c, r, t = _tangent_center_per_corner((p,) + key, p, pts,
-                                                     chart)
+                                                     frame)
                 d_min = float(tree.query(c)[0])
                 if d_min >= r * (1.0 - 1e-9):
                     seen[key] = (c, r, t)
@@ -643,14 +640,14 @@ def test_stacked_star_matches_per_corner_solve(build):
 
 def test_stacked_centres_reject_singular_rows_only():
     # row 0 is the antipodal (rank-1) system of test_tangent_center_singular
-    chart = tangent_chart(UnitSphere(2, 3), OCTA[0])
+    frame = frame_at(UnitSphere(2, 3), OCTA[0])
     centres, r2, accepted, t = tangent_centers(
-        OCTA, 0, [[1, 3], [1, 2], [2, 3]], chart.frame.basis)
+        OCTA, 0, [[1, 3], [1, 2], [2, 3]], frame)
     assert accepted.tolist() == [False, True, True]
     assert np.isnan(centres[0]).all() and np.isnan(r2[0])
     for row, others in ((1, (1, 2)), (2, (2, 3))):
         c, r, t_one = _tangent_center_per_corner((0,) + others, 0, OCTA,
-                                                 chart)
+                                                 frame)
         assert centres[row].tobytes() == c.tobytes()
         assert np.sqrt(r2[row]) == r
         assert t[row].tobytes() == t_one.tobytes()
@@ -671,7 +668,7 @@ def _assert_identical_stars(a, b):
     for key, (c, r) in a.centers.items():
         assert b.centers[key][0].tobytes() == c.tobytes(), (a.base, key)
         assert b.centers[key][1] == r, (a.base, key)
-    assert a.chart.frame.basis.tobytes() == b.chart.frame.basis.tobytes()
+    assert a.frame.tobytes() == b.frame.tobytes()
 
 
 def _torus_net():
@@ -720,8 +717,7 @@ def test_site_arrays_match_per_star_product(make):
     pts = np.asarray(sample.points, dtype=float)
     tree = cKDTree(pts)
     n = len(pts)
-    charts = [tangent_chart(manifold, pts[p]) for p in range(n)]
-    frames = np.array([c.frame.basis for c in charts])
+    frames = tangent_frames(manifold, pts)
     balls = tree.query_ball_point(pts, PRUNE_MULT * sample.epsilon,
                                   return_sorted=True)
     assert n > 4 * _SITE_CHUNK
@@ -732,7 +728,7 @@ def test_site_arrays_match_per_star_product(make):
         for k, p in enumerate(chunk):
             want_idx = np.array([q for q in balls[p] if q != p])
             want_u, want_b = site_arrays_per_star(p, pts, want_idx,
-                                                  charts[p])
+                                                  frame_at(manifold, pts[p]))
             assert idx[owner == k].tolist() == want_idx.tolist()
             assert u[owner == k].tobytes() == want_u.tobytes(), p
             assert b[owner == k].tobytes() == want_b.tobytes(), p
@@ -807,7 +803,7 @@ def test_octahedron_complex_counts():
     verts = [s for s in cplx.simplices() if len(s) == 1]
     assert len(edges) == 12
     assert len(verts) == 6
-    assert cplx.is_consistent()
+    assert not cplx.consistency_report()
 
 
 def test_consistency_report_flags_missing_star_entry():
@@ -816,7 +812,6 @@ def test_consistency_report_flags_missing_star_entry():
     del cplx.stars[0].centers[removed]
     report = cplx.consistency_report()
     assert report == {removed: [0]}
-    assert not cplx.is_consistent()
 
 
 # ===== incremental insertion =====

@@ -23,7 +23,6 @@ from tandel.manifolds import (
     UnitSphere,
     build_geodesic_graph,
     farthest_point_net,
-    tangent_chart,
 )
 from tandel.stars import COND_LIMIT, TangentialComplex, assemble_complex
 from tandel import verify
@@ -44,7 +43,7 @@ from tandel.verify import (
     _TIE_WINDOW_CAP,
 )
 
-from conftest import exact_flat_member, flat_sites
+from conftest import exact_flat_member, flat_sites, frame_at
 
 OCTA = np.array([
     [0.0, 0.0, 1.0],
@@ -703,7 +702,7 @@ def _audit_per_entry(cplx, points, manifold, threshold):
         competitors = pts[outside]
         for p in simplex:
             others = [q for q in simplex if q != p]
-            basis = tangent_chart(manifold, pts[p]).frame.basis
+            basis = frame_at(manifold, pts[p])
             a_mat = 2.0 * ((pts[others] - pts[p]) @ basis.T)
             b = ((pts[others] - pts[p]) ** 2).sum(axis=1)
             cond = np.linalg.cond(a_mat)

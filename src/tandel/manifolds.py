@@ -157,7 +157,8 @@ def tangent_frames(manifold: Manifold, points) -> np.ndarray:
 def lift_from_tangent(manifold: Manifold, base, basis, y,
                       max_radius: float | None = None):
     """Chart inverse: the manifold point that projects to tangent coords y
-    in the tangent frame ``basis`` (m x N) at the manifold point ``base``.
+    in the tangent frame ``basis`` (an m x N array) at the manifold point
+    ``base`` (an array of length N).
 
     The lift is guaranteed well-defined for |y| < reach/2 (the default
     cap); callers that have verified a wider validity radius may pass
@@ -175,8 +176,7 @@ def lift_from_tangent(manifold: Manifold, base, basis, y,
     r = float(np.linalg.norm(y))
     if r >= cap:
         raise OutOfChart(f"|y| = {r:.6g} >= cap {cap:.6g}")
-    return manifold._lift(np.asarray(base, dtype=float),
-                          np.asarray(basis, dtype=float), y)
+    return manifold._lift(base, basis, y)
 
 
 # ===== builtin manifolds =====

@@ -82,19 +82,16 @@ def _load_complex(path, n_points: int):
             if not line:
                 continue
             try:
-                simplex = tuple(sorted(int(v) for v in line.split()))
+                simplex = geometry.as_simplex(line.split())
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
             if simplex[0] < 0 or simplex[-1] >= n_points:  # sorted labels
                 raise ValueError(f"{path}:{ln}: vertex labels must be in "
                                  f"0..{n_points - 1}")
-            if len(set(simplex)) != len(simplex):
-                raise ValueError(f"{path}:{ln}: duplicate vertex indices in "
-                                 f"simplex {simplex}")
             simplices.append(simplex)
     if not simplices:
         raise ValueError(f"{path}: no simplices")
-    return verify.AbstractComplex.from_simplices(simplices)
+    return verify.AbstractComplex(geometry.closure(simplices))
 
 
 def _params_from_args(args) -> Parameters:
@@ -233,9 +230,9 @@ def cmd_mesh(args) -> int:
 
     pts = state.complex.points
     # the closure of the star union, built once for the writers and the
-    # measurements
-    cplx = verify.as_complex(s for star in state.complex.stars.values()
-                             for s in star.centers)
+    # measurements; star keys are sorted vertex tuples already
+    cplx = verify.AbstractComplex(geometry.closure(
+        s for star in state.complex.stars.values() for s in star.centers))
     write_points(prefix + ".points.txt", pts)
     stars.write_simplex_list(prefix + ".simplices.txt", cplx.simplices)
     if manifold.m == 2 and manifold.N == 3:

@@ -76,7 +76,7 @@ class SparsityViolation(TandelError):
 
 
 class IterationCap(TandelError):
-    """The refinement loop exceeded its configured insertion cap."""
+    """The refinement loop ran ``refine.ITERATION_CAP`` iterations."""
 
 
 class HypothesesFailed(TandelError):

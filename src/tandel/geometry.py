@@ -1,8 +1,8 @@
 """Coordinate-level simplex geometry in R^N.
 
-Edge extremes, altitudes, thickness, circumspheres, largest principal
-angles between subspaces, quality classification against a threshold
-gamma0, and weighted centers for single-carrier weight assignments.
+Edge extremes, altitudes, thickness, circumspheres, face closures,
+largest principal angles between subspaces, quality classification
+against gamma0, and weighted centers for single-carrier weights.
 
 Conventions used throughout:
 
@@ -73,26 +73,9 @@ class SphereSpec:
     radius: float
 
 
-@dataclass(frozen=True)
-class AffineFrame:
-    """An affine subspace given by an origin and orthonormal basis rows.
-
-    ``basis`` has shape (k, N); rows are pairwise orthogonal unit vectors
-    (validated at tolerance 1e-12).
-    """
-    origin: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("basis must be a (k, N) array")
-        check_orthonormal(b)
-
-
 def check_orthonormal(bases: np.ndarray):
-    """The ``AffineFrame`` check of one (k, N) basis, or of a stack of
-    them (..., k, N) at once.
+    """Check that one (k, N) basis, or every basis of a stack of them
+    (..., k, N), has orthonormal rows.
 
     Raises:
         ValueError: the rows of some basis are not orthonormal at 1e-12.
@@ -186,15 +169,14 @@ def affine_ranks(taus, pts) -> np.ndarray:
     return _rank(s, delta[:, None]).sum(axis=-1)
 
 
-def simplex_frame(simplex, pts) -> AffineFrame:
-    """Orthonormal frame of the affine hull of the simplex (rank-reduced)."""
+def simplex_frame(simplex, pts) -> np.ndarray:
+    """Orthonormal (k, N) basis of the directions of the simplex's affine
+    hull, rank-reduced; the hull passes through ``pts[simplex[0]]``."""
     verts = simplex_points(simplex, pts)
-    origin = verts[0]
     if len(verts) == 1:
-        return AffineFrame(origin, np.zeros((0, verts.shape[1])))
+        return np.zeros((0, verts.shape[1]))
     _, delta = edge_extremes(simplex, pts)
-    basis, _ = _span_frame(verts[1:] - origin, delta)
-    return AffineFrame(origin, basis)
+    return _span_frame(verts[1:] - verts[0], delta)[0]
 
 
 def _altitudes(apex: np.ndarray, face: np.ndarray,
@@ -431,8 +413,9 @@ def min_weighted_radius(simplex, pts, delta0: float):
 
 # ===== angles =====
 
-def subspace_angle(u: AffineFrame, v: AffineFrame) -> float:
-    """Largest principal angle between span(u) and span(v), in radians.
+def subspace_angle(bu: np.ndarray, bv: np.ndarray) -> float:
+    """Largest principal angle between the row spans U of ``bu`` and V of
+    ``bv``, two (k, N) bases, in radians.
 
     Measured as the worst angle a unit vector of U makes with its
     projection onto V; requires dim(U) <= dim(V).  Cosines come from the
@@ -442,8 +425,10 @@ def subspace_angle(u: AffineFrame, v: AffineFrame) -> float:
 
     Raises:
         DimensionMismatch: when dim(U) > dim(V).
+        ValueError: the rows of a basis are not orthonormal at 1e-12.
     """
-    bu, bv = u.basis, v.basis
+    check_orthonormal(bu)
+    check_orthonormal(bv)
     if bu.shape[0] > bv.shape[0]:
         raise DimensionMismatch(
             f"dim(U)={bu.shape[0]} exceeds dim(V)={bv.shape[0]}")
@@ -468,6 +453,18 @@ def faces(simplex, min_dim: int = 0, max_dim: int | None = None):
     hi = j if max_dim is None else min(max_dim, j)
     for dim in range(min_dim, hi + 1):
         yield from itertools.combinations(simplex, dim + 1)
+
+
+def closure(simplices) -> frozenset:
+    """Every nonempty face of the given sorted vertex tuples: the one face
+    closure of the package.  The largest come first, so a simplex that is
+    a face of one already walked skips its own walk."""
+    closed = set()
+    for simplex in sorted(set(simplices), key=len, reverse=True):
+        if simplex not in closed:
+            for k in range(1, len(simplex) + 1):
+                closed.update(itertools.combinations(simplex, k))
+    return frozenset(closed)
 
 
 def gamma_classes(taus, pts, gamma0: float) -> list:

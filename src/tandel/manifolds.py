@@ -1,5 +1,5 @@
-"""Analytic submanifolds of R^N: tangent frames, projections, nets,
-geodesics.
+"""Analytic submanifolds of R^N: tangent frames, projections, nets, and
+a neighbourhood graph that approximates geodesic distances.
 
 Four builtin manifolds are provided, each with closed-form reach,
 closest-point projection, tangent/normal frames, and a chart inverse
@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import (
-    DisconnectedGraph,
     EmptyInput,
     MedialAxisProximity,
     NoConvergence,
@@ -126,7 +124,7 @@ def closest_point(manifold: Manifold, x) -> np.ndarray:
     return manifold._foot_point(x)
 
 
-def tangent_frames(manifold: Manifold, points) -> np.ndarray:
+def tangent_frames(manifold: Manifold, points, labels=None) -> np.ndarray:
     """Orthonormal tangent frames at every row of points, shape (n, m, N).
 
     One stacked frame build (``Manifold._frames``) whose rows do not
@@ -136,14 +134,16 @@ def tangent_frames(manifold: Manifold, points) -> np.ndarray:
 
     Raises:
         PointNotOnManifold: for the first row whose implicit residual
-            exceeds 1e-9 or is NaN.
+            exceeds 1e-9 or is NaN, named by its entry of ``labels``
+            (by default, its row number).
     """
     points = np.asarray(points, dtype=float)
-    for p in points:
+    for row, p in enumerate(points):
         resid = manifold.implicit_residual(p)
         if not resid <= ON_MANIFOLD_TOL:
-            raise PointNotOnManifold(
-                f"residual {resid:.3e} exceeds {ON_MANIFOLD_TOL}")
+            label = row if labels is None else labels[row]
+            raise PointNotOnManifold(f"point {label}: residual {resid:.3e} "
+                                     f"exceeds {ON_MANIFOLD_TOL}")
     if not len(points):
         return np.zeros((0, manifold.m, manifold.N))
     tan, nrm = manifold._frames(points)
@@ -586,36 +586,6 @@ def build_geodesic_graph(manifold: Manifold, n_dense: int, seed: int = 0,
     else:
         mat = sparse.csr_matrix((len(pts), len(pts)))
     return GeodesicGraph(points=pts, h=float(h), matrix=mat, tree=tree)
-
-
-def geodesic_estimate(graph: GeodesicGraph, x, y) -> float:
-    """Graph shortest-path length between the nodes nearest x and y.
-
-    Raises:
-        DisconnectedGraph: the two nodes are in different components.
-    """
-    i = int(graph.tree.query(np.asarray(x, dtype=float))[1])
-    j = int(graph.tree.query(np.asarray(y, dtype=float))[1])
-    if i == j:
-        return 0.0
-    d = dijkstra(graph.matrix, directed=False, indices=i)
-    if not math.isfinite(d[j]):
-        raise DisconnectedGraph(f"nodes {i} and {j} are not connected")
-    return float(d[j])
-
-
-def geodesic_estimate_many(graph: GeodesicGraph, sources, targets) -> np.ndarray:
-    """Matrix of shortest-path lengths for many source/target points."""
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    si = graph.tree.query(src)[1]
-    ti = graph.tree.query(tgt)[1]
-    d = dijkstra(graph.matrix, directed=False, indices=si)
-    out = d[:, ti]
-    if not np.isfinite(out).all():
-        raise DisconnectedGraph("some source/target pairs are not connected")
-    out[si[:, None] == ti[None, :]] = 0.0
-    return out
 
 
 # ===== point I/O =====

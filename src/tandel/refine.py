@@ -53,6 +53,8 @@ _CHART_SLACK = 2.0
 MU0 = 1.0 / 9.0
 EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
 XI_TILDE = 1.0 / 16.0  # chart margin xi over the reach
+# iterations ``refine`` runs before it gives up with IterationCap
+ITERATION_CAP = 10 ** 6
 
 
 # ===== parameters =====
@@ -73,7 +75,6 @@ class Parameters:
     mode: str = "practical"
     seed: int = 0
     pick_attempt_budget: int = 1000
-    iteration_cap: int = 10 ** 6
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -89,15 +90,15 @@ class Parameters:
         self.mode = str(self.mode).lower()
         if self.mode not in ("strict", "practical"):
             raise ValueError("mode must be 'strict' or 'practical'")
-        if self.pick_attempt_budget < 1 or self.iteration_cap < 1:
+        if self.pick_attempt_budget < 1:
             raise ValueError("budgets must be at least 1")
 
 
 _PARAM_ORDER = ("epsilon", "gamma0", "alpha", "beta", "delta0", "mode",
-                "seed", "pick_attempt_budget", "iteration_cap")
+                "seed", "pick_attempt_budget")
 _PARAM_TYPES = {"epsilon": float, "gamma0": float, "alpha": float,
                 "beta": float, "delta0": float, "mode": str, "seed": int,
-                "pick_attempt_budget": int, "iteration_cap": int}
+                "pick_attempt_budget": int}
 
 
 def read_parameters(path) -> Parameters:
@@ -827,12 +828,12 @@ def refine(state: RefinementState) -> RefinementState:
     """Run the two rules to quiescence (rule 1 always first).
 
     Raises:
-        IterationCap: the loop exceeded params.iteration_cap.
+        IterationCap: the loop ran ITERATION_CAP iterations.
     """
     params = state.params
     if not 0.0 < params.delta0 < 0.25:
         raise HypothesesFailed("refinement needs 0 < delta0 < 1/4")
-    for _ in range(params.iteration_cap):
+    for _ in range(ITERATION_CAP):
         state.counters["iterations"] += 1
         config = first_unfit(state)
         if config is None:
@@ -848,7 +849,7 @@ def refine(state: RefinementState) -> RefinementState:
             state.counters[key] += 1
             insert(x, state, rule="RULE2", base=config.base,
                    simplex=config.simplex)
-    raise IterationCap(f"no quiescence within {params.iteration_cap} iterations")
+    raise IterationCap(f"no quiescence within {ITERATION_CAP} iterations")
 
 
 def refine_sample(sample: SampleSet, manifold: Manifold,

@@ -62,7 +62,7 @@ from .errors import (
     SparsityViolation,
     TandelError,
 )
-from .geometry import faces
+from .geometry import closure
 from .manifolds import Manifold, SampleSet, tangent_frames
 
 COND_LIMIT = 1e12
@@ -391,14 +391,14 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     Stars after a failed one are dropped, as they cannot change that.
 
     Raises:
-        PointNotOnManifold: from ``tangent_frames``.
+        PointNotOnManifold: from ``tangent_frames``, naming the vertex.
         NeighborhoodTooSparse, SparsityViolation, SingularSystem: see
             ``_cells`` and ``_corner_star``; NeighborhoodTooSparse also
             for a star still open after 4 rounds.
     """
     bases = list(bases)
     try:
-        frames = tangent_frames(manifold, pts[bases])
+        frames = tangent_frames(manifold, pts[bases], labels=bases)
     except PointNotOnManifold:
         # the stars before the first off-manifold vertex fail first
         first = next(i for i, p in enumerate(bases)
@@ -624,12 +624,9 @@ class TangentialComplex:
         return self
 
     def simplices(self, max_dim: int | None = None) -> list:
-        """All simplices of the complex (closure of the star union)."""
-        out = set()
-        for star in self.stars.values():
-            for s in star.centers:
-                for f in faces(s):
-                    out.add(f)
+        """All simplices of the complex, the ``geometry.closure`` of the
+        star union, sorted by size and then by vertices."""
+        out = closure(s for star in self.stars.values() for s in star.centers)
         if max_dim is not None:
             out = {s for s in out if len(s) - 1 <= max_dim}
         return sorted(out, key=lambda s: (len(s), s))

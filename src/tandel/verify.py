@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     UnsupportedDim,
 )
-from .geometry import _combos, as_simplex, circumsphere
+from .geometry import _combos, as_simplex, circumsphere, closure
 from .manifolds import Manifold, covering_radius_estimate, tangent_frames
 from .stars import tangent_centers
 
@@ -58,23 +58,17 @@ EXTRA_BAND_FACTOR = 3.0
 class AbstractComplex:
     """A face-closed set of simplices over integer vertex labels.
 
-    Simplices are stored as sorted tuples; construction closes the input
-    under taking faces, so every face of a member is a member.
+    Simplices are stored as sorted tuples.  The constructor takes a
+    ``geometry.closure``; ``from_simplices`` closes any input.
     """
 
     simplices: frozenset
 
     @staticmethod
     def from_simplices(items) -> "AbstractComplex":
-        # largest first, so a face already closed skips its own walk
-        closed = set()
-        for simplex in sorted({as_simplex(item) for item in items}, key=len,
-                              reverse=True):
-            if simplex in closed:
-                continue
-            for k in range(1, len(simplex) + 1):
-                closed.update(itertools.combinations(simplex, k))
-        return AbstractComplex(simplices=frozenset(closed))
+        """The ``geometry.closure`` of the items, each put through
+        ``as_simplex``."""
+        return AbstractComplex(closure(map(as_simplex, items)))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -854,12 +848,13 @@ def power_protection_audit(cplx, points, manifold: Manifold,
 
     For each m-simplex and each of its vertices p, the center C on the
     tangent plane at p equidistant from the simplex vertices is solved
-    (the frames of every vertex from one ``tangent_frames`` stack, every
-    entry in one ``stars.tangent_centers`` stack); the margin is
-    min over points q outside the simplex of |C - q|^2 - R^2.  An entry
-    passes when its margin exceeds the threshold; an entry whose center
-    system is rejected as singular is reported as a failing entry rather
-    than raised.  Entries run simplex by simplex, vertex by vertex.
+    (row p of one ``tangent_frames`` stack over every point is the frame
+    at p, and every entry is in one ``stars.tangent_centers`` stack); the
+    margin is min over points q outside the simplex of |C - q|^2 - R^2.
+    An entry passes when its margin exceeds the threshold; an entry whose
+    center system is rejected as singular is reported as a failing entry
+    rather than raised.  Entries run simplex by simplex, vertex by vertex.
+    Every point, a vertex or not, must lie on the manifold.
 
     The minimum is taken over KD-tree neighbours, exactly.  One query
     fetches the k = m + 3 nearest sites of every C (k is capped at the
@@ -884,10 +879,7 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     base = top.reshape(-1)
     others = np.stack([np.delete(top, j, axis=1) for j in range(m + 1)],
                       axis=1).reshape(-1, m)
-    vertices = list(dict.fromkeys(base.tolist()))
-    slot = dict(zip(vertices, range(len(vertices))))
-    basis = tangent_frames(manifold, pts[vertices])[
-        [slot[p] for p in base.tolist()]]
+    basis = tangent_frames(manifold, pts)[base]
     centres, r2, accepted, _t = tangent_centers(pts, base, others, basis)
     margins = np.full(len(base), math.nan)
     rows = np.flatnonzero(accepted)

@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 from tandel.cli import main
 from tandel.errors import NegativeSquaredRadius
 from tandel.geometry import (
-    AffineFrame,
     ElementaryWeight,
     GammaClass,
     altitude,
@@ -42,6 +41,7 @@ from tandel.manifolds import (
 )
 from tandel.refine import (
     EPS_TILDE0,
+    ITERATION_CAP,
     MU0,
     ConfigKind,
     Parameters,
@@ -147,9 +147,9 @@ def _suite_circumscribing_balls(rng):
         if ups < 1e-5:
             continue
         sp = circumsphere(simplex, pts)
-        frame = simplex_frame(simplex, pts)
+        basis = simplex_frame(simplex, pts)
         w = rng.normal(size=n)
-        w -= frame.basis.T @ (frame.basis @ w)
+        w -= basis.T @ (basis @ w)
         wn = float(np.linalg.norm(w))
         if wn > 1e-12:
             w *= rng.uniform(0.0, 1.5) * sp.radius / wn
@@ -166,9 +166,9 @@ def _suite_circumscribing_balls(rng):
             moves[0] = 0.0
         tpts = pts + moves
         tsp = circumsphere(simplex, tpts)
-        tframe = simplex_frame(simplex, tpts)
+        tbasis = simplex_frame(simplex, tpts)
         d = c - tsp.center
-        tc = tsp.center + d - tframe.basis.T @ (tframe.basis @ d)
+        tc = tsp.center + d - tbasis.T @ (tbasis @ d)
         dists = np.linalg.norm(tpts - tc, axis=1)
         tr = float(dists.mean())
         assert dists.max() - dists.min() <= 1e-9 * max(tr, 1e-12)
@@ -201,7 +201,7 @@ def _suite_whitney_angle(rng):
         ell, delta = edge_extremes(simplex, pts)
         ups = thickness(simplex, pts)
         sin_angle = math.sin(subspace_angle(
-            simplex_frame(simplex, pts), AffineFrame(offset, h_basis)))
+            simplex_frame(simplex, pts), h_basis))
         bound = 2.0 * h / (ups * delta) if ups * delta > 0 else math.inf
         assert sin_angle <= bound * (1.0 + REL) + 1e-12
         checked += 1
@@ -248,14 +248,14 @@ def _suite_flake_altitudes(rng):
         bsimp = tuple(range(k))
         if k > 1 and classify_gamma(bsimp, gamma0, base) is not GammaClass.GOOD:
             continue
-        bframe = simplex_frame(bsimp, base)
+        bbasis = simplex_frame(bsimp, base)
         _, delta_b = edge_extremes(bsimp, base)
         normal = rng.normal(size=n)
-        normal -= bframe.basis.T @ (bframe.basis @ normal)
+        normal -= bbasis.T @ (bbasis @ normal)
         nn = float(np.linalg.norm(normal))
         if nn < 1e-12:
             continue
-        wiggle = bframe.basis.T @ rng.uniform(-0.2, 0.2, size=bframe.basis.shape[0])
+        wiggle = bbasis.T @ rng.uniform(-0.2, 0.2, size=bbasis.shape[0])
         h = delta_b * gamma0 ** k * k * rng.uniform(0.05, 0.9)
         apex = base.mean(axis=0) + wiggle * delta_b + normal / nn * h
         pts = np.vstack([base, apex])
@@ -401,13 +401,11 @@ def _suite_tangent_variation(rng):
         theta = rng.uniform(1e-4, 2.0 * math.asin(0.125))
         y = _sphere_offset(x, rng, theta)
         r = float(np.linalg.norm(y - x))
-        ang = subspace_angle(AffineFrame(x, frame_at(S2, x)),
-                             AffineFrame(y, frame_at(S2, y)))
+        ang = subspace_angle(frame_at(S2, x), frame_at(S2, y))
         assert math.sin(ang) < 6.0 * r * (1.0 + REL)
     for _ in range(N_PAIRS - N_PAIRS // 2):
         x, y, r = _torus_pair(rng, T2.reach / 4.0)
-        ang = subspace_angle(AffineFrame(x, frame_at(T2, x)),
-                             AffineFrame(y, frame_at(T2, y)))
+        ang = subspace_angle(frame_at(T2, x), frame_at(T2, y))
         assert math.sin(ang) < 6.0 * r / T2.reach * (1.0 + REL)
 
 
@@ -699,7 +697,7 @@ def _instrumented_replay(sample, manifold, params):
     fired = {"rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
              "rule2_inconsistent": 0}
     audits = 0
-    for _ in range(state.params.iteration_cap):
+    for _ in range(ITERATION_CAP):
         config = first_unfit(state)
         if config is None:
             break

@@ -207,20 +207,36 @@ class TestMesh:
 
     def test_removed_update_radius_key_is_usage_error(self, tmp_path,
                                                       capsys):
-        # insertion has no radius to set any more; an old parameters file
-        # naming it is refused like any other unknown key
-        params_path = tmp_path / "old.params"
-        params_path.write_text("epsilon = 0.35\ngamma0 = 0.05\nalpha = 0.25\n"
-                               "beta = 4.5\ndelta0 = 0.05\n"
-                               "update_radius_mult = 12\n")
-        prefix = tmp_path / "u"
-        code = run("mesh", "--manifold", SPHERE, "--dense-n", 2000,
-                   "--params", params_path, "--out-prefix", prefix)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: {params_path}:6: unknown parameter "
-                       f"'update_radius_mult'\n")
-        assert not (tmp_path / "u.points.txt").exists()
+        # insertion has no radius to set any more, and the iteration cap
+        # is the constant refine.ITERATION_CAP; an old parameters file
+        # naming either is refused like any other unknown key
+        for key, value in [("update_radius_mult", 12), ("iteration_cap", 50)]:
+            params_path = tmp_path / f"{key}.params"
+            params_path.write_text(
+                "epsilon = 0.35\ngamma0 = 0.05\nalpha = 0.25\n"
+                f"beta = 4.5\ndelta0 = 0.05\n{key} = {value}\n")
+            prefix = tmp_path / "u"
+            code = run("mesh", "--manifold", SPHERE, "--dense-n", 2000,
+                       "--params", params_path, "--out-prefix", prefix)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: {params_path}:6: unknown parameter "
+                           f"{key!r}\n")
+            assert not (tmp_path / "u.points.txt").exists()
+
+    def test_off_manifold_net_point_is_named(self, tmp_path, capsys):
+        net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),
+                                 eps=0.35, seed=5)
+        pts_in = net.points.copy()
+        pts_in[4] *= 1.1
+        net_path = tmp_path / "net.txt"
+        np.savetxt(net_path, pts_in, fmt="%.17g")
+        code = run(*self.mesh_args(tmp_path / "o", **{"--net-in": net_path}))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: PointNotOnManifold: point 4: residual 1.000e-01 exceeds "
+            "1e-09\n")
+        assert not (tmp_path / "o.points.txt").exists()
 
 
 # ===== verify =====
@@ -321,6 +337,21 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {pts}: {width} columns, manifold is embedded in "
             f"dimension {dim}\n")
+
+    def test_off_manifold_point_is_named(self, tmp_path, capsys):
+        # the error used to give the residual but not the point; every
+        # point is checked, a vertex of the complex (2) or not (3)
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 2\n")
+        for rows, label in [("0 1 0.5\n", 2), ("0 1 0\n0 1 0.5\n", 3)]:
+            pts = tmp_path / "p.txt"
+            pts.write_text("0 0 1\n1 0 0\n" + rows)
+            code = main(["verify", "--complex", str(cpx), "--points",
+                         str(pts), "--manifold", SPHERE, "--delta2", "1e-9"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: PointNotOnManifold: point {label}: residual "
+                f"1.180e-01 exceeds 1e-09\n")
 
     @pytest.mark.parametrize("line,message", [
         pytest.param(f"0 1 {label}", "vertex labels must be in 0..2",

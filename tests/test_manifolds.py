@@ -1,4 +1,4 @@
-"""Builtin manifolds: projections, tangent frames, lifts, nets, geodesics."""
+"""Builtin manifolds: projections, tangent frames, lifts, nets, point I/O."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import farthest_point_net_reference, frame_at
 from tandel.errors import (
-    DisconnectedGraph,
     EmptyInput,
     MedialAxisProximity,
     NoConvergence,
@@ -16,18 +15,15 @@ from tandel.errors import (
     PointNotOnManifold,
 )
 from tandel import manifolds as manifolds_module
-from tandel.geometry import AffineFrame, subspace_angle
+from tandel.geometry import subspace_angle
 from tandel.manifolds import (
     CliffordTorus,
     FlatPatch,
     TorusOfRevolution,
     UnitSphere,
-    build_geodesic_graph,
     closest_point,
     covering_radius_estimate,
     farthest_point_net,
-    geodesic_estimate,
-    geodesic_estimate_many,
     lift_from_tangent,
     parse_manifold,
     read_points,
@@ -298,6 +294,19 @@ def test_stacked_charts_name_the_first_bad_row():
     assert tangent_frames(M, pts[:0]).shape == (0, 2, 3)
 
 
+def test_off_manifold_error_names_the_point():
+    M = UnitSphere(2, 3)
+    pts = M.sample(6, seed=4)
+    pts[2] *= 1.25
+    pts[4] *= 1.5
+    with pytest.raises(PointNotOnManifold,
+                       match=r"^point 2: residual 2\.500e-01 exceeds 1e-09$"):
+        tangent_frames(M, pts)
+    # a caller that passes a subset names its rows by their labels
+    with pytest.raises(PointNotOnManifold, match=r"^point 17: residual 2\.5"):
+        tangent_frames(M, pts, labels=[10, 11, 17, 13, 14, 15])
+
+
 # ===== lifts =====
 
 def test_sphere_lift_example():
@@ -404,7 +413,7 @@ def test_tangent_variation_bound(manifold):
     if not math.isfinite(manifold.reach):
         pytest.skip("tangent space is constant on the flat patch")
     pts = manifold.sample(200, seed=43)
-    frames = [AffineFrame(p, frame_at(manifold, p)) for p in pts[:40]]
+    frames = [frame_at(manifold, p) for p in pts[:40]]
     for i, ci in enumerate(frames):
         for j, cj in enumerate(frames):
             if i == j:
@@ -529,57 +538,6 @@ def test_covering_radius_estimate_tracks_density():
     net = farthest_point_net(dense, 0.6, seed=0)
     cov_net = covering_radius_estimate(M, net.points, seed=2)
     assert cov < cov_net <= 0.6 + cov + 1e-9
-
-
-# ===== geodesics =====
-
-@pytest.fixture(scope="module")
-def sphere_graph():
-    return build_geodesic_graph(UnitSphere(2, 3), 8000, seed=67)
-
-
-def test_geodesic_zero_for_same_point(sphere_graph):
-    x = np.array([1.0, 0.0, 0.0])
-    assert geodesic_estimate(sphere_graph, x, x) == 0.0
-
-
-def test_geodesic_antipodes(sphere_graph):
-    d = geodesic_estimate(sphere_graph, np.array([0.0, 0.0, 1.0]),
-                          np.array([0.0, 0.0, -1.0]))
-    assert d == pytest.approx(math.pi, abs=0.05)
-
-
-def test_geodesic_small_angle(sphere_graph):
-    theta = 0.4
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([math.cos(theta), math.sin(theta), 0.0])
-    d = geodesic_estimate(sphere_graph, x, y)
-    chord = np.linalg.norm(x - y)
-    assert chord - 2 * sphere_graph.h <= d <= theta + 2 * sphere_graph.h
-    # intrinsic vs extrinsic comparison bound
-    assert d <= chord * (1 + 2 * chord) + 2 * sphere_graph.h
-
-
-def test_geodesic_many_matches_single(sphere_graph):
-    rng = np.random.default_rng(71)
-    src = rng.normal(size=(3, 3))
-    src /= np.linalg.norm(src, axis=1, keepdims=True)
-    tgt = rng.normal(size=(4, 3))
-    tgt /= np.linalg.norm(tgt, axis=1, keepdims=True)
-    mat = geodesic_estimate_many(sphere_graph, src, tgt)
-    assert mat.shape == (3, 4)
-    for i in range(3):
-        for j in range(4):
-            assert mat[i, j] == pytest.approx(
-                geodesic_estimate(sphere_graph, src[i], tgt[j]), abs=1e-12)
-
-
-def test_geodesic_disconnected():
-    M = UnitSphere(2, 3)
-    g = build_geodesic_graph(M, 50, seed=73, h=1e-6)
-    with pytest.raises(DisconnectedGraph):
-        geodesic_estimate(g, np.array([0.0, 0.0, 1.0]),
-                          np.array([0.0, 0.0, -1.0]))
 
 
 # ===== samples and I/O =====

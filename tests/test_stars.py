@@ -793,6 +793,20 @@ def test_batch_raises_the_first_failing_base_error(monkeypatch):
         _batch(sample, flat, [4, 0])
 
 
+def test_batch_off_manifold_error_names_the_base():
+    # vertex 5 is the first row of the batch, and the error names the
+    # vertex, not its place in the batch
+    flat = FlatPatch(2, 3)
+    pts = np.vstack([_widening_sample().points,
+                     [[10.0, 10.0, 0.0], [5.0, -5.0, 1e-3]]])
+    sample = SampleSet(points=pts, epsilon=0.1, sparsity=0.0)
+    message = r"^point 5: residual 1\.000e-03 exceeds 1e-09$"
+    with pytest.raises(PointNotOnManifold, match=message):
+        _batch(sample, flat, [5, 4])
+    with pytest.raises(PointNotOnManifold, match=message):
+        compute_star(5, sample, flat)
+
+
 # ===== union complex bookkeeping =====
 
 def test_octahedron_complex_counts():

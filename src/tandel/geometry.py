@@ -446,15 +446,6 @@ def subspace_angle(bu: np.ndarray, bv: np.ndarray) -> float:
 
 # ===== quality classification =====
 
-def faces(simplex, min_dim: int = 0, max_dim: int | None = None):
-    """Iterate faces of a simplex as sorted tuples, by dimension."""
-    simplex = tuple(simplex)
-    j = len(simplex) - 1
-    hi = j if max_dim is None else min(max_dim, j)
-    for dim in range(min_dim, hi + 1):
-        yield from itertools.combinations(simplex, dim + 1)
-
-
 def closure(simplices) -> frozenset:
     """Every nonempty face of the given sorted vertex tuples: the one face
     closure of the package.  The largest come first, so a simplex that is

@@ -324,17 +324,46 @@ class TorusOfRevolution(Manifold):
         raise NoConvergence("chart inverse did not converge in 100 steps")
 
     def sample(self, n, seed):
+        """n seeded points, uniform in area: u is uniform and the tube
+        angle v solves the area quantile equation F(v) = w by 40 Newton
+        steps from a stratified w.
+
+        A step is a function of the row's own v and w alone, so a row
+        whose step returns its v bit for bit (a fixed point), or returns
+        its v of two steps back (a 2-cycle), repeats itself to the last
+        step.  Such a row is settled: its step-40 value is written at
+        once (for a 2-cycle, the parity of the steps left picks one of
+        the two values) and the remaining steps run on the other rows
+        only, with the same arithmetic.  That argument also needs every
+        ufunc to give an element the same result wherever it sits in
+        its array; ``test_torus_sample_equals_fixed_step_reference``
+        checks the output against all 40 steps on every row, bit for
+        bit.
+        """
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 2.0 * np.pi, n)
         # stratified quantiles of the area-weighted tube angle
         w = (np.arange(n) + rng.uniform(0, 1, n)) / n
         w = w[rng.permutation(n)]
         v = 2.0 * np.pi * w - np.pi
-        for _ in range(40):
+        out = np.empty(n)
+        rows = np.arange(n)
+        prev = np.full(n, np.nan)  # no step returns NaN bits
+        steps = 40
+        for step in range(1, steps + 1):
             f = (self.R * (v + np.pi) + self.r * np.sin(v)) / (2 * np.pi * self.R)
             fp = (self.R + self.r * np.cos(v)) / (2 * np.pi * self.R)
-            v = np.clip(v - (f - w) / fp, -np.pi, np.pi)
-        return self.embed(u, v)
+            new = np.clip(v - (f - w) / fp, -np.pi, np.pi)
+            bits = new.view(np.int64)
+            settled = ((bits == v.view(np.int64))
+                       | (bits == prev.view(np.int64)))
+            # a fixed row has new == v, so either choice is its value
+            last = new if (steps - step) % 2 == 0 else v
+            out[rows[settled]] = last[settled]
+            moving = ~settled
+            rows, w, prev, v = rows[moving], w[moving], v[moving], new[moving]
+        out[rows] = v
+        return self.embed(u, out)
 
     def spec_string(self):
         return f"torus:R={self.R:g},r={self.r:g}"
@@ -486,6 +515,17 @@ def parse_manifold(spec: str) -> Manifold:
 
 # ===== nets and covering =====
 
+# The farthest-point scan keeps the input rows in KD-tree leaf order, in
+# blocks of _NET_BLOCK rows and superblocks of _NET_SUPER blocks.
+_NET_BLOCK = 64
+_NET_SUPER = 32
+
+
+def _box_gap(lo, hi, x):
+    """Per coordinate, how far x lies outside each box [lo, hi]."""
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0)
+
+
 def farthest_point_net(dense, eps: float, seed: int = 0) -> SampleSet:
     """Greedy farthest-point subsample: eps-sparse and covering the input.
 
@@ -493,16 +533,25 @@ def farthest_point_net(dense, eps: float, seed: int = 0) -> SampleSet:
     point farthest from the current selection until that distance drops
     to eps (Gonzalez, TCS 1985).  Every selected point is > eps from the
     earlier ones and every input point ends within eps of the selection.
+    Among points tied for farthest, the one with the smallest input
+    index comes first, as ``np.argmax`` picks it.
 
-    A step that adds the point nxt at distance far = dist[nxt] updates
-    the distances to the selection only inside the ball of radius far
-    around nxt: a point x outside it has |x - nxt| > far >= dist[x], so
-    its distance cannot drop.  One KD-tree on the input answers those
-    ball queries; the margin 1 + 1e-9 covers rounding between its
-    distances and the norms computed here, which are the same per row as
-    a full scan's, so the net is the full scan's bit for bit.  A step
-    costs the points in its ball, not all n: once the selection spreads
-    out, far is about eps and the ball holds the points near nxt.
+    The rows sit in KD-tree leaf order, grouped into blocks of
+    ``_NET_BLOCK`` rows and superblocks of ``_NET_SUPER`` blocks, each
+    with its bounding box and the maximum of its distances to the
+    selection.  The next point comes from those maxima.  Adding a point
+    x can lower the distance of a row y only if |y - x| < dist[y], and
+    dist[y] is at most the maximum m of y's block, while |y - x| is at
+    least the distance g from x to the block's box.  So a superblock,
+    and then a block, is updated only if g (1 - 1e-9) <= m; the factor
+    covers rounding between g and the norms (rounding is monotone, so a
+    coordinate's gap never exceeds its computed difference).  Updated
+    rows take the minimum with norms computed as a full scan computes
+    them, and a skipped row's minimum would have kept its value, so the
+    net is the full scan's bit for bit.  Only the early steps, whose
+    far is large, touch most blocks; once the selection spreads out a
+    step scans the superblock maxima and the few blocks near x (Har-Peled
+    & Mendel, SICOMP 2006).
 
     Raises:
         EmptyInput: no input points.
@@ -518,19 +567,55 @@ def farthest_point_net(dense, eps: float, seed: int = 0) -> SampleSet:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValueError(f"input point {bad} is not finite: {dense[bad]}")
-    tree = cKDTree(dense)
-    start = int(seed) % len(dense)
+    n, dim = dense.shape
+    start = int(seed) % n
     chosen = [start]
     dist = np.linalg.norm(dense - dense[start], axis=1)
+
+    # rows in leaf order, padded to whole blocks with copies of the last
+    # row, which keep the boxes and at distance -inf are never picked or
+    # lowered; blocks padded to whole superblocks never pass a test
+    n_block = -(-n // _NET_BLOCK)
+    n_super = -(-n_block // _NET_SUPER)
+    order = np.empty(n_block * _NET_BLOCK, dtype=np.intp)
+    # only the leaf order is used, so the cheapest build will do
+    order[:n] = cKDTree(dense, leafsize=_NET_BLOCK, balanced_tree=False,
+                        compact_nodes=False).indices
+    order[n:] = order[n - 1]
+    rows = dense[order].reshape(n_block, _NET_BLOCK, dim)
+    order = order.reshape(n_block, _NET_BLOCK)
+    d = np.full(order.shape, -np.inf)
+    d.ravel()[:n] = dist[order.ravel()[:n]]
+    b_lo = np.empty((n_super * _NET_SUPER, dim))
+    b_hi = np.empty_like(b_lo)
+    b_max = np.full(len(b_lo), -np.inf)
+    b_lo[:n_block], b_hi[:n_block] = rows.min(axis=1), rows.max(axis=1)
+    b_lo[n_block:], b_hi[n_block:] = b_lo[n_block - 1], b_hi[n_block - 1]
+    b_max[:n_block] = d.max(axis=1)
+    s_lo = b_lo.reshape(n_super, _NET_SUPER, dim).min(axis=1)
+    s_hi = b_hi.reshape(n_super, _NET_SUPER, dim).max(axis=1)
+    by_super = b_max.reshape(n_super, _NET_SUPER)
+    s_max = by_super.max(axis=1)
+    blocks = np.arange(len(b_max)).reshape(n_super, _NET_SUPER)
     while True:
-        nxt = int(np.argmax(dist))
-        far = dist[nxt]
+        far = s_max.max()
         if far <= eps:
             break
+        blk = blocks[s_max == far].ravel()
+        blk = blk[b_max[blk] == far]
+        nxt = int(order[blk][d[blk] == far].min())
         chosen.append(nxt)
-        near = np.asarray(tree.query_ball_point(dense[nxt], far * (1 + 1e-9)))
-        dist[near] = np.minimum(
-            dist[near], np.linalg.norm(dense[near] - dense[nxt], axis=1))
+        x = dense[nxt]
+        sup = s_max >= np.linalg.norm(
+            _box_gap(s_lo, s_hi, x), axis=1) * (1 - 1e-9)
+        blk = blocks[sup].ravel()
+        blk = blk[b_max[blk] >= np.linalg.norm(
+            _box_gap(b_lo[blk], b_hi[blk], x), axis=1) * (1 - 1e-9)]
+        near = np.linalg.norm((rows[blk] - x).reshape(-1, dim), axis=1)
+        cur = np.minimum(d[blk], near.reshape(-1, _NET_BLOCK))
+        d[blk] = cur
+        b_max[blk] = cur.max(axis=1)
+        s_max[sup] = by_super[sup].max(axis=1)
     pts = dense[chosen]
     if len(pts) > 1:
         d2, _ = cKDTree(pts).query(pts, k=2)

@@ -119,6 +119,9 @@ def read_parameters(path) -> Parameters:
 
 
 def write_parameters(path, params: Parameters):
+    """Write params as a `key = value` parameter file: the inverse of
+    ``read_parameters``, which reads it back to equal parameters (floats
+    are written with 17 significant digits)."""
     with open(path, "w") as fh:
         for key in _PARAM_ORDER:
             val = getattr(params, key)

@@ -467,20 +467,6 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     return stars
 
 
-def compute_star(p: int, sample: SampleSet, manifold: Manifold) -> Star:
-    """Star of vertex p in the tangent-plane weighted Delaunay complex.
-
-    A one-vertex ``_build_stars``.
-
-    Raises:
-        NeighborhoodTooSparse: no m-simplex exists around p, which
-            signals that the claimed sampling radius does not hold.
-        SparsityViolation: another sample point coincides with p.
-    """
-    pts = np.asarray(sample.points, dtype=float)
-    return _build_stars([p], pts, cKDTree(pts), manifold, sample.epsilon)[0]
-
-
 # ===== clipping a cut star =====
 
 # how far the clip's tolerance exceeds the one of the rebuild it replaces

@@ -1,5 +1,6 @@
 """Shared fixtures: reference samples; the tangent frame at one point;
-the one-at-a-time references for the power-cell corners, the
+the faces of a simplex; the one-vertex star build; the one-at-a-time
+references for the power-cell corners, the fixed-step torus sampler, the
 farthest-point net, the site arrays, the cut test and the cosph scan; a
 bitwise comparison of two stars; a refinement state around a built
 complex; and session-scoped refinement runs."""
@@ -68,6 +69,23 @@ def flat_sites(seed, n_ring=25, r_ring=0.85, eps_in=0.11):
     return np.vstack([ring, net.points])
 
 
+def faces(simplex, min_dim=0, max_dim=None):
+    """Iterate faces of a simplex as sorted tuples, by dimension."""
+    simplex = tuple(simplex)
+    j = len(simplex) - 1
+    hi = j if max_dim is None else min(max_dim, j)
+    for dim in range(min_dim, hi + 1):
+        yield from itertools.combinations(simplex, dim + 1)
+
+
+def compute_star(p, sample, manifold):
+    """Star of vertex p in the tangent-plane weighted Delaunay complex: a
+    one-vertex ``stars._build_stars``, with its errors."""
+    pts = np.asarray(sample.points, dtype=float)
+    return stars._build_stars([p], pts, cKDTree(pts), manifold,
+                              sample.epsilon)[0]
+
+
 def exact_flat_member(tri, sites):
     """Exact empty-circumdisk adjudication for planar triangles."""
     sp = circumsphere(as_simplex(tri), sites[:, :2])
@@ -109,6 +127,26 @@ def corners_by_enumeration(u, b, box, m):
     return arr[np.sort(keep)]
 
 
+def torus_sample_reference(manifold, n, seed, history=None):
+    """``TorusOfRevolution.sample`` with all 40 Newton steps on every row:
+    the reference for the sampler that settles converged rows.  When
+    ``history`` is a list, it receives the tube angles after each step."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 2.0 * np.pi, n)
+    # stratified quantiles of the area-weighted tube angle
+    w = (np.arange(n) + rng.uniform(0, 1, n)) / n
+    w = w[rng.permutation(n)]
+    v = 2.0 * np.pi * w - np.pi
+    for _ in range(40):
+        f = ((manifold.R * (v + np.pi) + manifold.r * np.sin(v))
+             / (2 * np.pi * manifold.R))
+        fp = (manifold.R + manifold.r * np.cos(v)) / (2 * np.pi * manifold.R)
+        v = np.clip(v - (f - w) / fp, -np.pi, np.pi)
+        if history is not None:
+            history.append(v)
+    return manifold.embed(u, v)
+
+
 def farthest_point_net_reference(dense, eps, seed=0):
     """The greedy farthest-point net by a full scan per step.
 
@@ -138,7 +176,7 @@ def reference_star(p, sample, manifold):
         return corners_by_enumeration(u, b, box, u.shape[1])
 
     with mock.patch.object(stars, "_cell_corners", enumerate_corners):
-        return stars.compute_star(p, sample, manifold)
+        return compute_star(p, sample, manifold)
 
 
 def frame_at(manifold, p):

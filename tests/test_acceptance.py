@@ -25,7 +25,6 @@ from tandel.geometry import (
     circumsphere,
     classify_gamma,
     edge_extremes,
-    faces,
     flake_altitude_bound,
     simplex_frame,
     subspace_angle,
@@ -67,7 +66,7 @@ from tandel.verify import (
     restricted_delaunay_oracle,
 )
 
-from conftest import exact_flat_member, flat_sites, frame_at
+from conftest import exact_flat_member, faces, flat_sites, frame_at
 
 REL = 1e-9
 FLAT = FlatPatch(2, 3)

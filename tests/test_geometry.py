@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import faces
 from tandel.errors import (
     DegenerateSimplex,
     DimensionMismatch,
@@ -22,7 +23,6 @@ from tandel.geometry import (
     circumsphere,
     classify_gamma,
     edge_extremes,
-    faces,
     flake_altitude_bound,
     gamma_classes,
     min_weighted_radius,

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import corners_by_enumeration
+from conftest import compute_star, corners_by_enumeration
 from tandel._kernels import flake_candidates
 from tandel.errors import SingularSystem, SparsityViolation
 from tandel.geometry import (GammaClass, classify_gamma, edge_extremes,
                              min_weighted_radius)
 from tandel.manifolds import FlatPatch, SampleSet
-from tandel.stars import _cell_corners, compute_star
+from tandel.stars import _cell_corners
 
 
 def _canon(poly, decimals=9):

@@ -1,4 +1,5 @@
 """Builtin manifolds: projections, tangent frames, lifts, nets, point I/O."""
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import farthest_point_net_reference, frame_at
+from conftest import (farthest_point_net_reference, frame_at,
+                      torus_sample_reference)
 from tandel.errors import (
     EmptyInput,
     MedialAxisProximity,
@@ -490,6 +492,22 @@ def _flat_cloud():
     return FlatPatch(2, 3).sample(2500, seed=3, extent=1.3)
 
 
+def _ragged_cloud():
+    """A cloud whose size is not a multiple of the net's block size."""
+    n = 7 * manifolds_module._NET_BLOCK + 13
+    return np.random.default_rng(83).normal(size=(n, 3))
+
+
+def _cube_lattice():
+    """An exact integer cube of more than three superblocks of the net's
+    scan: many points tie for farthest at each step, in different blocks."""
+    side = 20
+    superblock = manifolds_module._NET_BLOCK * manifolds_module._NET_SUPER
+    assert side ** 3 > 3 * superblock
+    g = np.arange(side, dtype=float)
+    return np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+
+
 NET_REFERENCE_CASES = {
     # the benchmark's torus net and the end-to-end test's sphere net
     "torus-60k": (lambda: TorusOfRevolution(2.0, 0.5).sample(60000, seed=11),
@@ -503,6 +521,10 @@ NET_REFERENCE_CASES = {
     "duplicates": (_duplicated_cloud, 0.7, 5),
     "duplicates-eps-zero": (_duplicated_cloud, 0.0, 5),
     "eps-above-diameter": (_flat_cloud, 10.0, 8),
+    "clifford-20k": (lambda: CliffordTorus(0.70710678).sample(20000, seed=3),
+                     0.4, 3),
+    "ragged": (_ragged_cloud, 0.5, 2),
+    "cube-lattice": (_cube_lattice, 3.0, 4321),
 }
 
 
@@ -530,6 +552,18 @@ def test_net_equals_reference_on_small_clouds(dense, eps, seed):
     assert net.sparsity == want_sparsity
 
 
+def test_benchmark_torus_input_is_pinned():
+    """The benchmark's torus input, bit for bit: the 60k dense sample
+    (seed 11) and its net at eps 0.3 (seed 11).  A change to the sampler
+    or the net that moves a bit of either fails here."""
+    dense = TorusOfRevolution(2, 0.5).sample(60000, seed=11)
+    net = farthest_point_net(dense, 0.3, seed=11)
+    assert hashlib.sha256(dense.tobytes()).hexdigest() == (
+        "efa6196c09caa015ae1b4c27df5f6ba0d38bb923dcae8ed519c5cc100076a227")
+    assert hashlib.sha256(net.points.tobytes()).hexdigest() == (
+        "4650d69c3443dbba951b8a2b9054ed88be284ef171747a78aaeb5e9e8fa13b1c")
+
+
 def test_covering_radius_estimate_tracks_density():
     M = TorusOfRevolution(2, 0.5)
     dense = M.sample(4000, seed=61)
@@ -548,6 +582,30 @@ def test_samples_lie_on_manifold(manifold):
     assert max(manifold.implicit_residual(p) for p in pts) <= 1e-9
     again = manifold.sample(400, seed=79)
     assert np.array_equal(pts, again)
+
+
+@pytest.mark.parametrize("R, r", [(2, 0.5), (3, 1), (1, 0.9)])
+@pytest.mark.parametrize("n, seed", [(0, 1), (1, 2), (7, 3), (1000, 5),
+                                     (60000, 11), (200000, 13)])
+def test_torus_sample_equals_fixed_step_reference(R, r, n, seed):
+    M = TorusOfRevolution(R, r)
+    got = M.sample(n, seed)
+    want = torus_sample_reference(M, n, seed)
+    assert got.shape == (n, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_torus_sample_settles_fixed_points_and_two_cycles():
+    """The benchmark's 60k sample has rows of both settled kinds, so both
+    branches of the sampler run in the reference test above."""
+    history = []
+    M = TorusOfRevolution(2, 0.5)
+    torus_sample_reference(M, 60000, 11, history)
+    bits = np.array(history).view(np.int64)
+    fixed = (bits[1:] == bits[:-1]).any(axis=0)
+    cycle = (bits[2:] == bits[:-2]).any(axis=0) & ~fixed
+    assert fixed.sum() > 40000
+    assert cycle.sum() > 10000
 
 
 def test_torus_sample_covers_tube_angle():

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import (assert_same_star_bitwise, cosph_scan_per_star,
-                      cosph_state, flat_sites, frame_at, reference_star,
-                      site_arrays_per_star, star_is_cut_by)
+from conftest import (assert_same_star_bitwise, compute_star,
+                      cosph_scan_per_star, cosph_state, faces, flat_sites,
+                      frame_at, reference_star, site_arrays_per_star,
+                      star_is_cut_by)
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
                            SingularSystem, SparsityViolation)
 from tandel.geometry import (ElementaryWeight, GammaClass, as_simplex,
-                             circumsphere, classify_gamma, edge_extremes,
-                             faces)
+                             circumsphere, classify_gamma, edge_extremes)
 from tandel.manifolds import (
     FlatPatch,
     SampleSet,
@@ -34,7 +34,6 @@ from tandel.stars import (
     _cell_corners,
     _site_arrays,
     assemble_complex,
-    compute_star,
     tangent_center,
     tangent_centers,
     write_off,

@@ -25,8 +25,9 @@ from scipy.spatial import cKDTree
 
 from . import geometry, refine, stars, verify
 from .errors import SparsityViolation, TandelError
-from .manifolds import (Manifold, SampleSet, farthest_point_net,
-                        parse_manifold, read_points, write_points)
+from .manifolds import (Manifold, SampleSet, closest_pair,
+                        farthest_point_net, parse_manifold, read_points,
+                        write_points)
 from .refine import Parameters, check_hypotheses, derive_constants
 
 REPORT_SCHEMA = "tandel-report/1"
@@ -210,14 +211,9 @@ def cmd_mesh(args) -> int:
 
     if args.net_in:
         pts_in = _load_points(args.net_in, manifold)
-        gaps, nbrs = cKDTree(pts_in).query(pts_in, k=2)
-        i = int(np.argmin(gaps[:, 1]))
-        # with repeated rows the query may list i itself second
-        j = int(nbrs[i, 1] if nbrs[i, 1] != i else nbrs[i, 0])
-        gap = float(gaps[i, 1])
+        gap, i, j = closest_pair(pts_in)
         floor = constants.mu0 * params.epsilon
         if gap <= floor:
-            i, j = sorted((i, j))
             raise SparsityViolation(
                 f"sample points {i} and {j} coincide" if gap == 0.0 else
                 f"sample points {i} and {j} are {gap:.6g} apart, "
@@ -229,10 +225,8 @@ def cmd_mesh(args) -> int:
     state = refine.refine_sample(net, manifold, params)
 
     pts = state.complex.points
-    # the closure of the star union, built once for the writers and the
-    # measurements; star keys are sorted vertex tuples already
-    cplx = verify.AbstractComplex(geometry.closure(
-        s for star in state.complex.stars.values() for s in star.centers))
+    # closed once for the writers and the measurements
+    cplx = verify.AbstractComplex(frozenset(state.complex.simplices()))
     write_points(prefix + ".points.txt", pts)
     stars.write_simplex_list(prefix + ".simplices.txt", cplx.simplices)
     if manifold.m == 2 and manifold.N == 3:

@@ -490,27 +490,50 @@ class FlatPatch(Manifold):
         return f"flat:m={self.m},N={self.N}"
 
 
+# per kind: the constructor and the type of each field it takes
+_SPEC_KINDS = {
+    "sphere": (UnitSphere, {"m": int, "N": int}),
+    "torus": (TorusOfRevolution, {"R": float, "r": float}),
+    "clifford": (CliffordTorus, {"r": float}),
+    "flat": (FlatPatch, {"m": int, "N": int}),
+}
+# the fields a spec may leave out, and the values they then take
+_SPEC_DEFAULTS = {"torus": {"R": 2.0, "r": 0.5}}
+
+
 def parse_manifold(spec: str) -> Manifold:
-    """Build a manifold from a spec string like "sphere:m=2,N=3"."""
+    """Build a manifold from a spec string like "sphere:m=2,N=3".
+
+    Raises:
+        ValueError: naming the field, for a field the kind does not
+            take, a repeated or missing field, or a value that is not a
+            finite float (an int for m and N); or an unknown kind.
+    """
     kind, _, rest = spec.strip().partition(":")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            kv[key.strip()] = val.strip()
-    try:
-        if kind == "sphere":
-            return UnitSphere(int(kv["m"]), int(kv["N"]))
-        if kind == "torus":
-            return TorusOfRevolution(float(kv.get("R", 2.0)),
-                                     float(kv.get("r", 0.5)))
-        if kind == "clifford":
-            return CliffordTorus(float(kv["r"]))
-        if kind == "flat":
-            return FlatPatch(int(kv["m"]), int(kv["N"]))
-    except KeyError as exc:
-        raise ValueError(f"manifold spec {spec!r} missing field {exc}") from exc
-    raise ValueError(f"unknown manifold kind {kind!r}")
+    if kind not in _SPEC_KINDS:
+        raise ValueError(f"unknown manifold kind {kind!r}")
+    cls, types = _SPEC_KINDS[kind]
+    given = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if key not in types:
+            raise ValueError(f"manifold spec {spec!r} has unknown field "
+                             f"{key!r}")
+        if key in given:
+            raise ValueError(f"manifold spec {spec!r} repeats field {key!r}")
+        try:
+            given[key] = types[key](val)
+            finite = math.isfinite(given[key])
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ValueError(f"manifold spec {spec!r} field {key!r} is not a "
+                             f"finite {types[key].__name__}: {val!r}")
+    args = {**_SPEC_DEFAULTS.get(kind, {}), **given}
+    for key in types:
+        if key not in args:
+            raise ValueError(f"manifold spec {spec!r} missing field {key!r}")
+    return cls(**args)
 
 
 # ===== nets and covering =====
@@ -617,12 +640,22 @@ def farthest_point_net(dense, eps: float, seed: int = 0) -> SampleSet:
         b_max[blk] = cur.max(axis=1)
         s_max[sup] = by_super[sup].max(axis=1)
     pts = dense[chosen]
-    if len(pts) > 1:
-        d2, _ = cKDTree(pts).query(pts, k=2)
-        sparsity = float(d2[:, 1].min())
-    else:
-        sparsity = math.inf
-    return SampleSet(points=pts, epsilon=float(eps), sparsity=sparsity)
+    return SampleSet(points=pts, epsilon=float(eps),
+                     sparsity=closest_pair(pts)[0])
+
+
+def closest_pair(points) -> tuple[float, int, int]:
+    """The smallest distance between two rows of points, and rows i < j
+    at that distance, from one k = 2 nearest query; (inf, -1, -1) for
+    fewer than two rows.  Repeated rows are at distance 0."""
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        return math.inf, -1, -1
+    gaps, nbrs = cKDTree(points).query(points, k=2)
+    i = int(np.argmin(gaps[:, 1]))
+    # with repeated rows the query may list i itself second
+    j = int(nbrs[i, 1] if nbrs[i, 1] != i else nbrs[i, 0])
+    return float(gaps[i, 1]), min(i, j), max(i, j)
 
 
 def covering_radius_estimate(manifold: Manifold, points, n_probe: int = 4096,

@@ -1,14 +1,16 @@
 """Refinement loop: grow the sample until every star is small and fat.
 
-Two rules drive the loop, always in priority order.  Rule 1 fires on a
-"big" configuration -- a cell corner at tangent distance >= epsilon
-from its base (box-supported corners count on compact manifolds, where
-an unbounded cell can only mean a coverage hole).  It inserts the
-manifold point under the corner.  Rule 2 fires on a "bad" simplex --
-one that fails the gamma0 quality test, either inside a star or among
-the almost-cospherical simplices seen from a star -- and inserts a
-point picked uniformly from a ball around the offending center, redrawn
-until it is not a vertex of any small thin simplex (a "hitting set").
+Each iteration takes the first unfit configuration, gets a point by the
+rule ``RULES`` names for its kind, counts it and inserts it.  Rule 1
+fires first, on a "big" configuration -- a cell corner at tangent
+distance >= epsilon from its base (box-supported corners count on
+compact manifolds, where an unbounded cell can only mean a coverage
+hole) -- and its point is the manifold point under the corner.  Rule 2
+fires on a "bad" simplex -- one that fails the gamma0 quality test,
+either inside a star or among the almost-cospherical simplices seen
+from a star -- and its point is picked uniformly from a ball around the
+offending center, redrawn until it is not a vertex of any small thin
+simplex (a "hitting set").
 
 Both rule-2 tests are refinement policy and live with the refinement
 state: the gamma0 class of a simplex is cached in
@@ -44,7 +46,7 @@ from .geometry import (  # noqa: F401 - classify_gamma is re-exported
     gamma_classes,
     min_weighted_radius,
 )
-from .manifolds import Manifold, SampleSet, lift_from_tangent
+from .manifolds import Manifold, SampleSet, closest_pair, lift_from_tangent
 from .stars import TangentialComplex, assemble_complex
 
 # how far past reach/2 a chart lift may be attempted before shrinking
@@ -55,6 +57,8 @@ EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
 XI_TILDE = 1.0 / 16.0  # chart margin xi over the reach
 # iterations ``refine`` runs before it gives up with IterationCap
 ITERATION_CAP = 10 ** 6
+# draws ``pick_valid`` makes before it gives up with AttemptBudgetExhausted
+PICK_ATTEMPT_BUDGET = 1000
 
 
 # ===== parameters =====
@@ -74,31 +78,28 @@ class Parameters:
     delta0: float
     mode: str = "practical"
     seed: int = 0
-    pick_attempt_budget: int = 1000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails every comparison, so the negated tests refuse it too
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.gamma0 < 1.0:
             raise ValueError("gamma0 must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
         self.mode = str(self.mode).lower()
         if self.mode not in ("strict", "practical"):
             raise ValueError("mode must be 'strict' or 'practical'")
-        if self.pick_attempt_budget < 1:
-            raise ValueError("budgets must be at least 1")
 
 
 _PARAM_ORDER = ("epsilon", "gamma0", "alpha", "beta", "delta0", "mode",
-                "seed", "pick_attempt_budget")
+                "seed")
 _PARAM_TYPES = {"epsilon": float, "gamma0": float, "alpha": float,
-                "beta": float, "delta0": float, "mode": str, "seed": int,
-                "pick_attempt_budget": int}
+                "beta": float, "delta0": float, "mode": str, "seed": int}
 
 
 def read_parameters(path) -> Parameters:
@@ -273,6 +274,13 @@ class ConfigKind(enum.Enum):
     BAD_STAR = "bad_star"
     BAD_COSPH = "bad_cosph"
     INCONSISTENT = "inconsistent"
+
+
+# per kind: the counter an insertion bumps and the rule its event names
+RULES = {ConfigKind.BIG: ("rule1", "RULE1"),
+         ConfigKind.BAD_STAR: ("rule2_star", "RULE2"),
+         ConfigKind.BAD_COSPH: ("rule2_cosph", "RULE2"),
+         ConfigKind.INCONSISTENT: ("rule2_inconsistent", "RULE2")}
 
 
 @dataclass(frozen=True)
@@ -581,6 +589,21 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
     return None
 
 
+def _lift(state: RefinementState, config: UnfitConfiguration, y):
+    """The manifold point over tangent coordinates y of the
+    configuration's star, lifted no farther than the chart cap; None
+    when the lift leaves the chart or does not converge."""
+    star = state.complex.stars[config.base]
+    rch = state.manifold.reach
+    cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
+    try:
+        return lift_from_tangent(state.manifold,
+                                 state.complex.points[star.base], star.frame,
+                                 y, max_radius=cap)
+    except (OutOfChart, NoConvergence):
+        return None
+
+
 def _pick_audit(x, config: UnfitConfiguration, state: RefinementState):
     """Distance checks a valid pick must satisfy under the hypotheses."""
     star = state.complex.stars[config.base]
@@ -602,34 +625,26 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
     """Draw from the picking region until no hitting set exists.
 
     Raises:
-        AttemptBudgetExhausted: every draw within the budget was a
-            vertex of some small flake.
+        AttemptBudgetExhausted: every one of ``PICK_ATTEMPT_BUDGET``
+            draws was a vertex of some small flake.
         PickAuditFailed: strict mode only -- the accepted point misses
             the distance bounds the guarantees promise.
     """
     params = state.params
-    star = state.complex.stars[config.base]
-    base = state.complex.points[star.base]
     m = state.manifold.m
-    rch = state.manifold.reach
-    cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
     rng = np.random.default_rng([params.seed, state.pick_counter])
     state.pick_counter += 1
     t_c = np.asarray(config.target, dtype=float)
     r_pick = params.alpha * config.radius
-    for _ in range(params.pick_attempt_budget):
+    for _ in range(PICK_ATTEMPT_BUDGET):
         state.counters["pick_attempts"] += 1
         direction = rng.normal(size=m)
         norm = np.linalg.norm(direction)
         if norm < 1e-300:
             continue
         y = t_c + direction / norm * r_pick * rng.uniform() ** (1.0 / m)
-        try:
-            x = lift_from_tangent(state.manifold, base, star.frame, y,
-                                  max_radius=cap)
-        except (OutOfChart, NoConvergence):
-            continue
-        if find_hitting_set(x, config.radius, state) is not None:
+        x = _lift(state, config, y)
+        if x is None or find_hitting_set(x, config.radius, state) is not None:
             continue
         ok, detail = _pick_audit(x, config, state)
         if not ok:
@@ -638,7 +653,7 @@ def pick_valid(config: UnfitConfiguration, state: RefinementState):
             state.counters["pick_audit_miss"] += 1
         return x
     raise AttemptBudgetExhausted(
-        f"no valid pick in {params.pick_attempt_budget} attempts "
+        f"no valid pick in {PICK_ATTEMPT_BUDGET} attempts "
         f"(base={config.base}, kind={config.kind.value})")
 
 
@@ -798,29 +813,16 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
 
 
 def _rule1(state: RefinementState, config: UnfitConfiguration):
-    """Insert the manifold point under a big corner, shrinking toward
-    the base until the lift lands strictly inside the corner ball."""
+    """The manifold point under a big corner, shrinking toward the base
+    until the lift lands strictly inside the corner ball."""
     star = state.complex.stars[config.base]
-    base = state.complex.points[star.base]
-    rch = state.manifold.reach
-    cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
     t_star = np.asarray(config.target, dtype=float)
-    c = base + star.frame.T @ t_star
-    r = config.radius
-    s = 1.0
+    c = state.complex.points[star.base] + star.frame.T @ t_star
+    r_in, s = config.radius * (1.0 - 1e-12), 1.0
     for _ in range(400):
-        y = s * t_star
-        try:
-            x = lift_from_tangent(state.manifold, base, star.frame, y,
-                                  max_radius=cap)
-        except (OutOfChart, NoConvergence):
-            state.counters["shrinks"] += 1
-            s *= 0.85
-            continue
-        if np.linalg.norm(x - c) < r * (1.0 - 1e-12):
-            state.counters["rule1"] += 1
-            return insert(x, state, rule="RULE1", base=config.base,
-                          simplex=config.simplex)
+        x = _lift(state, config, s * t_star)
+        if x is not None and np.linalg.norm(x - c) < r_in:
+            return x
         state.counters["shrinks"] += 1
         s *= 0.85
     raise NoConvergence(
@@ -833,8 +835,7 @@ def refine(state: RefinementState) -> RefinementState:
     Raises:
         IterationCap: the loop ran ITERATION_CAP iterations.
     """
-    params = state.params
-    if not 0.0 < params.delta0 < 0.25:
+    if not 0.0 < state.params.delta0 < 0.25:
         raise HypothesesFailed("refinement needs 0 < delta0 < 1/4")
     for _ in range(ITERATION_CAP):
         state.counters["iterations"] += 1
@@ -842,16 +843,11 @@ def refine(state: RefinementState) -> RefinementState:
         if config is None:
             state.final_audit = _final_audit(state)
             return state
-        if config.kind is ConfigKind.BIG:
-            _rule1(state, config)
-        else:
-            x = pick_valid(config, state)
-            key = {ConfigKind.BAD_STAR: "rule2_star",
-                   ConfigKind.BAD_COSPH: "rule2_cosph",
-                   ConfigKind.INCONSISTENT: "rule2_inconsistent"}[config.kind]
-            state.counters[key] += 1
-            insert(x, state, rule="RULE2", base=config.base,
-                   simplex=config.simplex)
+        counter, rule = RULES[config.kind]
+        x = (_rule1(state, config) if rule == "RULE1"
+             else pick_valid(config, state))
+        state.counters[counter] += 1
+        insert(x, state, rule=rule, base=config.base, simplex=config.simplex)
     raise IterationCap(f"no quiescence within {ITERATION_CAP} iterations")
 
 
@@ -877,12 +873,7 @@ def _final_audit(state: RefinementState) -> dict:
     taus = [tau for entries in state.cosph.values() for tau in entries]
     bad_entries = sum(cls is not GammaClass.GOOD
                       for cls in state.gamma_classes(taus))
-    pts = state.complex.points
-    if len(pts) > 1:
-        d_nn = state.complex.tree.query(pts, k=2)[0][:, 1]
-        min_pair = float(d_nn.min())
-    else:
-        min_pair = float("inf")
+    min_pair = closest_pair(state.complex.points)[0]
     return {
         "max_center_radius": max(radii) if radii else 0.0,
         "radius_ok": (not radii) or max(radii) < eps,

@@ -609,17 +609,15 @@ class TangentialComplex:
                                  self.tree, self.manifold, self.epsilon))
         return self
 
-    def simplices(self, max_dim: int | None = None) -> list:
+    def simplices(self) -> list:
         """All simplices of the complex, the ``geometry.closure`` of the
         star union, sorted by size and then by vertices."""
         out = closure(s for star in self.stars.values() for s in star.centers)
-        if max_dim is not None:
-            out = {s for s in out if len(s) - 1 <= max_dim}
         return sorted(out, key=lambda s: (len(s), s))
 
     def m_simplices(self) -> list:
         m = self.manifold.m
-        return [s for s in self.simplices(max_dim=m) if len(s) == m + 1]
+        return [s for s in self.simplices() if len(s) == m + 1]
 
     def consistency_report(self) -> dict:
         """Map m-simplex -> sorted list of its vertices whose stars miss it."""

@@ -36,7 +36,8 @@ from .errors import (
     UnsupportedDim,
 )
 from .geometry import _combos, as_simplex, circumsphere, closure
-from .manifolds import Manifold, covering_radius_estimate, tangent_frames
+from .manifolds import (Manifold, closest_pair, covering_radius_estimate,
+                        tangent_frames)
 from .stars import tangent_centers
 
 # Hard ceilings for the exhaustive routes; beyond them the cost curve is
@@ -119,13 +120,10 @@ class ComplexDiff:
     only_second: dict
 
 
-def complex_compare(first, second, max_dim: int | None = None) -> ComplexDiff:
-    """Compare two complexes, optionally ignoring simplices above max_dim."""
+def complex_compare(first, second) -> ComplexDiff:
+    """Compare two complexes simplex by simplex."""
     a = as_complex(first)
     b = as_complex(second)
-    if max_dim is not None:
-        a = a.filtered(max_dim)
-        b = b.filtered(max_dim)
     only_a: dict = {}
     only_b: dict = {}
     for s in sorted(a.simplices - b.simplices):
@@ -326,15 +324,6 @@ class OracleResult:
     def resolution(self) -> float:
         return self.band
 
-    def complex_at(self, slack: float) -> AbstractComplex:
-        members = [s for s, spread in self.spreads.items() if spread <= slack]
-        members += [(i,) for i in range(self.n_sites)]
-        return AbstractComplex.from_simplices(members)
-
-    @property
-    def complex(self) -> AbstractComplex:
-        return self.complex_at(self.band)
-
     def candidates(self, dim: int) -> list:
         """Every simplex of the given dimension seen at any spread."""
         return sorted(s for s in self.spreads if len(s) == dim + 1)
@@ -483,13 +472,6 @@ def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray):
         yield np.sqrt((diff * diff).sum(axis=2))
 
 
-def _min_site_gap(sites: np.ndarray) -> float:
-    if len(sites) < 2:
-        return math.inf
-    d, _ = cKDTree(sites).query(sites, k=2)
-    return float(d[:, 1].min())
-
-
 def restricted_delaunay_oracle(points, manifold: Manifold, dense,
                                band: float | None = None) -> OracleResult:
     """Scan a dense on-manifold sample for nearest-site coincidences.
@@ -510,7 +492,7 @@ def restricted_delaunay_oracle(points, manifold: Manifold, dense,
     covering = covering_radius_estimate(manifold, witnesses)
     if band is None:
         band = 2.0 * covering
-    gap = _min_site_gap(sites)
+    gap = closest_pair(sites)[0]
     if band >= 0.5 * gap:
         raise DenseSampleTooCoarse(
             f"band {band:.3g} cannot separate sites {gap:.3g} apart; "
@@ -542,7 +524,7 @@ def intrinsic_delaunay_oracle(points, manifold: Manifold, graph,
     covering = covering_radius_estimate(manifold, graph.points)
     if band is None:
         band = 2.0 * (covering + float(snap_dist.max())) + 2.0 * graph.h
-    gap_sites = _min_site_gap(sites)
+    gap_sites = closest_pair(sites)[0]
     if band >= 0.5 * gap_sites:
         raise DenseSampleTooCoarse(
             f"geodesic band {band:.3g} cannot separate sites "

@@ -42,7 +42,7 @@ from tandel.refine import (
     EPS_TILDE0,
     ITERATION_CAP,
     MU0,
-    ConfigKind,
+    RULES,
     Parameters,
     _rule1,
     _star_bigs,
@@ -693,16 +693,15 @@ def _instrumented_replay(sample, manifold, params):
     rule 2 only ever fires when no big configuration exists anywhere,
     and every accepted pick still has no hitting set."""
     state = make_state(sample, manifold, params)
-    fired = {"rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
-             "rule2_inconsistent": 0}
+    fired = {counter: 0 for counter, _rule in RULES.values()}
     audits = 0
     for _ in range(ITERATION_CAP):
         config = first_unfit(state)
         if config is None:
             break
-        if config.kind is ConfigKind.BIG:
-            _rule1(state, config)
-            fired["rule1"] += 1
+        counter, rule = RULES[config.kind]
+        if rule == "RULE1":
+            x = _rule1(state, config)
         else:
             for p in sorted(state.complex.stars):
                 assert not _star_bigs(state, p), \
@@ -710,13 +709,9 @@ def _instrumented_replay(sample, manifold, params):
             x = pick_valid(config, state)
             assert find_hitting_set(x, config.radius, state) is None
             audits += 1
-            key = {ConfigKind.BAD_STAR: "rule2_star",
-                   ConfigKind.BAD_COSPH: "rule2_cosph",
-                   ConfigKind.INCONSISTENT: "rule2_inconsistent"}[config.kind]
-            fired[key] += 1
-            state.counters[key] += 1
-            insert(x, state, rule="RULE2", base=config.base,
-                   simplex=config.simplex)
+        fired[counter] += 1
+        state.counters[counter] += 1
+        insert(x, state, rule=rule, base=config.base, simplex=config.simplex)
     else:
         raise AssertionError("replay did not reach quiescence")
     return state, fired, audits
@@ -783,6 +778,9 @@ def test_criterion_7_rule_priority_and_pick_validity():
     production = refine_sample(_lattice_patch(), FLAT, lat_params)
     assert len(production.events) == len(state_l.events)
     assert np.allclose(production.complex.points, state_l.complex.points)
+    production.counters.pop("iterations")
+    assert production.counters == {
+        k: v for k, v in state_l.counters.items() if k != "iterations"}
     n_rule2_logged = sum(1 for line in production.event_log
                          if line.startswith("RULE2"))
     assert n_rule2_logged == audits_l

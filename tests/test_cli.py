@@ -208,9 +208,11 @@ class TestMesh:
     def test_removed_update_radius_key_is_usage_error(self, tmp_path,
                                                       capsys):
         # insertion has no radius to set any more, and the iteration cap
-        # is the constant refine.ITERATION_CAP; an old parameters file
-        # naming either is refused like any other unknown key
-        for key, value in [("update_radius_mult", 12), ("iteration_cap", 50)]:
+        # and the pick budget are the constants refine.ITERATION_CAP and
+        # refine.PICK_ATTEMPT_BUDGET; an old parameters file naming any
+        # of them is refused like any other unknown key
+        for key, value in [("update_radius_mult", 12), ("iteration_cap", 50),
+                           ("pick_attempt_budget", 1000)]:
             params_path = tmp_path / f"{key}.params"
             params_path.write_text(
                 "epsilon = 0.35\ngamma0 = 0.05\nalpha = 0.25\n"
@@ -223,6 +225,20 @@ class TestMesh:
             assert err == (f"error: {params_path}:6: unknown parameter "
                            f"{key!r}\n")
             assert not (tmp_path / "u.points.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_or_beta_is_usage_error(self, tmp_path,
+                                                       capsys, flag, value):
+        net_path = tmp_path / "net.txt"
+        np.savetxt(net_path, disk_points(), fmt="%.17g")
+        prefix = tmp_path / "n"
+        code = run("mesh", "--manifold", FLAT, "--net-in", net_path,
+                   flag, value, "--out-prefix", prefix)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]} must be positive and finite\n")
+        assert not (tmp_path / "n.points.txt").exists()
 
     def test_off_manifold_net_point_is_named(self, tmp_path, capsys):
         net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),

@@ -60,6 +60,25 @@ def test_parse_rejects_garbage():
         parse_manifold("clifford:")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("torus:R=3,rr=1", "unknown field 'rr'"),
+    ("sphere:m=2,N=3,k=9", "unknown field 'k'"),
+    ("torus:R=3,r=1,r=2", "repeats field 'r'"),
+    ("clifford:r=nan", "field 'r' is not a finite float: 'nan'"),
+    ("torus:R=inf,r=0.5", "field 'R' is not a finite float"),
+    ("sphere:m=2.5,N=3", "field 'm' is not a finite int"),
+    ("flat:m=2", "missing field 'N'"),
+])
+def test_parse_names_the_bad_field(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_manifold(spec)
+
+
+def test_parse_torus_defaults():
+    assert parse_manifold("torus:r=0.25").spec_string() == "torus:R=2,r=0.25"
+    assert parse_manifold("torus").spec_string() == "torus:R=2,r=0.5"
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         UnitSphere(3, 3)

@@ -16,6 +16,8 @@ from tandel.errors import (
     AttemptBudgetExhausted,
     DegenerateSimplex,
     HypothesesFailed,
+    IterationCap,
+    PickAuditFailed,
     SparsityViolation,
 )
 from tandel.geometry import (
@@ -161,7 +163,7 @@ class TestHypotheses:
 
 class TestParameterIO:
     def test_round_trip(self, tmp_path):
-        p = params_ok(seed=7, pick_attempt_budget=250)
+        p = params_ok(seed=7)
         path = tmp_path / "run.params"
         write_parameters(path, p)
         assert read_parameters(path) == p
@@ -187,7 +189,9 @@ class TestParameterIO:
         p = params_ok(alpha=0.6)
         assert p.alpha == 0.6
         for bad in (dict(epsilon=-1.0), dict(gamma0=1.5), dict(delta0=0.0),
-                    dict(mode="loose"), dict(beta=0.0)):
+                    dict(mode="loose"), dict(beta=0.0),
+                    dict(epsilon=math.nan), dict(epsilon=math.inf),
+                    dict(beta=math.nan), dict(beta=math.inf)):
             with pytest.raises(ValueError):
                 params_ok(**bad)
 
@@ -542,32 +546,52 @@ class TestDegenerateFirstHittingSet:
 # ===== pick_valid =====
 
 class TestPickValid:
-    def test_budget_exhaustion_out_of_chart(self):
+    def test_budget_exhaustion_out_of_chart(self, monkeypatch):
+        monkeypatch.setattr(refine_module, "PICK_ATTEMPT_BUDGET", 5)
         octa = np.array([[0, 0, 1.0], [1, 0, 0], [0, 1, 0], [-1, 0, 0],
                          [0, -1, 0], [0, 0, -1.0]])
         sample = SampleSet(points=octa, epsilon=1.8, sparsity=np.sqrt(2))
-        state = make_state(sample, SPHERE,
-                           params_ok(epsilon=1.8, pick_attempt_budget=5))
+        state = make_state(sample, SPHERE, params_ok(epsilon=1.8))
         cfg = UnfitConfiguration(ConfigKind.BAD_STAR, 0, (0, 1, 2), 3.0,
                                  np.array([3.0, 0.0]))
-        with pytest.raises(AttemptBudgetExhausted):
+        with pytest.raises(AttemptBudgetExhausted, match="in 5 attempts"):
             pick_valid(cfg, state)
+        assert state.counters["pick_attempts"] == 5
 
-    def test_pick_lands_in_region(self):
+    @staticmethod
+    def flat_case():
+        """A flat state, a rule-2 configuration at the first triangle of
+        star 0, and the triangle's centre."""
         pts = FLAT.sample(50, seed=3)
         sample = SampleSet(points=pts, epsilon=0.5, sparsity=0.0)
         state = make_state(sample, FLAT, params_ok(epsilon=0.5, seed=12))
-        cfg = first_unfit(state)
         star = state.complex.stars[0]
         c, r = next(iter(star.centers.values()))
         target = star.frame @ (c - state.complex.points[star.base])
         cfg = UnfitConfiguration(ConfigKind.BAD_STAR, 0,
                                  next(iter(star.centers)), r, target)
+        return state, cfg, c
+
+    def test_pick_lands_in_region(self):
+        state, cfg, c = self.flat_case()
         x = pick_valid(cfg, state)
-        assert np.linalg.norm(x - c) <= 0.25 * r * (1 + 1e-9)
+        assert np.linalg.norm(x - c) <= 0.25 * cfg.radius * (1 + 1e-9)
         # same seed and counter state picks the same point
-        state2 = make_state(sample, FLAT, params_ok(epsilon=0.5, seed=12))
+        state2, _cfg, _c = self.flat_case()
         assert np.allclose(pick_valid(cfg, state2), x)
+
+    def test_audit_miss_counts_in_practical_and_raises_in_strict(
+            self, monkeypatch):
+        monkeypatch.setattr(refine_module, "_pick_audit",
+                            lambda x, config, state: (False, "forced miss"))
+        state, cfg, _c = self.flat_case()
+        x = pick_valid(cfg, state)
+        assert state.counters["pick_audit_miss"] == 1
+        assert find_hitting_set(x, cfg.radius, state) is None
+        state.params.mode = "strict"
+        with pytest.raises(PickAuditFailed, match="forced miss"):
+            pick_valid(cfg, state)
+        assert state.counters["pick_audit_miss"] == 1
 
 
 # ===== insertion guards =====
@@ -766,6 +790,17 @@ def hole_sample(eps=0.5):
 def flat_hole_state():
     params = params_ok(epsilon=0.5, gamma0=0.02, seed=1)
     return refine_sample(hole_sample(), FLAT, params)
+
+
+def test_iteration_cap_stops_the_loop(monkeypatch):
+    monkeypatch.setattr(refine_module, "ITERATION_CAP", 1)
+    state = make_state(hole_sample(), FLAT,
+                       params_ok(epsilon=0.5, gamma0=0.02, seed=1))
+    with pytest.raises(IterationCap, match="within 1 iterations"):
+        refine(state)
+    assert state.counters["iterations"] == 1
+    assert [e["rule"] for e in state.events] == ["RULE1"]
+    assert state.final_audit is None
 
 
 class TestFlatHoleRun:

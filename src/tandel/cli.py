@@ -27,7 +27,7 @@ from . import geometry, refine, stars, verify
 from .errors import SparsityViolation, TandelError
 from .manifolds import (Manifold, SampleSet, closest_pair,
                         farthest_point_net, parse_manifold, read_points,
-                        write_points)
+                        read_table, write_points)
 from .refine import Parameters, check_hypotheses, derive_constants
 
 REPORT_SCHEMA = "tandel-report/1"
@@ -76,23 +76,40 @@ def _load_points(path, manifold: Manifold):
 
 
 def _load_complex(path, n_points: int):
-    simplices = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                simplex = geometry.as_simplex(line.split())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-            if simplex[0] < 0 or simplex[-1] >= n_points:  # sorted labels
-                raise ValueError(f"{path}:{ln}: vertex labels must be in "
-                                 f"0..{n_points - 1}")
-            simplices.append(simplex)
-    if not simplices:
+    """The closed complex of a simplex file, one simplex per line: vertex
+    labels in any order, separated by whitespace, with ``#`` comments.
+    The file need not be face-closed.
+
+    ``read_table`` parses it; the rows of each width become one label
+    array, whose row sort, repeated labels and label range are array
+    tests, and ``geometry.closure`` closes the arrays.
+
+    Raises:
+        ValueError: naming ``path:line`` (the earliest failing line), for
+            a token that is not an integer, a repeated label or a label
+            outside 0..n_points-1; naming ``path`` for an empty file.
+    """
+    values, widths, lines = read_table(path, np.intp)
+    if not len(widths):
         raise ValueError(f"{path}: no simplices")
-    return verify.AbstractComplex(geometry.closure(simplices))
+    starts = np.cumsum(widths) - widths
+    blocks, failures = [], []
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        at = np.flatnonzero(widths == width)
+        rows, repeats = geometry.sort_rows(
+            values[starts[at, None] + np.arange(width)])
+        bad = repeats | (rows[:, 0] < 0) | (rows[:, -1] >= n_points)
+        if bad.any():
+            i = int(bad.argmax())
+            failures.append((lines[at[i]], (
+                f"duplicate vertex indices in simplex "
+                f"{tuple(rows[i].tolist())}" if repeats[i] else
+                f"vertex labels must be in 0..{n_points - 1}")))
+        blocks.append(rows)
+    if failures:
+        line, message = min(failures)
+        raise ValueError(f"{path}:{line}: {message}")
+    return verify.AbstractComplex(geometry.closure(blocks))
 
 
 def _params_from_args(args) -> Parameters:
@@ -160,13 +177,13 @@ def _mesh_measurements(state, cplx, manifold: Manifold) -> dict:
     """Measurements of the refined output, whose closed complex is cplx."""
     pts = state.complex.points
     m = manifold.m
-    edges = np.array(cplx.of_dim(1), dtype=np.intp).reshape(-1, 2)
+    edges = cplx.rows(1)
     diff = pts[edges[:, 0]] - pts[edges[:, 1]]
     # vecdot takes the dot product np.linalg.norm takes, row by row
     min_edge = (float(np.sqrt(np.vecdot(diff, diff)).min()) if len(edges)
                 else math.inf)
-    tops = cplx.of_dim(m)
-    min_thick = (float(geometry.thicknesses(tops, pts).min()) if tops
+    tops = cplx.rows(m)
+    min_thick = (float(geometry.thicknesses(tops, pts).min()) if len(tops)
                  else math.inf)
     params = state.params
     threshold = (params.delta0 ** 2 * state.constants.mu0 ** 2
@@ -226,11 +243,11 @@ def cmd_mesh(args) -> int:
 
     pts = state.complex.points
     # closed once for the writers and the measurements
-    cplx = verify.AbstractComplex(frozenset(state.complex.simplices()))
+    cplx = verify.AbstractComplex(state.complex.faces())
     write_points(prefix + ".points.txt", pts)
-    stars.write_simplex_list(prefix + ".simplices.txt", cplx.simplices)
+    stars.write_simplex_list(prefix + ".simplices.txt", cplx.faces)
     if manifold.m == 2 and manifold.N == 3:
-        stars.write_off(prefix + ".off", pts, cplx.of_dim(2))
+        stars.write_off(prefix + ".off", pts, cplx.rows(2))
     with open(prefix + ".events.log", "w") as fh:
         for line in state.event_log:
             fh.write(line + "\n")

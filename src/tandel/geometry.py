@@ -8,7 +8,8 @@ Conventions used throughout:
 
 * a simplex is a sorted tuple of vertex indices into a point array of
   shape (n, N); its combinatorial dimension is ``len(simplex) - 1`` and
-  vertices are allowed to be affinely degenerate,
+  vertices are allowed to be affinely degenerate; stacks of simplices
+  of one size are (n, k) index arrays, one simplex per row,
 * ``L`` is the shortest edge length and ``Delta`` the longest (the
   diameter), both 0 for a single vertex,
 * all rank/degeneracy decisions use a relative tolerance of 1e-9
@@ -446,16 +447,89 @@ def subspace_angle(bu: np.ndarray, bv: np.ndarray) -> float:
 
 # ===== quality classification =====
 
-def closure(simplices) -> frozenset:
-    """Every nonempty face of the given sorted vertex tuples: the one face
-    closure of the package.  The largest come first, so a simplex that is
-    a face of one already walked skips its own walk."""
-    closed = set()
-    for simplex in sorted(set(simplices), key=len, reverse=True):
-        if simplex not in closed:
-            for k in range(1, len(simplex) + 1):
-                closed.update(itertools.combinations(simplex, k))
-    return frozenset(closed)
+def sort_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of an (n, k) label array sorted ascending, and the mask of
+    the rows that repeat a label."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows = np.sort(rows, axis=1)
+    return rows, (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+
+
+def simplex_blocks(simplices) -> list:
+    """Vertex collections as one (n, k) label array per size k."""
+    by_size: dict = {}
+    for s in simplices:
+        s = tuple(s)
+        by_size.setdefault(len(s), []).append(s)
+    return [np.array(rows, dtype=np.intp).reshape(len(rows), k)
+            for k, rows in by_size.items()]
+
+
+def unique_rows(rows: np.ndarray):
+    """The distinct rows of an (n, k) integer array in lexicographic order,
+    the index of each row among them, and the number of rows equal to
+    each.  The rows are ordered by one sort of a mixed-radix key per row
+    (a sort on every column when the keys would overflow int64)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    n, k = rows.shape
+    if not n:
+        return rows, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    lo = int(rows.min())
+    radix = int(rows.max()) - lo + 1
+    if radix ** k < 2 ** 63:
+        key = rows[:, 0] - lo
+        for j in range(1, k):
+            key = key * radix + (rows[:, j] - lo)
+        order = np.argsort(key)
+        ordered = key[order]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+    step = ordered[1:] != ordered[:-1]
+    first = np.ones(n, dtype=bool)  # differs from the row before
+    first[1:] = step if step.ndim == 1 else step.any(axis=1)
+    group = np.cumsum(first) - 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = group
+    return rows[order[first]], inverse, np.bincount(group)
+
+
+def closure(blocks) -> tuple:
+    """Every nonempty face of the given simplices: the one face closure of
+    the package.
+
+    ``blocks`` are (n, k) integer label arrays, one simplex per row, of
+    any sizes k and in any order; rows need not be sorted and may repeat.
+    Returns ``faces``, where ``faces[d]`` is the (n_d, d + 1) array of
+    every d-face, each row sorted ascending, the rows distinct and in
+    lexicographic order, for d = 0 .. the largest simplex's dimension
+    (an empty tuple for no simplex).  The faces of one size are the input
+    rows of that size and the facets (column subsets missing one column)
+    of the faces one size up, so sizes are walked from the largest down.
+
+    Raises:
+        ValueError: a row repeats a label.
+    """
+    by_size: dict = {}
+    for block in blocks:
+        block = np.asarray(block, dtype=np.intp)
+        if block.size:
+            rows, repeats = sort_rows(block)
+            if repeats.any():
+                bad = tuple(rows[repeats.argmax()].tolist())
+                raise ValueError(f"duplicate vertex indices in simplex {bad}")
+            by_size.setdefault(rows.shape[1], []).append(rows)
+    if not by_size:
+        return ()
+    faces, up = [], None
+    for k in range(max(by_size), 0, -1):
+        parts = by_size.get(k, [])
+        if up is not None:
+            parts = parts + [up[:, _combos(k + 1, k)].reshape(-1, k)]
+        up = unique_rows(np.concatenate(parts))[0]
+        faces.append(up)
+    return tuple(faces[::-1])
 
 
 def gamma_classes(taus, pts, gamma0: float) -> list:

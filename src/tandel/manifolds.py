@@ -20,6 +20,8 @@ with the ``math`` calls that built its frame.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -708,34 +710,115 @@ def build_geodesic_graph(manifold: Manifold, n_dense: int, seed: int = 0,
 
 # ===== point I/O =====
 
+# the bytes ``bytes.split()`` separates tokens at
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[list(b" \t\n\r\x0b\x0c")] = True
+
+
+def _parse(data: bytes, dtype):
+    """Every number of whitespace-separated text, or None when a token is
+    not one (numpy then raises, or warns and stops reading)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(data, dtype=dtype, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _is_number(token: bytes, dtype) -> bool:
+    words = token.split()
+    # numpy reads a lone sign as an integer 0
+    if len(words) != 1 or words[0] in (b"+", b"-"):
+        return False
+    values = _parse(words[0], dtype)
+    return values is not None and len(values) == 1
+
+
+def read_table(path, dtype, comma: bool = False):
+    """The numbers of a text file, one row per line that holds any.
+
+    ``#`` starts a comment, and tokens are separated by whitespace; with
+    ``comma``, a line that holds a comma has its tokens separated by
+    commas instead.  The whole text is parsed by one ``np.fromstring``
+    call, which is checked to have read every token; the lines are
+    looked at one by one only to name the line of a token that failed.
+
+    Returns (values, widths, lines): the numbers in file order, the
+    number of tokens of each row, and the file line (from 1) of each row.
+
+    Raises:
+        ValueError: naming ``path:line`` and the token, for a token that
+            is not one number of ``dtype``.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if "#" in text:
+        text = re.sub("#[^\n]*", "", text)
+    data = text.encode()
+    spaced = data.replace(b",", b" ") if comma else data
+    raw = np.frombuffer(spaced, dtype=np.uint8)
+    # blank[i] at padded[i + 1]; a token starts after a blank byte
+    padded = np.concatenate(([True], _BLANK[raw], [True]))
+    start = np.flatnonzero(padded[:-2] > padded[1:-1])
+    newlines = np.flatnonzero(raw == ord("\n"))
+    line_of = np.searchsorted(newlines, start)
+    widths = np.bincount(line_of, minlength=len(newlines) + 1)
+    values = _parse(spaced, dtype) if len(start) else np.zeros(0, dtype)
+    first = raw[start]
+    ok = (values is not None and len(values) == len(start)
+          and not (((first == ord("+")) | (first == ord("-")))
+                   & padded[start + 2]).any())
+    if comma and ok and b"," in data:
+        # a comma line has one comma between each two of its tokens
+        at = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
+        commas = np.bincount(np.searchsorted(newlines, at),
+                             minlength=len(widths))
+        seen = np.searchsorted(at, start)
+        glued = ((line_of[1:] == line_of[:-1]) & (seen[1:] == seen[:-1])
+                 & (commas[line_of[1:]] > 0))
+        ok = bool(((commas == 0) | (widths == commas + 1)).all()
+                  and not glued.any())
+    if not ok:
+        kind = "int" if np.issubdtype(dtype, np.integer) else "float"
+        for ln, line in enumerate(data.split(b"\n"), 1):
+            tokens = (line.split(b",") if comma and b"," in line
+                      else line.split())
+            for token in tokens:
+                if not _is_number(token, dtype):
+                    raise ValueError(f"{path}:{ln}: could not convert "
+                                     f"string to {kind}: {token.decode()!r}")
+        raise ValueError(f"{path}: could not read its numbers")
+    rows = np.flatnonzero(widths)
+    return values, widths[rows], rows + 1
+
+
 def read_points(path) -> np.ndarray:
-    """Read one point per line (whitespace- or comma-separated, # comments).
+    """Read one point per line (whitespace- or comma-separated, # comments)
+    into an (n, N) array, by ``read_table``.
 
     Raises:
         ValueError: naming ``path:line``, for a token that is not a
             number, a nan or infinite coordinate, or a row whose width
-            differs from the first row's.
+            differs from the first row's; the earliest line is named.
     """
-    rows = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}:{ln}: non-finite coordinate")
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{path}:{ln}: {len(row)} columns, the "
-                                 f"first row has {len(rows[0])}")
-            rows.append(row)
-    if not rows:
+    values, widths, lines = read_table(path, float, comma=True)
+    if not len(widths):
         return np.zeros((0, 0))
-    return np.asarray(rows, dtype=float)
+    failures = []  # (line, message), a line's first failure first
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        i = np.searchsorted(np.cumsum(widths), bad[0], side="right")
+        failures.append((lines[i], "non-finite coordinate"))
+    wrong = np.flatnonzero(widths != widths[0])
+    if len(wrong):
+        i = wrong[0]
+        failures.append((lines[i], f"{widths[i]} columns, the first row "
+                                   f"has {widths[0]}"))
+    if failures:
+        line, message = min(failures, key=lambda f: f[0])
+        raise ValueError(f"{path}:{line}: {message}")
+    return values.reshape(len(widths), widths[0])
 
 
 def write_points(path, points, header: str | None = None):

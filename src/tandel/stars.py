@@ -62,7 +62,7 @@ from .errors import (
     SparsityViolation,
     TandelError,
 )
-from .geometry import closure
+from .geometry import closure, simplex_blocks
 from .manifolds import Manifold, SampleSet, tangent_frames
 
 COND_LIMIT = 1e12
@@ -609,15 +609,30 @@ class TangentialComplex:
                                  self.tree, self.manifold, self.epsilon))
         return self
 
+    def faces(self) -> tuple:
+        """The ``geometry.closure`` of the star union: one sorted array of
+        the simplices of each dimension."""
+        keys = {s for star in self.stars.values() for s in star.centers}
+        return closure(simplex_blocks(keys))
+
     def simplices(self) -> list:
-        """All simplices of the complex, the ``geometry.closure`` of the
-        star union, sorted by size and then by vertices."""
-        out = closure(s for star in self.stars.values() for s in star.centers)
-        return sorted(out, key=lambda s: (len(s), s))
+        """All simplices of the complex, sorted by size and then by
+        vertices."""
+        return [s for rows in self.faces() for s in map(tuple, rows.tolist())]
 
     def m_simplices(self) -> list:
+        """The m-simplices of the complex, sorted: the (m + 1)-vertex star
+        keys and the (m + 1)-subsets of the larger keys of degenerate
+        corners, as in the closure."""
         m = self.manifold.m
-        return [s for s in self.simplices() if len(s) == m + 1]
+        out = set()
+        for star in self.stars.values():
+            for s in star.centers:
+                if len(s) == m + 1:
+                    out.add(s)
+                else:
+                    out.update(itertools.combinations(s, m + 1))
+        return sorted(out)
 
     def consistency_report(self) -> dict:
         """Map m-simplex -> sorted list of its vertices whose stars miss it."""
@@ -723,22 +738,27 @@ def assemble_complex(sample: SampleSet,
 
 # ===== export =====
 
-def write_simplex_list(path, simplices):
+def write_simplex_list(path, faces):
+    """One simplex per line, its vertex labels separated by spaces: the
+    rows of each label array of ``faces`` in turn (``geometry.closure``
+    gives them by dimension, each in sorted order)."""
     with open(path, "w") as fh:
-        for s in sorted(simplices, key=lambda s: (len(s), s)):
-            fh.write(" ".join(str(v) for v in s) + "\n")
+        for rows in faces:
+            fh.writelines(" ".join(map(str, s)) + "\n"
+                          for s in np.asarray(rows).tolist())
 
 
 def write_off(path, points, triangles):
-    """OFF surface export (2-complex in R^3 only)."""
+    """OFF surface export (2-complex in R^3 only) of an (n, 3) array of
+    vertex labels."""
     points = np.asarray(points, dtype=float)
     if points.shape[1] != 3:
         raise ValueError("OFF export needs points in R^3")
-    tris = [t for t in triangles if len(t) == 3]
+    tris = np.asarray(triangles, dtype=np.intp).reshape(-1, 3).tolist()
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(points)} {len(tris)} 0\n")
         for row in points:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
         for t in tris:
-            fh.write("3 " + " ".join(str(v) for v in t) + "\n")
+            fh.write("3 " + " ".join(map(str, t)) + "\n")

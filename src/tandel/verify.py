@@ -18,9 +18,9 @@ judge membership.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,8 @@ from .errors import (
     TooLarge,
     UnsupportedDim,
 )
-from .geometry import _combos, as_simplex, circumsphere, closure
+from .geometry import (_combos, as_simplex, circumsphere, closure,
+                       simplex_blocks, unique_rows)
 from .manifolds import (Manifold, closest_pair, covering_radius_estimate,
                         tangent_frames)
 from .stars import tangent_centers
@@ -55,48 +56,71 @@ EXTRA_BAND_FACTOR = 3.0
 # ===== Abstract complexes =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbstractComplex:
     """A face-closed set of simplices over integer vertex labels.
 
-    Simplices are stored as sorted tuples.  The constructor takes a
-    ``geometry.closure``; ``from_simplices`` closes any input.
+    ``faces[d]`` is the (n_d, d + 1) integer array of the d-simplices,
+    each row sorted ascending, the rows distinct and in lexicographic
+    order, for d = 0 .. ``max_dim``: the form ``geometry.closure``
+    returns, which the constructor takes.  ``from_simplices`` closes
+    vertex collections.  ``rows``, ``of_dim``, ``counts``, ``vertices``,
+    ``max_dim`` and ``filtered`` read the arrays; ``simplices``, the set
+    of sorted vertex tuples, is built on first use for set algebra.  Two
+    complexes are equal when they hold the same simplices.
     """
 
-    simplices: frozenset
+    faces: tuple
 
     @staticmethod
     def from_simplices(items) -> "AbstractComplex":
-        """The ``geometry.closure`` of the items, each put through
-        ``as_simplex``."""
-        return AbstractComplex(closure(map(as_simplex, items)))
+        """The closure of vertex collections of any sizes."""
+        return AbstractComplex(closure(simplex_blocks(items)))
+
+    @functools.cached_property
+    def simplices(self) -> frozenset:
+        return frozenset(s for d in range(len(self.faces))
+                         for s in self.of_dim(d))
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(map(len, self.faces))
 
     def __contains__(self, item) -> bool:
         return as_simplex(item) in self.simplices
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AbstractComplex):
+            return NotImplemented
+        return (len(self.faces) == len(other.faces)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self.faces, other.faces)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(rows.tobytes() for rows in self.faces))
+
+    def rows(self, d: int) -> np.ndarray:
+        """The (n_d, d + 1) array of the d-simplices."""
+        if 0 <= d < len(self.faces):
+            return self.faces[d]
+        return np.zeros((0, d + 1), dtype=np.intp)
+
     def of_dim(self, d: int) -> list:
-        return sorted(s for s in self.simplices if len(s) == d + 1)
+        """The d-simplices as sorted vertex tuples, in sorted order."""
+        return list(map(tuple, self.rows(d).tolist()))
 
     @property
     def vertices(self) -> list:
-        return [s[0] for s in self.of_dim(0)]
+        return self.rows(0)[:, 0].tolist()
 
     @property
     def max_dim(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.faces) - 1
 
     def counts(self) -> dict:
-        sizes = Counter(map(len, self.simplices))
-        return {size - 1: n for size, n in sorted(sizes.items())}
+        return {d: len(rows) for d, rows in enumerate(self.faces)}
 
     def filtered(self, max_dim: int) -> "AbstractComplex":
-        kept = frozenset(s for s in self.simplices if len(s) - 1 <= max_dim)
-        return AbstractComplex(simplices=kept)
+        return AbstractComplex(self.faces[:max(max_dim + 1, 0)])
 
 
 def as_complex(obj) -> AbstractComplex:
@@ -594,18 +618,6 @@ def _split_cells(cells: np.ndarray, size: int):
             cells[:, rest].reshape(-1, width - size))
 
 
-def _unique_rows(rows: np.ndarray):
-    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
-    by one lexsort, without the structured view that makes it slow."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
-    group = np.cumsum(first) - 1
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = group
-    return ordered[first], inverse, np.bincount(group)
-
-
 def _link_components(owner_parts, n_labels: int, n_owners: int):
     """Connected components of every owner's link graph, in one call.
 
@@ -641,13 +653,13 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     connected surface of Euler characteristic 2.  The complex must also
     be pure (every simplex a face of an m-simplex).
 
-    The checks run on index arrays of the top cells.  The ridges are
-    counted by one sort of their rows (``_unique_rows``).  The complex
-    is pure exactly when the closure of its top cells has as many faces
-    of each dimension as the complex.  A node of the link of a face f is
-    a vertex w with f + w in a top cell, and its degree is the number of
-    top cells on the ridge through f + w (for a vertex link in m = 3,
-    whether that ridge count is 2 decides closedness).  So a
+    The checks run on the complex's array of top cells.  The ridges are
+    counted by one sort of their row keys (``geometry.unique_rows``).
+    The complex is pure exactly when the closure of its top cells has as
+    many faces of each dimension as the complex.  A node of the link of
+    a face f is a vertex w with f + w in a top cell, and its degree is the
+    number of top cells on the ridge through f + w (for a vertex link in
+    m = 3, whether that ridge count is 2 decides closedness).  So a
     codimension-2 link is a single cycle and an m = 3 vertex link is
     closed exactly when the face has a top cell and lies in no bad
     ridge, and what remains is connectedness, judged for every link at
@@ -664,17 +676,17 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     if m not in (2, 3):
         raise UnsupportedDim(f"manifold test supports m in {{2, 3}}, not {m}")
     k = as_complex(cplx)
-    top_cells = k.of_dim(m)
+    top = k.rows(m)
     diagnostics: dict = {"bad_ridges": [], "bad_links": [], "impure": []}
-    if not top_cells:
+    if not len(top):
         diagnostics["impure"] = sorted(k.simplices)
         return False, diagnostics
-    # labels from 0 (top_cells is sorted), so that they index counts and
+    # labels from 0 (the rows are sorted), so that they index counts and
     # key link nodes
-    lo = top_cells[0][0]
-    top = np.array(top_cells, dtype=np.intp) - lo
+    lo = int(top[0, 0])
+    top = top - lo
     ridge_of, _rest = _split_cells(top, m)
-    ridges, ridge_at, ridge_count = _unique_rows(ridge_of)
+    ridges, ridge_at, ridge_count = unique_rows(ridge_of)
     bad = ridge_count != 2
     diagnostics["bad_ridges"] = list(zip(
         map(tuple, (ridges[bad] + lo).tolist()), ridge_count[bad].tolist()))
@@ -683,13 +695,13 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
 
     # faces of the top-cell closure, and the owners of the judged links:
     # vertices (m = 2) or edges and vertices (m = 3)
-    closure = {m: top, m - 1: ridges}
+    closed = {m: top, m - 1: ridges}
     n_labels = int(top.max()) + 1
     parts, judged, offset = [], [], 0
     for d in range(m - 2, -1, -1):
         face_of, rest = _split_cells(top, d + 1)
-        faces, owner, _count = _unique_rows(face_of)
-        closure[d] = faces
+        faces, owner, _count = unique_rows(face_of)
+        closed[d] = faces
         # a face lies in a bad ridge when some top cell on it has one
         # opposite a vertex outside the face
         positions = _combos(m + 1, m - d)[::-1]
@@ -697,7 +709,7 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
         bad_face = np.bincount(owner[in_bad], minlength=len(faces)) > 0
         if d == 0 and m == 3:
             # chi of a vertex link: edges - triangles + tetrahedra on it
-            chi = sum((-1) ** j * np.bincount(closure[j + 1].reshape(-1),
+            chi = sum((-1) ** j * np.bincount(closed[j + 1].reshape(-1),
                                               minlength=n_labels)
                       for j in range(3))
             bad_face |= chi[faces[:, 0]] != 2
@@ -707,8 +719,9 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     components = _link_components(parts, n_labels, offset)
 
     counts = k.counts()
-    if counts != {d: len(faces) for d, faces in closure.items()}:
-        covered = AbstractComplex.from_simplices(top_cells).simplices
+    if counts != {d: len(faces) for d, faces in closed.items()}:
+        covered = AbstractComplex(
+            tuple(closed[d] + lo for d in range(m + 1))).simplices
         diagnostics["impure"] = sorted(k.simplices - covered)
     bad_links = {}
     for faces, bad_face, start in judged:
@@ -855,7 +868,7 @@ def power_protection_audit(cplx, points, manifold: Manifold,
     """
     pts = np.asarray(points, dtype=float)
     m = manifold.m
-    top = np.array(as_complex(cplx).of_dim(m), dtype=np.intp).reshape(-1, m + 1)
+    top = as_complex(cplx).rows(m)
     # entry (simplex i, vertex j) is row i * (m + 1) + j
     verts = np.repeat(top, m + 1, axis=0)
     base = top.reshape(-1)

@@ -1,9 +1,10 @@
 """Shared fixtures: reference samples; the tangent frame at one point;
-the faces of a simplex; the one-vertex star build; the one-at-a-time
-references for the power-cell corners, the fixed-step torus sampler, the
-farthest-point net, the site arrays, the cut test and the cosph scan; a
-bitwise comparison of two stars; a refinement state around a built
-complex; and session-scoped refinement runs."""
+the faces of a simplex; the tuple-walk face closure; the one-vertex star
+build; the one-at-a-time references for the power-cell corners, the
+fixed-step torus sampler, the farthest-point net, the site arrays, the
+cut test and the cosph scan; a bitwise comparison of two stars; a
+refinement state around a built complex; and session-scoped refinement
+runs."""
 import itertools
 import math
 import time
@@ -76,6 +77,16 @@ def faces(simplex, min_dim=0, max_dim=None):
     hi = j if max_dim is None else min(max_dim, j)
     for dim in range(min_dim, hi + 1):
         yield from itertools.combinations(simplex, dim + 1)
+
+
+def closure_by_walk(simplices) -> frozenset:
+    """Every nonempty face of vertex collections, as sorted tuples: the
+    tuple walk that is the reference for ``geometry.closure``."""
+    closed = set()
+    for simplex in {as_simplex(s) for s in simplices}:
+        for k in range(1, len(simplex) + 1):
+            closed.update(itertools.combinations(simplex, k))
+    return frozenset(closed)
 
 
 def compute_star(p, sample, manifold):

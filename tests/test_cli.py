@@ -373,7 +373,14 @@ class TestVerify:
         pytest.param(f"0 1 {label}", "vertex labels must be in 0..2",
                      id=label) for label in ("7", "3", "-1")] + [
         pytest.param("1 1 2", "duplicate vertex indices in simplex (1, 1, 2)",
-                     id="repeated")])
+                     id="repeated"),
+        pytest.param("2 0 2", "duplicate vertex indices in simplex (0, 2, 2)",
+                     id="repeated-unsorted")] + [
+        pytest.param(f"0 1 {token}",
+                     f"could not convert string to int: {token!r}", id=name)
+        for name, token in [("word", "x"), ("decimal", "2.0"),
+                            ("exponent", "2e0"), ("sign", "-"),
+                            ("glued", "2x"), ("comma", "1,2")]])
     def test_vertex_label_out_of_range_is_usage_error(self, tmp_path,
                                                       capsys, line, message):
         # a label past the points used to end in an IndexError traceback,
@@ -387,6 +394,62 @@ class TestVerify:
                      "--manifold", SPHERE, "--delta2", "1e-9"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {cpx}:2: {message}\n"
+
+    @pytest.mark.parametrize("rows,line,token", [
+        ("0 0 1\n1 0 abc\n0 1 0\n", 2, "abc"),
+        ("# header\n0 0 1\n\n1,0,\n0 1 0\n", 4, ""),
+        ("0 0 1\n1 0 0\n0 1 0x\n", 3, "0x")],
+        ids=["word", "empty-field", "glued"])
+    def test_non_number_coordinate_is_usage_error(self, tmp_path, capsys,
+                                                  rows, line, token):
+        pts = tmp_path / "p.txt"
+        pts.write_text(rows)
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 2\n")
+        code = main(["verify", "--complex", str(cpx), "--points", str(pts),
+                     "--manifold", SPHERE, "--delta2", "1e-9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pts}:{line}: could not convert string to float: "
+            f"{token!r}\n")
+
+    def test_earliest_bad_line_is_named(self, tmp_path, capsys):
+        pts = tmp_path / "p.txt"
+        pts.write_text("0 0 1\n1 0 0\n0 1 0\n")
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1\n0 1 9\n1 1\n")
+        code = main(["verify", "--complex", str(cpx), "--points", str(pts),
+                     "--manifold", SPHERE, "--delta2", "1e-9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cpx}:2: vertex labels must be in 0..2\n")
+
+    def test_comments_blanks_commas_and_open_faces_verify_alike(
+            self, meshed, tmp_path):
+        """Comment and blank lines in both files, comma-separated point
+        rows, and a complex file of its triangles alone give the
+        ``verify.json`` of the mesh's own files."""
+        def verify_json(cpx, pts, name):
+            out = tmp_path / name
+            code = main(["verify", "--complex", str(cpx), "--points",
+                         str(pts), "--manifold", SPHERE, "--delta2", "1e-8",
+                         "--euler", "2", "--out", str(out)])
+            assert code == 0
+            return out.read_text()
+
+        cpx, pts = meshed / "m.simplices.txt", meshed / "m.points.txt"
+        want = verify_json(cpx, pts, "plain.json")
+        lines = cpx.read_text().splitlines()
+        tris = tmp_path / "tris.txt"
+        tris.write_text("# triangles only\n\n" + "\n".join(
+            " ".join(ln.split()[::-1]) + "  # reversed"
+            for ln in lines if len(ln.split()) == 3) + "\n")
+        rows = pts.read_text().splitlines()
+        csv = tmp_path / "p.csv"
+        csv.write_text("# x, y, z\n" + "\n".join(
+            (",".join(r.split()) if i % 2 else r) + ("\n" if i % 5 else "")
+            for i, r in enumerate(rows)) + "\n\n")
+        assert verify_json(tris, csv, "other.json") == want
 
 
 def test_non_finite_net_in_row_is_usage_error(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Builtin manifolds: projections, tangent frames, lifts, nets, point I/O."""
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (farthest_point_net_reference, frame_at,
@@ -29,6 +31,7 @@ from tandel.manifolds import (
     lift_from_tangent,
     parse_manifold,
     read_points,
+    read_table,
     tangent_frames,
     write_points,
 )
@@ -672,6 +675,66 @@ def test_point_io_bad_token(tmp_path):
     with pytest.raises(ValueError, match=r"bad.txt:3: could not convert "
                                          r"string to float: 'abc'$"):
         read_points(path)
+
+
+def _table_by_lines(text, number, comma):
+    """The per-line parse that ``read_table`` answers like: (values,
+    widths, lines), or the first line holding a bad token."""
+    values, widths, lines = [], [], []
+    for ln, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0]
+        tokens = line.split(",") if comma and "," in line else line.split()
+        try:
+            row = [number(t) for t in tokens]
+        except ValueError:
+            return ln
+        if row:
+            values += row
+            widths.append(len(row))
+            lines.append(ln)
+    return values, widths, lines
+
+
+_GOOD_TOKENS = {int: st.integers(-10 ** 12, 10 ** 12).map(str),
+                float: st.floats(allow_nan=False, allow_infinity=False,
+                                 width=64).map(repr)}
+_BAD_TOKENS = ["x", "1.5", "-", "+", "2e", ".", "1-", "1.2.3", "--1", "0x1"]
+
+
+@pytest.mark.parametrize("number,comma", [(int, False), (float, True)],
+                         ids=["int", "float-comma"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_read_table_answers_like_the_line_parse(number, comma, data):
+    """Values, widths and lines of random tables with comments, blank
+    lines, runs of blanks, comma rows and the odd bad token; a bad table
+    names its first bad line."""
+    token = st.one_of(_GOOD_TOKENS[number], _GOOD_TOKENS[number],
+                      _GOOD_TOKENS[number], st.sampled_from(_BAD_TOKENS))
+    blanks = st.sampled_from([" ", "\t", "  ", " \t "])
+    # a comma line most often has commas between all its tokens
+    seps = st.one_of(blanks, st.just(","), st.just(", ")) if comma \
+        else blanks
+    line = st.tuples(st.lists(st.tuples(token, seps), max_size=4),
+                     st.booleans(), blanks,
+                     st.sampled_from(["", "# note", "#1, 2"])).map(
+        lambda t: t[2] + "".join(
+            tok + (sep if i + 1 < len(t[0]) or t[1] else "")
+            for i, (tok, sep) in enumerate(t[0])) + t[2] + t[3])
+    text = "\n".join(data.draw(st.lists(line, max_size=6)))
+    want = _table_by_lines(text, number, comma)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_text(text)
+        dtype = np.intp if number is int else float
+        if isinstance(want, int):
+            with pytest.raises(ValueError, match=rf"t.txt:{want}: could not "
+                                                 rf"convert string to"):
+                read_table(path, dtype, comma=comma)
+            return
+        values, widths, lines = read_table(path, dtype, comma=comma)
+    assert values.tolist() == want[0]
+    assert widths.tolist() == want[1] and lines.tolist() == want[2]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])

@@ -29,6 +29,7 @@ from tandel.stars import (
     COND_LIMIT,
     PRUNE_MULT,
     _SITE_CHUNK,
+    Star,
     TangentialComplex,
     _build_stars,
     _cell_corners,
@@ -1031,12 +1032,40 @@ class TestInsertPoint:
 def test_simplex_list_round_trip(tmp_path):
     cplx = assemble_complex(octa_sample(), UnitSphere(2, 3))
     path = tmp_path / "octa.txt"
-    write_simplex_list(path, cplx.m_simplices())
+    write_simplex_list(path, [cplx.m_simplices()])
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 8
     assert lines[0].split() == ["0", "1", "2"]
     got = sorted(tuple(int(v) for v in ln.split()) for ln in lines)
     assert got == cplx.m_simplices()
+
+
+@pytest.mark.parametrize("run", ["lattice", "torus_run"])
+def test_m_simplices_are_those_of_the_closure(run, request):
+    """The m-simplices read off the star keys equal the closure's, on the
+    lattice patch, whose cocircular hexagons are wider star keys, and on
+    the refined torus."""
+    cplx = (_lattice_complex() if run == "lattice"
+            else request.getfixturevalue(run)[0].complex)
+    m = cplx.manifold.m
+    wide = {s for star in cplx.stars.values() for s in star.centers
+            if len(s) > m + 1}
+    assert bool(wide) == (run == "lattice")
+    assert cplx.m_simplices() == [s for s in cplx.simplices()
+                                  if len(s) == m + 1]
+
+
+def test_m_simplices_take_subsets_of_a_wide_key():
+    """A wide key held by one star alone still gives every (m + 1)-subset,
+    those without its base included, as the closure does."""
+    square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    cplx = TangentialComplex(SampleSet(points=square, epsilon=1.0,
+                                       sparsity=1.0), FlatPatch(2, 3))
+    keys = [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    cplx.stars = {0: Star(base=0, frame=np.eye(2, 3),
+                          centers=dict.fromkeys(keys))}
+    assert cplx.m_simplices() == keys[1:] + [(1, 2, 3)]
+    assert cplx.m_simplices() == [s for s in cplx.simplices() if len(s) == 3]
 
 
 def test_off_export(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial import Delaunay, cKDTree
 from scipy.sparse import coo_matrix
 
@@ -14,7 +15,7 @@ from tandel.errors import (
     TooLarge,
     UnsupportedDim,
 )
-from tandel.geometry import as_simplex, circumsphere
+from tandel.geometry import as_simplex, circumsphere, closure, simplex_blocks
 from tandel.manifolds import (
     FlatPatch,
     GeodesicGraph,
@@ -43,7 +44,7 @@ from tandel.verify import (
     _TIE_WINDOW_CAP,
 )
 
-from conftest import exact_flat_member, flat_sites, frame_at
+from conftest import closure_by_walk, exact_flat_member, flat_sites, frame_at
 
 OCTA = np.array([
     [0.0, 0.0, 1.0],
@@ -88,6 +89,77 @@ class TestAbstractComplex:
         k = AbstractComplex.from_simplices([(0, 1)])
         assert as_complex(k) is k
         assert as_complex([(0, 1)]).simplices == k.simplices
+
+    def test_repeated_label_is_refused(self):
+        with pytest.raises(ValueError, match=r"simplex \(1, 1, 2\)$"):
+            AbstractComplex.from_simplices([(0, 1), (2, 1, 1)])
+
+    def test_empty(self):
+        k = AbstractComplex.from_simplices([])
+        assert (len(k), k.max_dim, k.counts(), k.vertices) == (0, -1, {}, [])
+        assert k.rows(2).shape == (0, 3) and k.of_dim(0) == []
+        assert k == AbstractComplex(()) and k.simplices == frozenset()
+
+
+def _simplex_lists(labels):
+    """Lists of vertex collections of mixed sizes, each in a drawn order,
+    with repeats, over labels drawn from ``labels``."""
+    simplex = st.lists(labels, min_size=1, max_size=5, unique=True)
+    return st.lists(simplex, max_size=12).flatmap(
+        lambda items: st.permutations(items + items[:len(items) // 3]))
+
+
+# small ranges repeat labels and simplices; the wide one overflows the
+# mixed-radix key of ``geometry.closure`` and takes its column sort
+_LABELS = [st.integers(0, 9), st.integers(-4, 30),
+           st.integers(0, 2 ** 40).map(lambda v: v * 97)]
+
+
+class TestArrayClosure:
+    """``geometry.closure`` and the ``AbstractComplex`` accessors against
+    the tuple walk of ``conftest.closure_by_walk``."""
+
+    @pytest.mark.parametrize("labels", _LABELS,
+                             ids=["small", "signed", "wide"])
+    @given(data=st.data())
+    def test_closure_equals_tuple_walk(self, labels, data):
+        items = data.draw(_simplex_lists(labels))
+        ref = closure_by_walk(items)
+        # the same simplices cut into blocks at drawn places
+        blocks = simplex_blocks(items)
+        cuts = [data.draw(st.integers(0, len(b))) for b in blocks]
+        faces = closure([part for b, c in zip(blocks, cuts)
+                         for part in (b[:c], b[c:])])
+        assert len(faces) == max(map(len, ref), default=0)
+        for d, rows in enumerate(faces):
+            assert rows.dtype == np.intp and rows.shape[1] == d + 1
+            want = sorted(s for s in ref if len(s) == d + 1)
+            assert list(map(tuple, rows.tolist())) == want
+
+    @pytest.mark.parametrize("labels", _LABELS,
+                             ids=["small", "signed", "wide"])
+    @given(data=st.data())
+    def test_accessors_equal_tuple_walk(self, labels, data):
+        items = data.draw(_simplex_lists(labels))
+        ref = closure_by_walk(items)
+        k = AbstractComplex.from_simplices(items)
+        top = max(map(len, ref), default=0) - 1
+        assert k.simplices == ref and len(k) == len(ref)
+        assert k.max_dim == top
+        assert k.counts() == {
+            d: sum(len(s) == d + 1 for s in ref) for d in range(top + 1)}
+        assert k.vertices == sorted(s[0] for s in ref if len(s) == 1)
+        for d in range(-1, top + 2):
+            assert k.of_dim(d) == sorted(s for s in ref if len(s) == d + 1)
+            assert k.filtered(d).simplices == {s for s in ref
+                                               if len(s) <= d + 1}
+        for s in list(ref)[:5]:
+            assert s[::-1] in k
+        other_items = data.draw(_simplex_lists(labels))
+        other = AbstractComplex(closure(simplex_blocks(other_items)))
+        assert (k == other) == (ref == closure_by_walk(other_items))
+        same = AbstractComplex.from_simplices(reversed(sorted(ref)))
+        assert k == same and hash(k) == hash(same)
 
 
 class TestComplexCompare:

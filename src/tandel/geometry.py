@@ -445,7 +445,7 @@ def subspace_angle(bu: np.ndarray, bv: np.ndarray) -> float:
     return float(np.arcsin(np.clip(sin_max, 0.0, 1.0)))
 
 
-# ===== quality classification =====
+# ===== face closure =====
 
 def sort_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Each row of an (n, k) label array sorted ascending, and the mask of
@@ -531,6 +531,8 @@ def closure(blocks) -> tuple:
         faces.append(up)
     return tuple(faces[::-1])
 
+
+# ===== quality classification =====
 
 def gamma_classes(taus, pts, gamma0: float) -> list:
     """Class of every simplex of ``taus``, an (n, k) index array, against

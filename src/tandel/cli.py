@@ -16,6 +16,7 @@ as the one stderr line ``error: <ClassName>: <message>`` with exit 1.
 files) print ``error: <message>`` and exit 2.
 """
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -116,7 +117,8 @@ def _params_from_args(args) -> Parameters:
     if args.params:
         params = refine.read_parameters(args.params)
         if args.seed is not None:
-            params.seed = args.seed
+            # replace checks the new seed as the constructor does
+            params = dataclasses.replace(params, seed=args.seed)
         return params
     return Parameters(
         epsilon=args.epsilon, gamma0=args.gamma0, alpha=args.alpha,
@@ -141,6 +143,8 @@ def _add_param_flags(sub):
 
 def cmd_net(args) -> int:
     manifold = parse_manifold(args.manifold)
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {args.seed}")
     dense = manifold.sample(args.dense_n, args.seed)
     net = farthest_point_net(dense, eps=args.epsilon, seed=args.seed)
     pts = net.points
@@ -186,12 +190,11 @@ def _mesh_measurements(state, cplx, manifold: Manifold) -> dict:
     min_thick = (float(geometry.thicknesses(tops, pts).min()) if len(tops)
                  else math.inf)
     params = state.params
-    threshold = (params.delta0 ** 2 * state.constants.mu0 ** 2
-                 * params.epsilon ** 2)
+    threshold = params.delta0 ** 2 * refine.MU0 ** 2 * params.epsilon ** 2
     protection = verify.power_protection_audit(cplx, pts, manifold, threshold)
     manifold_ok, diagnostics = (
-        verify.manifold_complex_check(cplx, m) if m in (2, 3)
-        else (None, {}))
+        verify.manifold_complex_check(cplx, m)
+        if m in verify.MANIFOLD_CHECK_DIMS else (None, {}))
     return {
         "n_points": len(pts),
         "simplex_counts": cplx.counts(),
@@ -209,8 +212,7 @@ def _mesh_measurements(state, cplx, manifold: Manifold) -> dict:
 def cmd_mesh(args) -> int:
     manifold = parse_manifold(args.manifold)
     params = _params_from_args(args)
-    constants = derive_constants(params, manifold)
-    hyp = check_hypotheses(params, manifold, constants)
+    hyp = check_hypotheses(params, manifold)
     prefix = args.out_prefix
 
     if not hyp.ok:
@@ -229,7 +231,7 @@ def cmd_mesh(args) -> int:
     if args.net_in:
         pts_in = _load_points(args.net_in, manifold)
         gap, i, j = closest_pair(pts_in)
-        floor = constants.mu0 * params.epsilon
+        floor = refine.MU0 * params.epsilon
         if gap <= floor:
             raise SparsityViolation(
                 f"sample points {i} and {j} coincide" if gap == 0.0 else
@@ -287,11 +289,12 @@ def cmd_verify(args) -> int:
     cplx = _load_complex(args.complex, len(pts))
     checks = {}
 
-    ok, diag = verify.manifold_complex_check(cplx, manifold.m)
-    checks["manifold_complex"] = {
-        "ok": ok,
-        "diagnostics": {k: v for k, v in diag.items() if v},
-    }
+    if manifold.m in verify.MANIFOLD_CHECK_DIMS:
+        ok, diag = verify.manifold_complex_check(cplx, manifold.m)
+        checks["manifold_complex"] = {
+            "ok": ok,
+            "diagnostics": {k: v for k, v in diag.items() if v},
+        }
 
     protection = verify.power_protection_audit(cplx, pts, manifold,
                                                args.delta2)
@@ -346,7 +349,7 @@ def cmd_hypotheses(args) -> int:
     manifold = parse_manifold(args.manifold)
     params = _params_from_args(args)
     constants = derive_constants(params, manifold)
-    hyp = check_hypotheses(params, manifold, constants)
+    hyp = check_hypotheses(params, manifold)
     items = []
     for it in hyp.items:
         ratio = it.value / it.bound if it.bound not in (0.0, math.inf) \
@@ -361,9 +364,9 @@ def cmd_hypotheses(args) -> int:
         "mode": params.mode,
         "ok": hyp.ok,
         "constants": {
-            "mu0": constants.mu0,
+            "mu0": refine.MU0,
             "mu0_fraction": "1/9",
-            "eps_tilde0": constants.eps_tilde0,
+            "eps_tilde0": refine.EPS_TILDE0,
             "eps_tilde0_fraction": "1/4624",
             "eps_tilde": constants.eps_tilde,
             "beta_prime": constants.beta_prime,

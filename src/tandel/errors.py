@@ -98,4 +98,5 @@ class DenseSampleTooCoarse(TandelError):
 
 
 class UnsupportedDim(TandelError):
-    """Structural check requested for an unsupported intrinsic dimension."""
+    """A check or a complex requested for an unsupported intrinsic
+    dimension."""

@@ -61,11 +61,10 @@ class Manifold:
 
     # ---- implicit membership ----
 
-    def implicit_residual(self, x) -> float:
+    def implicit_residual(self, x) -> np.ndarray:
+        """How far each point of an (..., N) stack is from satisfying the
+        implicit equations, shape (...); NaN for a NaN coordinate."""
         raise NotImplementedError
-
-    def contains(self, x, tol: float = ON_MANIFOLD_TOL) -> bool:
-        return self.implicit_residual(np.asarray(x, dtype=float)) <= tol
 
     # ---- projections ----
 
@@ -95,8 +94,9 @@ class Manifold:
         """n seeded quasi-uniform points on the manifold, shape (n, N)."""
         raise NotImplementedError
 
-    def probe_points(self, n: int, seed: int, reference=None) -> np.ndarray:
-        """Points used to estimate covering radii (default: fresh sample)."""
+    def probe_points(self, n: int, seed: int, reference) -> np.ndarray:
+        """Points used to estimate the covering radius of the point set
+        ``reference``; by default a fresh sample, which ignores it."""
         return self.sample(n, seed)
 
     def spec_string(self) -> str:
@@ -129,10 +129,10 @@ def closest_point(manifold: Manifold, x) -> np.ndarray:
 def tangent_frames(manifold: Manifold, points, labels=None) -> np.ndarray:
     """Orthonormal tangent frames at every row of points, shape (n, m, N).
 
-    One stacked frame build (``Manifold._frames``) whose rows do not
-    depend on one another; the orthonormality of the tangent and normal
-    frames and their mutual orthogonality are checked once over the
-    whole stack.
+    One stacked residual check and one stacked frame build
+    (``Manifold._frames``) whose rows do not depend on one another; the
+    orthonormality of the tangent and normal frames and their mutual
+    orthogonality are checked once over the whole stack.
 
     Raises:
         PointNotOnManifold: for the first row whose implicit residual
@@ -140,12 +140,13 @@ def tangent_frames(manifold: Manifold, points, labels=None) -> np.ndarray:
             (by default, its row number).
     """
     points = np.asarray(points, dtype=float)
-    for row, p in enumerate(points):
-        resid = manifold.implicit_residual(p)
-        if not resid <= ON_MANIFOLD_TOL:
-            label = row if labels is None else labels[row]
-            raise PointNotOnManifold(f"point {label}: residual {resid:.3e} "
-                                     f"exceeds {ON_MANIFOLD_TOL}")
+    resid = manifold.implicit_residual(points)
+    off = np.flatnonzero(~(resid <= ON_MANIFOLD_TOL))
+    if len(off):
+        row = int(off[0])
+        label = row if labels is None else labels[row]
+        raise PointNotOnManifold(f"point {label}: residual {resid[row]:.3e} "
+                                 f"exceeds {ON_MANIFOLD_TOL}")
     if not len(points):
         return np.zeros((0, manifold.m, manifold.N))
     tan, nrm = manifold._frames(points)
@@ -156,28 +157,28 @@ def tangent_frames(manifold: Manifold, points, labels=None) -> np.ndarray:
     return tan
 
 
-def lift_from_tangent(manifold: Manifold, base, basis, y,
-                      max_radius: float | None = None):
+def lift_from_tangent(manifold: Manifold, base, basis, y):
     """Chart inverse: the manifold point that projects to tangent coords y
     in the tangent frame ``basis`` (an m x N array) at the manifold point
     ``base`` (an array of length N).
 
-    The lift is guaranteed well-defined for |y| < reach/2 (the default
-    cap); callers that have verified a wider validity radius may pass
-    ``max_radius`` explicitly.
+    |y| is capped at the reach.  The lift is proven well-defined for
+    |y| < reach/2; between reach/2 and the reach it may raise, and the
+    refinement, which lifts its rule-1 points and its picks this far,
+    treats such a lift as a miss.
 
     Raises:
-        OutOfChart: |y| at or beyond the cap, or beyond the closed-form
-            validity of the inverse.
+        OutOfChart: |y| at or beyond the reach, or beyond the closed-form
+            validity of the inverse (the Clifford torus's per-circle
+            cap).
         NoConvergence: the iterative solve (torus) failed its budget.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (manifold.m,):
         raise ValueError(f"expected tangent coords of dimension {manifold.m}")
-    cap = manifold.reach / 2.0 if max_radius is None else float(max_radius)
     r = float(np.linalg.norm(y))
-    if r >= cap:
-        raise OutOfChart(f"|y| = {r:.6g} >= cap {cap:.6g}")
+    if r >= manifold.reach:
+        raise OutOfChart(f"|y| = {r:.6g} >= reach {manifold.reach:.6g}")
     return manifold._lift(base, basis, y)
 
 
@@ -195,13 +196,11 @@ class UnitSphere(Manifold):
         self.N = int(N)
         self.reach = 1.0
 
-    def _split(self, x):
-        return x[: self.m + 1], x[self.m + 1:]
-
     def implicit_residual(self, x):
-        xb, rest = self._split(x)
-        return max(abs(np.linalg.norm(xb) - 1.0),
-                   float(np.linalg.norm(rest)) if rest.size else 0.0)
+        x = np.asarray(x, dtype=float)
+        k = self.m + 1
+        return np.maximum(np.abs(np.linalg.norm(x[..., :k], axis=-1) - 1.0),
+                          np.linalg.norm(x[..., k:], axis=-1))
 
     def medial_distance(self, x):
         # medial axis: the subspace where the sphere block vanishes
@@ -228,10 +227,8 @@ class UnitSphere(Manifold):
         return tan, nrm
 
     def _lift(self, base, basis, y):
-        r2 = float(y @ y)
-        if r2 >= 1.0:
-            raise OutOfChart("tangent coords leave the projected hemisphere")
-        return math.sqrt(1.0 - r2) * base + basis.T @ y
+        # |y| < 1 = reach, and |y| is the square root of this dot product
+        return math.sqrt(1.0 - float(y @ y)) * base + basis.T @ y
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -280,8 +277,9 @@ class TorusOfRevolution(Manifold):
             [ring * np.cos(u), ring * np.sin(u), self.r * np.sin(v)], axis=-1)
 
     def implicit_residual(self, x):
-        rho = math.hypot(x[0], x[1])
-        return abs(math.hypot(rho - self.R, x[2]) - self.r)
+        x = np.asarray(x, dtype=float)
+        rho = np.hypot(x[..., 0], x[..., 1])
+        return np.abs(np.hypot(rho - self.R, x[..., 2]) - self.r)
 
     def medial_distance(self, x):
         rho = math.hypot(x[0], x[1])
@@ -385,8 +383,9 @@ class CliffordTorus(Manifold):
         self.reach = float(r)
 
     def implicit_residual(self, x):
-        return max(abs(math.hypot(x[0], x[1]) - self.r),
-                   abs(math.hypot(x[2], x[3]) - self.r))
+        x = np.asarray(x, dtype=float)
+        return np.maximum(np.abs(np.hypot(x[..., 0], x[..., 1]) - self.r),
+                          np.abs(np.hypot(x[..., 2], x[..., 3]) - self.r))
 
     def medial_distance(self, x):
         return min(math.hypot(x[0], x[1]), math.hypot(x[2], x[3]))
@@ -446,7 +445,8 @@ class FlatPatch(Manifold):
         self.reach = math.inf
 
     def implicit_residual(self, x):
-        return float(np.linalg.norm(x[self.m:]))
+        return np.linalg.norm(np.asarray(x, dtype=float)[..., self.m:],
+                              axis=-1)
 
     def medial_distance(self, x):
         return math.inf
@@ -477,9 +477,8 @@ class FlatPatch(Manifold):
         out[:, : self.m] = coords
         return out
 
-    def probe_points(self, n, seed, reference=None):
-        if reference is None:
-            return self.sample(n, seed)
+    def probe_points(self, n, seed, reference):
+        """Uniform points in the bounding box of ``reference``."""
         ref = np.asarray(reference, dtype=float)
         lo = ref[:, : self.m].min(axis=0)
         hi = ref[:, : self.m].max(axis=0)
@@ -821,11 +820,8 @@ def read_points(path) -> np.ndarray:
     return values.reshape(len(widths), widths[0])
 
 
-def write_points(path, points, header: str | None = None):
+def write_points(path, points):
     points = np.asarray(points, dtype=float)
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
         for row in points:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

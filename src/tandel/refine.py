@@ -49,9 +49,6 @@ from .geometry import (  # noqa: F401 - classify_gamma is re-exported
 from .manifolds import Manifold, SampleSet, closest_pair, lift_from_tangent
 from .stars import TangentialComplex, assemble_complex
 
-# how far past reach/2 a chart lift may be attempted before shrinking
-_CHART_SLACK = 2.0
-
 MU0 = 1.0 / 9.0
 EPS_TILDE0 = 1.0 / 4624.0  # = 1 / (2^4 (2^4 + 1)^2)
 XI_TILDE = 1.0 / 16.0  # chart margin xi over the reach
@@ -94,6 +91,10 @@ class Parameters:
         self.mode = str(self.mode).lower()
         if self.mode not in ("strict", "practical"):
             raise ValueError("mode must be 'strict' or 'practical'")
+        # numpy seeds the pick generators with no negative int
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, "
+                             f"got {self.seed!r}")
 
 
 _PARAM_ORDER = ("epsilon", "gamma0", "alpha", "beta", "delta0", "mode",
@@ -140,8 +141,6 @@ def unit_ball_volume(m: int) -> float:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    mu0: float
-    eps_tilde0: float
     beta_prime: float
     b_hyp: float
     b_lemma: float
@@ -184,9 +183,9 @@ def derive_constants(params: Parameters, manifold: Manifold
     d_vol = nu_m * ((b_eff + 1.0) * 2 ** m + a_vol * (2 ** (m + 1) + 1))
     eps_tilde = params.epsilon / rch if math.isfinite(rch) else 0.0
     return DerivedConstants(
-        mu0=MU0, eps_tilde0=EPS_TILDE0, beta_prime=beta_prime,
-        b_hyp=b_hyp, b_lemma=b_lemma, xi=xi, a_vol=a_vol,
-        e_bound=e_bound, d_vol=d_vol, eps_tilde=eps_tilde, nu_m=nu_m)
+        beta_prime=beta_prime, b_hyp=b_hyp, b_lemma=b_lemma, xi=xi,
+        a_vol=a_vol, e_bound=e_bound, d_vol=d_vol, eps_tilde=eps_tilde,
+        nu_m=nu_m)
 
 
 @dataclass(frozen=True)
@@ -214,17 +213,15 @@ class HypothesisReport:
         raise KeyError(name)
 
 
-def check_hypotheses(params: Parameters, manifold: Manifold,
-                     constants: DerivedConstants | None = None
-                     ) -> HypothesisReport:
+def check_hypotheses(params: Parameters,
+                     manifold: Manifold) -> HypothesisReport:
     """Evaluate the six parameter conditions the guarantees rest on.
 
     In strict mode the report is ok only when all six hold.  Practical
     mode demands the two structural ones (alpha < 1/2 and the beta
     floor) plus delta0 < 1/4, and records the rest as margins.
     """
-    if constants is None:
-        constants = derive_constants(params, manifold)
+    constants = derive_constants(params, manifold)
     m = manifold.m
     a, b, g0, d0 = params.alpha, params.beta, params.gamma0, params.delta0
     items = []
@@ -304,11 +301,9 @@ class RefinementState:
     is the point count the index was last brought up to.
     """
 
-    def __init__(self, cplx: TangentialComplex, params: Parameters,
-                 constants: DerivedConstants):
+    def __init__(self, cplx: TangentialComplex, params: Parameters):
         self.complex = cplx
         self.params = params
-        self.constants = constants
         self.cosph = {}
         self.gamma_cache: dict = {}
         self.events: list[dict] = []
@@ -381,12 +376,10 @@ class RefinementState:
         self.indexed_points = self.complex.n_points
 
 
-def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
-               constants: DerivedConstants | None = None) -> RefinementState:
+def make_state(sample: SampleSet, manifold: Manifold,
+               params: Parameters) -> RefinementState:
     """Assemble the complex, the cosph records, and gate on the hypotheses."""
-    if constants is None:
-        constants = derive_constants(params, manifold)
-    report = check_hypotheses(params, manifold, constants)
+    report = check_hypotheses(params, manifold)
     if not report.ok:
         raise HypothesesFailed(
             f"{params.mode} mode rejects parameters: {report.failed()}")
@@ -394,7 +387,7 @@ def make_state(sample: SampleSet, manifold: Manifold, params: Parameters,
         sample = SampleSet(points=sample.points, epsilon=params.epsilon,
                            sparsity=sample.sparsity)
     cplx = assemble_complex(sample, manifold)
-    state = RefinementState(cplx, params, constants)
+    state = RefinementState(cplx, params)
     state.refresh_stars(list(cplx.stars))
     return state
 
@@ -591,15 +584,13 @@ def find_hitting_set(x, r_ref: float, state: RefinementState):
 
 def _lift(state: RefinementState, config: UnfitConfiguration, y):
     """The manifold point over tangent coordinates y of the
-    configuration's star, lifted no farther than the chart cap; None
-    when the lift leaves the chart or does not converge."""
+    configuration's star (``lift_from_tangent``, capped at the reach);
+    None when the lift leaves the chart or does not converge."""
     star = state.complex.stars[config.base]
-    rch = state.manifold.reach
-    cap = _CHART_SLACK * rch / 2.0 if math.isfinite(rch) else None
     try:
         return lift_from_tangent(state.manifold,
                                  state.complex.points[star.base], star.frame,
-                                 y, max_radius=cap)
+                                 y)
     except (OutOfChart, NoConvergence):
         return None
 
@@ -787,7 +778,7 @@ def insert(x, state: RefinementState, rule: str = "RULE2",
     """
     x = np.asarray(x, dtype=float)
     d = float(state.complex.tree.query(x)[0])
-    floor = state.constants.mu0 * state.epsilon
+    floor = MU0 * state.epsilon
     if d <= floor:
         raise SparsityViolation(
             f"insertion at distance {d:.6g} <= mu0*eps = {floor:.6g}")
@@ -885,5 +876,5 @@ def _final_audit(state: RefinementState) -> dict:
             _unfit_lists(state, ConfigKind.INCONSISTENT).values()
             for c in found}),
         "min_pairwise_distance": min_pair,
-        "sparsity_ok": min_pair > state.constants.mu0 * eps,
+        "sparsity_ok": min_pair > MU0 * eps,
     }

@@ -61,9 +61,10 @@ from .errors import (
     SingularSystem,
     SparsityViolation,
     TandelError,
+    UnsupportedDim,
 )
 from .geometry import closure, simplex_blocks
-from .manifolds import Manifold, SampleSet, tangent_frames
+from .manifolds import ON_MANIFOLD_TOL, Manifold, SampleSet, tangent_frames
 
 COND_LIMIT = 1e12
 # sites within PRUNE_MULT * epsilon of a base enter its first cell attempt
@@ -401,8 +402,8 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
         frames = tangent_frames(manifold, pts[bases], labels=bases)
     except PointNotOnManifold:
         # the stars before the first off-manifold vertex fail first
-        first = next(i for i, p in enumerate(bases)
-                     if not manifold.contains(pts[p]))
+        resid = manifold.implicit_residual(pts[bases])
+        first = int(np.argmax(~(resid <= ON_MANIFOLD_TOL)))
         _build_stars(bases[:first], pts, tree, manifold, epsilon)
         raise
     m, n = manifold.m, len(bases)
@@ -583,9 +584,17 @@ def _clip_stars(stars, margins, radii, x_idx, pts, tree, epsilon) -> dict:
 # ===== the union complex =====
 
 class TangentialComplex:
-    """Union of the tangent-plane stars of every sample point."""
+    """Union of the tangent-plane stars of every sample point.
+
+    Raises:
+        UnsupportedDim: m < 2; a cell's corners come from Qhull, which
+            needs two dimensions or more.
+    """
 
     def __init__(self, sample: SampleSet, manifold: Manifold):
+        if manifold.m < 2:
+            raise UnsupportedDim(f"tangential complex needs m >= 2, "
+                                 f"not {manifold.m}")
         self.points = np.array(sample.points, dtype=float)
         self.epsilon = float(sample.epsilon)
         self.manifold = manifold

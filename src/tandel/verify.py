@@ -1,14 +1,15 @@
 """Slow, independent checks for simplicial complexes built by fast routes.
 
-Everything here recomputes from first principles: Delaunay membership by
-exhaustive empty-sphere tests, restricted/intrinsic Delaunay membership
-by nearest-site scans over dense witness samples, combinatorial manifold
-tests on index arrays of the abstract complex's top cells, and
-power-protection margins against every other point.  A margin comes
-from the KD-tree neighbours of its centre: one k-nearest query, widened
-(k doubled) only where the k-th neighbour may still tie the nearest
-competitor, returns a set of sites that holds the scan's minimiser, so
-it equals a scan over all points bit for bit.  The oracles share no
+Everything here recomputes from first principles: ambient Delaunay
+membership by one route, a Delaunay triangulation whose simplices are
+widened to every point on their circumspheres; restricted/intrinsic
+Delaunay membership by nearest-site scans over dense witness samples;
+combinatorial manifold tests on index arrays of the abstract complex's
+top cells; and power-protection margins against every other point.  A
+margin comes from the KD-tree neighbours of its centre: one k-nearest
+query, widened (k doubled) only where the k-th neighbour may still tie
+the nearest competitor, returns a set of sites that holds the scan's
+minimiser, so it equals a scan over all points bit for bit.  The oracles share no
 code with the incremental construction, so agreement between the two
 routes is meaningful.  The protection audit shares only the
 tangent-centre solve (``stars.tangent_centers``): it measures margins
@@ -19,7 +20,6 @@ judge membership.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,22 +35,24 @@ from .errors import (
     TooLarge,
     UnsupportedDim,
 )
-from .geometry import (_combos, as_simplex, circumsphere, closure,
-                       simplex_blocks, unique_rows)
+from .geometry import (_combos, affine_ranks, as_simplex, circumsphere,
+                       closure, simplex_blocks, unique_rows)
 from .manifolds import (Manifold, closest_pair, covering_radius_estimate,
                         tangent_frames)
 from .stars import tangent_centers
 
-# Hard ceilings for the exhaustive routes; beyond them the cost curve is
-# steep enough that silently grinding on would look like a hang.
+# Hard ceilings for the ambient Delaunay check; beyond them the cost
+# curve is steep enough that silently grinding on would look like a hang.
 MAX_BRUTE_POINTS = 200
 MAX_BRUTE_AMBIENT_DIM = 4
-MAX_SUBSET_ENUM_POINTS = 12
 
 _EMPTINESS_REL_TOL = 1e-9
 # a claimed simplex the restricted oracle sees only beyond this many
 # bands is extra; between one band and this, it is ambiguous
 EXTRA_BAND_FACTOR = 3.0
+# the dimensions m whose closed-manifold test ``manifold_complex_check``
+# knows
+MANIFOLD_CHECK_DIMS = (2, 3)
 
 
 # ===== Abstract complexes =====
@@ -158,72 +160,7 @@ def complex_compare(first, second) -> ComplexDiff:
                        only_first=only_a, only_second=only_b)
 
 
-# ===== Exhaustive ambient Delaunay =====
-
-
-def _equidistant_locus(verts: np.ndarray, scale: float):
-    """Particular equidistant point and null directions for a vertex set.
-
-    Returns (c0, null_basis) where c0 is equidistant from all vertices and
-    c0 + span(null_basis rows) is the full locus, or None when no
-    equidistant point exists (e.g. three collinear points).
-    """
-    vecs = verts[1:] - verts[0]
-    rhs = 0.5 * (vecs * vecs).sum(axis=1)
-    if len(vecs) == 0:
-        return verts[0].copy(), np.eye(verts.shape[1])
-    z, *_ = np.linalg.lstsq(vecs, rhs, rcond=None)
-    if np.abs(vecs @ z - rhs).max() > _EMPTINESS_REL_TOL * scale * scale:
-        return None
-    _, svals, vt = np.linalg.svd(vecs)
-    rank = int((svals > 1e-12 * max(svals[0], 1.0)).sum()) if len(svals) else 0
-    null_basis = vt[rank:]
-    return verts[0] + z, null_basis
-
-
-def _subset_admits_empty_sphere(points, subset, scale) -> bool:
-    """Decide by linear feasibility whether some empty sphere circumscribes."""
-    verts = points[list(subset)]
-    locus = _equidistant_locus(verts, scale)
-    if locus is None:
-        return False
-    c0, null_basis = locus
-    rest = np.ones(len(points), dtype=bool)
-    rest[list(subset)] = False
-    if not rest.any():
-        return True
-    q = points[rest]
-    v0 = verts[0]
-    # |c - q|^2 >= |c - v0|^2 is linear in the center c.
-    lhs_dir = 2.0 * (q - v0)
-    bound = (q * q).sum(axis=1) - v0 @ v0 - lhs_dir @ c0
-    bound = bound + _EMPTINESS_REL_TOL * scale * scale
-    if null_basis.shape[0] == 0:
-        return bool((bound >= 0.0).all())
-    # only the brute force on at most MAX_SUBSET_ENUM_POINTS points gets
-    # here, so the import is paid there and not by every ``import tandel``
-    from scipy.optimize import linprog
-
-    a_ub = lhs_dir @ null_basis.T
-    res = linprog(np.zeros(null_basis.shape[0]), A_ub=a_ub, b_ub=bound,
-                  bounds=[(None, None)] * null_basis.shape[0],
-                  method="highs")
-    return res.status == 0
-
-
-def _delaunay_by_sphere_enumeration(points: np.ndarray) -> AbstractComplex:
-    """Literal definition: test every vertex subset for an empty sphere."""
-    n = len(points)
-    if n > MAX_SUBSET_ENUM_POINTS:
-        raise TooLarge(
-            f"subset enumeration over {n} points would test 2^{n} spheres")
-    scale = _diameter(points)
-    found = [(i,) for i in range(n)]
-    for k in range(2, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            if _subset_admits_empty_sphere(points, subset, scale):
-                found.append(subset)
-    return AbstractComplex.from_simplices(found)
+# ===== Ambient Delaunay =====
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -250,36 +187,6 @@ def _all_cospherical(points: np.ndarray, scale: float) -> bool:
                 <= _EMPTINESS_REL_TOL * scale * scale)
 
 
-def _delaunay_by_lifting(points: np.ndarray) -> AbstractComplex:
-    """Delaunay complex via qhull plus merging of cospherical groups.
-
-    qhull triangulates degenerate (cospherical) cells arbitrarily; each
-    output simplex is widened to the full set of points lying on its
-    circumsphere, which restores the degenerate cells as single simplices
-    whose faces then enter by closure.
-    """
-    n = len(points)
-    scale = _diameter(points)
-    coords, rank = _affine_coordinates(points, scale)
-    if n <= rank + 1 or _all_cospherical(coords, scale):
-        # Every subset shares one empty circumscribing sphere.
-        return AbstractComplex.from_simplices([tuple(range(n))])
-    if rank == 1:
-        order = np.argsort(coords[:, 0])
-        pairs = [tuple(sorted((int(order[i]), int(order[i + 1]))))
-                 for i in range(n - 1)]
-        return AbstractComplex.from_simplices(pairs)
-    tri = Delaunay(coords)
-    tol = _EMPTINESS_REL_TOL * scale
-    groups = set()
-    for simplex in tri.simplices:
-        sphere = circumsphere(as_simplex(simplex), coords)
-        dist = np.linalg.norm(coords - sphere.center, axis=1)
-        group = np.flatnonzero(dist <= sphere.radius + tol)
-        groups.add(tuple(int(i) for i in sorted(group)))
-    return AbstractComplex.from_simplices(groups)
-
-
 def ambient_delaunay_bruteforce(points) -> AbstractComplex:
     """Delaunay complex of a small point set, degenerate simplices included.
 
@@ -290,9 +197,16 @@ def ambient_delaunay_bruteforce(points) -> AbstractComplex:
     form a 3-simplex, and every subset of a point set lying on a common
     empty sphere is included.
 
-    Up to 10 points, every vertex subset is tested by linear
-    feasibility; larger inputs use a Delaunay triangulation of the
-    lifted points with cospherical merging.
+    One route decides every input: a Delaunay triangulation of the
+    points in the coordinates of their affine span (Qhull, through the
+    lifting map; Barber, Dobkin & Huhdanpaa, ACM TOMS 1996), each simplex
+    widened to every point on its circumsphere.  Qhull triangulates a
+    cospherical cell arbitrarily, so the widening restores the cell as
+    one simplex, whose faces then enter by closure.  The triangulation
+    of a cell may hold flat simplices, below full affine rank, which
+    have no circumsphere; they are skipped, since the cell's full-rank
+    simplices already give its whole group.  A point set on one sphere
+    is one simplex, and a collinear one is the chain of its neighbours.
 
     Args:
         points: (n, N) array with n <= 200 and N <= 4.
@@ -314,9 +228,25 @@ def ambient_delaunay_bruteforce(points) -> AbstractComplex:
     if dim > MAX_BRUTE_AMBIENT_DIM:
         raise TooLarge(f"ambient dimension {dim} exceeds the brute-force "
                        f"cap {MAX_BRUTE_AMBIENT_DIM}")
-    if n <= 10:
-        return _delaunay_by_sphere_enumeration(points)
-    return _delaunay_by_lifting(points)
+    scale = _diameter(points)
+    coords, rank = _affine_coordinates(points, scale)
+    if n <= rank + 1 or _all_cospherical(coords, scale):
+        # Every subset shares one empty circumscribing sphere.
+        return AbstractComplex.from_simplices([tuple(range(n))])
+    if rank == 1:
+        order = np.argsort(coords[:, 0])
+        pairs = [tuple(sorted((int(order[i]), int(order[i + 1]))))
+                 for i in range(n - 1)]
+        return AbstractComplex.from_simplices(pairs)
+    simplices = Delaunay(coords).simplices
+    tol = _EMPTINESS_REL_TOL * scale
+    groups = set()
+    for simplex in simplices[affine_ranks(simplices, coords) == rank]:
+        sphere = circumsphere(as_simplex(simplex), coords)
+        dist = np.linalg.norm(coords - sphere.center, axis=1)
+        group = np.flatnonzero(dist <= sphere.radius + tol)
+        groups.add(tuple(int(i) for i in sorted(group)))
+    return AbstractComplex.from_simplices(groups)
 
 
 # ===== Scan oracles over dense witness samples =====
@@ -339,14 +269,8 @@ class OracleResult:
     spreads: dict
     clean: set
     band: float
-    covering: float
     n_witnesses: int
-    n_sites: int
     notes: dict = field(default_factory=dict)
-
-    @property
-    def resolution(self) -> float:
-        return self.band
 
     def candidates(self, dim: int) -> list:
         """Every simplex of the given dimension seen at any spread."""
@@ -478,15 +402,14 @@ def _merge_evidence(keys: np.ndarray, val: np.ndarray, sharp: np.ndarray,
 
 
 def _scan_oracle(dist_matrix_blocks, sites: np.ndarray, band: float,
-                 covering: float, n_witnesses: int) -> OracleResult:
+                 n_witnesses: int) -> OracleResult:
     spreads: dict = {}
     clean: set = set()
     for block in dist_matrix_blocks:
         _scan_rows(block, sites, band, _COLLECT_FACTOR * band, 2.0 * band,
                    spreads, clean)
     return OracleResult(spreads=spreads, clean=clean, band=band,
-                        covering=covering, n_witnesses=n_witnesses,
-                        n_sites=len(sites))
+                        n_witnesses=n_witnesses)
 
 
 def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray):
@@ -496,15 +419,15 @@ def _chordal_blocks(witnesses: np.ndarray, sites: np.ndarray):
         yield np.sqrt((diff * diff).sum(axis=2))
 
 
-def restricted_delaunay_oracle(points, manifold: Manifold, dense,
-                               band: float | None = None) -> OracleResult:
+def restricted_delaunay_oracle(points, manifold: Manifold,
+                               dense) -> OracleResult:
     """Scan a dense on-manifold sample for nearest-site coincidences.
 
     A simplex is reported present when some dense witness point has the
     simplex's vertices as exactly its nearest sites, with their distances
-    agreeing within the band (default: twice the covering radius of the
-    dense sample, the distance by which a true equidistance point can be
-    missed).
+    agreeing within the band: twice the covering radius of the dense
+    sample, the distance by which a true equidistance point can be
+    missed.
 
     Raises:
         DenseSampleTooCoarse: the band cannot separate adjacent sites.
@@ -513,16 +436,14 @@ def restricted_delaunay_oracle(points, manifold: Manifold, dense,
     witnesses = np.asarray(dense, dtype=float)
     if len(sites) == 0 or len(witnesses) == 0:
         raise EmptyInput("oracle needs sites and witnesses")
-    covering = covering_radius_estimate(manifold, witnesses)
-    if band is None:
-        band = 2.0 * covering
+    band = 2.0 * covering_radius_estimate(manifold, witnesses)
     gap = closest_pair(sites)[0]
     if band >= 0.5 * gap:
         raise DenseSampleTooCoarse(
             f"band {band:.3g} cannot separate sites {gap:.3g} apart; "
             f"use a denser witness sample")
-    return _scan_oracle(_chordal_blocks(witnesses, sites), sites,
-                        float(band), covering, len(witnesses))
+    return _scan_oracle(_chordal_blocks(witnesses, sites), sites, band,
+                        len(witnesses))
 
 
 def intrinsic_delaunay_oracle(points, manifold: Manifold, graph,
@@ -545,16 +466,15 @@ def intrinsic_delaunay_oracle(points, manifold: Manifold, graph,
     if not np.isfinite(dist).all():
         raise DisconnectedGraph("geodesic graph does not connect all sites "
                                 "to all witnesses")
-    covering = covering_radius_estimate(manifold, graph.points)
     if band is None:
+        covering = covering_radius_estimate(manifold, graph.points)
         band = 2.0 * (covering + float(snap_dist.max())) + 2.0 * graph.h
     gap_sites = closest_pair(sites)[0]
     if band >= 0.5 * gap_sites:
         raise DenseSampleTooCoarse(
             f"geodesic band {band:.3g} cannot separate sites "
             f"{gap_sites:.3g} apart; use a denser graph")
-    result = _scan_oracle([dist.T], sites, float(band), covering,
-                          dist.shape[1])
+    result = _scan_oracle([dist.T], sites, float(band), dist.shape[1])
     result.notes["snap_max"] = float(snap_dist.max())
     result.notes["graph_h"] = float(graph.h)
     return result
@@ -673,8 +593,9 @@ def manifold_complex_check(cplx, m: int) -> tuple[bool, dict]:
     Raises:
         UnsupportedDim: m outside {2, 3}.
     """
-    if m not in (2, 3):
-        raise UnsupportedDim(f"manifold test supports m in {{2, 3}}, not {m}")
+    if m not in MANIFOLD_CHECK_DIMS:
+        raise UnsupportedDim(f"manifold test supports m in "
+                             f"{set(MANIFOLD_CHECK_DIMS)}, not {m}")
     k = as_complex(cplx)
     top = k.rows(m)
     diagnostics: dict = {"bad_ridges": [], "bad_links": [], "impure": []}

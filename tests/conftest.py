@@ -1,10 +1,11 @@
 """Shared fixtures: reference samples; the tangent frame at one point;
-the faces of a simplex; the tuple-walk face closure; the one-vertex star
-build; the one-at-a-time references for the power-cell corners, the
-fixed-step torus sampler, the farthest-point net, the site arrays, the
-cut test and the cosph scan; a bitwise comparison of two stars; a
-refinement state around a built complex; and session-scoped refinement
-runs."""
+the faces of a simplex; the tuple-walk face closure; the empty-sphere
+subset enumeration that defines the ambient Delaunay complex; the
+one-vertex star build; the one-at-a-time references for the power-cell
+corners, the fixed-step torus sampler, the farthest-point net, the site
+arrays, the cut test and the cosph scan; a bitwise comparison of two
+stars; a refinement state around a built complex; and session-scoped
+refinement runs."""
 import itertools
 import math
 import time
@@ -16,11 +17,13 @@ from hypothesis import settings
 from scipy.spatial import cKDTree
 
 from tandel import stars
+from tandel.errors import TooLarge
 from tandel.geometry import (ElementaryWeight, GammaClass, _edge_lengths,
                              as_simplex, circumsphere, gamma_classes)
 from tandel.manifolds import (FlatPatch, TorusOfRevolution, UnitSphere,
                               farthest_point_net, tangent_frames)
 from tandel.refine import Parameters, RefinementState, refine_sample
+from tandel.verify import _EMPTINESS_REL_TOL, AbstractComplex, _diameter
 
 # Property tests draw the same examples on every run (no example database
 # replays earlier failures first), and a slow example is not a failure.
@@ -87,6 +90,80 @@ def closure_by_walk(simplices) -> frozenset:
         for k in range(1, len(simplex) + 1):
             closed.update(itertools.combinations(simplex, k))
     return frozenset(closed)
+
+
+# the enumeration tests 2^n subsets
+MAX_SUBSET_ENUM_POINTS = 12
+
+
+def _equidistant_locus(verts: np.ndarray, scale: float):
+    """Particular equidistant point and null directions for a vertex set.
+
+    Returns (c0, null_basis) where c0 is equidistant from all vertices and
+    c0 + span(null_basis rows) is the full locus, or None when no
+    equidistant point exists (e.g. three collinear points).
+    """
+    vecs = verts[1:] - verts[0]
+    rhs = 0.5 * (vecs * vecs).sum(axis=1)
+    if len(vecs) == 0:
+        return verts[0].copy(), np.eye(verts.shape[1])
+    z, *_ = np.linalg.lstsq(vecs, rhs, rcond=None)
+    if np.abs(vecs @ z - rhs).max() > _EMPTINESS_REL_TOL * scale * scale:
+        return None
+    _, svals, vt = np.linalg.svd(vecs)
+    rank = int((svals > 1e-12 * max(svals[0], 1.0)).sum()) if len(svals) else 0
+    null_basis = vt[rank:]
+    return verts[0] + z, null_basis
+
+
+def _subset_admits_empty_sphere(points, subset, scale) -> bool:
+    """Decide by linear feasibility whether some empty sphere circumscribes."""
+    verts = points[list(subset)]
+    locus = _equidistant_locus(verts, scale)
+    if locus is None:
+        return False
+    c0, null_basis = locus
+    rest = np.ones(len(points), dtype=bool)
+    rest[list(subset)] = False
+    if not rest.any():
+        return True
+    q = points[rest]
+    v0 = verts[0]
+    # |c - q|^2 >= |c - v0|^2 is linear in the center c.
+    lhs_dir = 2.0 * (q - v0)
+    bound = (q * q).sum(axis=1) - v0 @ v0 - lhs_dir @ c0
+    bound = bound + _EMPTINESS_REL_TOL * scale * scale
+    if null_basis.shape[0] == 0:
+        return bool((bound >= 0.0).all())
+    # only the enumeration needs a linear program, so its import is paid
+    # here and not by every test module
+    from scipy.optimize import linprog
+
+    a_ub = lhs_dir @ null_basis.T
+    res = linprog(np.zeros(null_basis.shape[0]), A_ub=a_ub, b_ub=bound,
+                  bounds=[(None, None)] * null_basis.shape[0],
+                  method="highs")
+    return res.status == 0
+
+
+def _delaunay_by_sphere_enumeration(points: np.ndarray) -> AbstractComplex:
+    """Literal definition: test every vertex subset for an empty sphere.
+
+    The reference for ``verify.ambient_delaunay_bruteforce``, on at most
+    ``MAX_SUBSET_ENUM_POINTS`` points.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if n > MAX_SUBSET_ENUM_POINTS:
+        raise TooLarge(
+            f"subset enumeration over {n} points would test 2^{n} spheres")
+    scale = _diameter(points)
+    found = [(i,) for i in range(n)]
+    for k in range(2, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            if _subset_admits_empty_sphere(points, subset, scale):
+                found.append(subset)
+    return AbstractComplex.from_simplices(found)
 
 
 def compute_star(p, sample, manifold):
@@ -244,7 +321,7 @@ def cosph_state(cplx, delta0, gamma0):
     and gamma0: what the cosph scan reads."""
     params = Parameters(epsilon=cplx.epsilon, gamma0=gamma0, alpha=0.25,
                         beta=4.5, delta0=delta0)
-    return RefinementState(cplx, params, None)
+    return RefinementState(cplx, params)
 
 
 def cosph_scan_per_star(cplx, p, delta0, gamma0, sites=None):

@@ -66,6 +66,14 @@ class TestNet:
             run("frobnicate")
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = run("net", "--manifold", SPHERE, "--epsilon", 0.3,
+                   "--dense-n", 200, "--seed", -3, "--out", tmp_path / "x.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative int, got -3\n")
+        assert not (tmp_path / "x.txt").exists()
+
 
 # ===== mesh =====
 
@@ -240,6 +248,31 @@ class TestMesh:
             f"error: {flag[2:]} must be positive and finite\n")
         assert not (tmp_path / "n.points.txt").exists()
 
+    def test_circle_is_unsupported_dim(self, tmp_path, capsys):
+        """``parse_manifold`` takes m = 1, but a cell's corners need
+        Qhull, which needs m >= 2; the complex refuses before any star."""
+        code = run("mesh", "--manifold", "sphere:m=1,N=2", "--epsilon", 0.3,
+                   "--dense-n", 2000, "--out-prefix", tmp_path / "c1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: UnsupportedDim: tangential complex needs m >= 2, "
+            "not 1\n")
+        assert not (tmp_path / "c1.points.txt").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        net_path = tmp_path / "n.txt"
+        np.savetxt(net_path, disk_points(), fmt="%.17g")
+        params_path = tmp_path / "p.params"
+        params_path.write_text("epsilon = 0.5\ngamma0 = 0.05\nalpha = 0.25\n"
+                               "beta = 4.5\ndelta0 = 0.05\n")
+        for extra in (["--seed", -3], ["--params", params_path, "--seed", -3]):
+            code = run("mesh", "--manifold", FLAT, "--net-in", net_path,
+                       "--out-prefix", tmp_path / "s", *extra)
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: seed must be a non-negative int, got -3\n")
+            assert not (tmp_path / "s.points.txt").exists()
+
     def test_off_manifold_net_point_is_named(self, tmp_path, capsys):
         net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),
                                  eps=0.35, seed=5)
@@ -303,6 +336,27 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: DenseSampleTooCoarse: ")
         assert err.count("\n") == 1
+
+    def test_four_manifold_skips_the_manifold_check(self, tmp_path, capsys):
+        """Two 4-simplices on ``flat:m=4,N=5``: the closed-manifold test
+        knows m in {2, 3} only, so it is left out, as ``tandel mesh``
+        leaves it out, and the other checks run."""
+        pts = tmp_path / "p.txt"
+        pts.write_text("0 0 0 0 0\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n"
+                       "0 0 0 1 0\n1.2 1.1 1.0 0.9 0\n")
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 2 3 4\n1 2 3 4 5\n")
+        out = tmp_path / "r.json"
+        code = main(["verify", "--complex", str(cpx), "--points", str(pts),
+                     "--manifold", "flat:m=4,N=5", "--delta2", "1e-6",
+                     "--euler", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out == ("power_protection: PASS\n"
+                                "euler_characteristic: PASS\n")
+        checks = json.loads(out.read_text())["checks"]
+        assert sorted(checks) == ["euler_characteristic", "power_protection"]
 
     def test_cocircular_square_protection_margin_zero(self, tmp_path,
                                                       capsys):
@@ -478,6 +532,14 @@ class TestHypotheses:
         h1 = next(it for it in rep["items"] if it["name"] == "H1")
         assert h1["bound"] == pytest.approx(1849600.0 / 685773.0, abs=1e-9)
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = main(["hypotheses", "--manifold", SPHERE, "--seed", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: seed must be a non-negative int, got -3\n")
+        assert captured.out == ""
+
     def test_strict_sphere_fails_h5_with_ratio(self, capsys):
         code = main(["hypotheses", "--manifold", SPHERE, "--mode", "strict",
                      "--epsilon", "0.3"])
@@ -512,8 +574,8 @@ def test_tandel_error_exits_one_with_one_line(exc_type, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """``scipy.optimize`` is imported only by the ambient brute force that
-    needs it, not by every ``tandel`` command."""
+    """No ``tandel`` module imports ``scipy.optimize``; only the subset
+    enumeration the ambient route is tested against needs it."""
     code = ("import sys, tandel.cli; "
             "print('scipy.optimize' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -338,7 +338,7 @@ def test_sphere_lift_example():
     pole = np.array([0.0, 0.0, 1.0])
     frame = frame_at(M, pole)
     y = frame @ (np.array([0.6, 0.0, 0.8]) - pole)
-    lifted = lift_from_tangent(M, pole, frame, y, max_radius=0.9)
+    lifted = lift_from_tangent(M, pole, frame, y)
     assert lifted == pytest.approx([0.6, 0.0, 0.8], abs=1e-12)
     # ambient embedding of y sits 0.2 above the lift; lemma bound is 0.72
     emb = pole + frame.T @ y
@@ -352,12 +352,14 @@ def test_lift_origin_is_base(manifold):
 
 
 def test_lift_default_cap():
+    """Every lift is capped at the reach."""
     M = UnitSphere(2, 3)
     pole = np.array([0.0, 0.0, 1.0])
     frame = frame_at(M, pole)
-    with pytest.raises(OutOfChart):
-        lift_from_tangent(M, pole, frame, np.array([0.5, 0.0]))
-    lift_from_tangent(M, pole, frame, np.array([0.499, 0.0]))  # just inside
+    with pytest.raises(OutOfChart, match=r"^\|y\| = 1 >= reach 1$"):
+        lift_from_tangent(M, pole, frame, np.array([1.0, 0.0]))
+    lifted = lift_from_tangent(M, pole, frame, np.array([0.999, 0.0]))
+    assert M.implicit_residual(lifted) < 1e-9  # just inside
 
 
 def test_lift_round_trip(manifold):
@@ -367,27 +369,29 @@ def test_lift_round_trip(manifold):
         frame = frame_at(manifold, p)
         y = rng.normal(size=manifold.m)
         y *= rng.uniform(0.05, 0.4) * cap / np.linalg.norm(y)
-        lifted = lift_from_tangent(manifold, p, frame, y, max_radius=cap)
+        lifted = lift_from_tangent(manifold, p, frame, y)
         assert manifold.implicit_residual(lifted) < 1e-9
         back = frame @ (lifted - p)
         assert back == pytest.approx(y, abs=1e-9)
 
 
 def test_torus_lift_without_solution_raises():
+    """The chart inverse itself, past the reach cap of
+    ``lift_from_tangent``, which a lift between reach/2 and the reach
+    may also meet."""
     M = TorusOfRevolution(2, 0.5)
     p = np.array([2.5, 0.0, 0.0])
     # the tube circle only reaches r=0.5 along the second tangent axis
     with pytest.raises(NoConvergence):
-        lift_from_tangent(M, p, frame_at(M, p), np.array([0.0, 0.9]),
-                          max_radius=2.0)
+        M._lift(p, frame_at(M, p), np.array([0.0, 0.9]))
 
 
 def test_clifford_lift_per_block_cap():
+    """The chart inverse itself: a coordinate past one circle's radius."""
     M = CliffordTorus(0.5)
     p = M.sample(1, seed=3)[0]
-    with pytest.raises(OutOfChart):
-        lift_from_tangent(M, p, frame_at(M, p), np.array([0.6, 0.0]),
-                          max_radius=1.0)
+    with pytest.raises(OutOfChart, match="per-circle"):
+        M._lift(p, frame_at(M, p), np.array([0.6, 0.0]))
 
 
 # ===== the sampling-theory inequalities =====
@@ -649,7 +653,7 @@ def test_flat_sample_extent():
 def test_point_io_round_trip(tmp_path):
     pts = np.random.default_rng(97).normal(size=(17, 3))
     path = tmp_path / "pts.txt"
-    write_points(path, pts, header="demo points\nsecond line")
+    write_points(path, pts)
     back = read_points(path)
     assert back == pytest.approx(pts, abs=0)
 

@@ -33,6 +33,7 @@ from tandel.manifolds import (CliffordTorus, FlatPatch, SampleSet,
                               TorusOfRevolution, UnitSphere, closest_point,
                               farthest_point_net)
 from tandel.refine import (
+    EPS_TILDE0,
     MU0,
     ConfigKind,
     _cosph_scan,
@@ -80,9 +81,8 @@ def params_ok(**over):
 
 class TestConstants:
     def test_frozen_universal_constants(self):
-        c = derive_constants(params_ok(), SPHERE)
-        assert c.eps_tilde0 == pytest.approx(1.0 / 4624.0, rel=1e-15)
-        assert c.mu0 == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert EPS_TILDE0 == pytest.approx(1.0 / 4624.0, rel=1e-15)
+        assert MU0 == pytest.approx(1.0 / 9.0, rel=1e-15)
 
     def test_frozen_beta_terms(self):
         c = derive_constants(params_ok(beta=4.5), SPHERE)
@@ -194,6 +194,22 @@ class TestParameterIO:
                     dict(beta=math.nan), dict(beta=math.inf)):
             with pytest.raises(ValueError):
                 params_ok(**bad)
+
+    def test_seed_must_be_a_non_negative_int(self, tmp_path):
+        """numpy refuses a negative seed only once the first pick draws."""
+        for bad in (-3, 1.5, "7"):
+            with pytest.raises(ValueError,
+                               match=rf"^seed must be a non-negative int, "
+                                     rf"got {re.escape(repr(bad))}$"):
+                params_ok(seed=bad)
+        path = tmp_path / "p.txt"
+        write_parameters(path, params_ok())
+        path.write_text(path.read_text().replace("seed = 0", "seed = -3"))
+        with pytest.raises(ValueError, match="^seed must be"):
+            read_parameters(path)
+        with pytest.raises(ValueError, match="^seed must be"):
+            dataclasses.replace(params_ok(), seed=-1)
+        assert params_ok(seed=0).seed == 0
 
 
 # ===== picking region =====

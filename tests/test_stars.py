@@ -13,7 +13,7 @@ from conftest import (assert_same_star_bitwise, compute_star,
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
-                           SingularSystem, SparsityViolation)
+                           SingularSystem, SparsityViolation, UnsupportedDim)
 from tandel.geometry import (ElementaryWeight, GammaClass, as_simplex,
                              circumsphere, classify_gamma, edge_extremes)
 from tandel.manifolds import (
@@ -118,6 +118,22 @@ class TestOctahedronStar:
 def test_too_sparse_raises():
     with pytest.raises(NeighborhoodTooSparse):
         compute_star(0, octa_sample(eps=0.05), UnitSphere(2, 3))
+
+
+def test_circle_is_unsupported_dim(monkeypatch):
+    """A cell's corners come from Qhull, which needs m >= 2, so the
+    complex of a curve refuses to start, before any star is built."""
+    circle = UnitSphere(1, 2)
+    sample = SampleSet(points=circle.sample(12, seed=1), epsilon=0.6,
+                       sparsity=0.0)
+
+    def no_build(*_args):
+        raise AssertionError("a star was built")
+
+    monkeypatch.setattr(stars_module, "_build_stars", no_build)
+    with pytest.raises(UnsupportedDim, match=r"^tangential complex needs "
+                                             r"m >= 2, not 1$"):
+        assemble_complex(sample, circle)
 
 
 def test_tangent_center_octahedron():

@@ -38,13 +38,12 @@ from tandel.verify import (
     oracle_match_report,
     power_protection_audit,
     restricted_delaunay_oracle,
-    _delaunay_by_lifting,
-    _delaunay_by_sphere_enumeration,
     _scan_rows,
     _TIE_WINDOW_CAP,
 )
 
-from conftest import closure_by_walk, exact_flat_member, flat_sites, frame_at
+from conftest import (_delaunay_by_sphere_enumeration, closure_by_walk,
+                      exact_flat_member, flat_sites, frame_at)
 
 OCTA = np.array([
     [0.0, 0.0, 1.0],
@@ -192,6 +191,34 @@ class TestEulerCharacteristic:
 
 # ===== ambient brute force =====
 
+UNIT_CUBE = np.array(list(itertools.product(range(2), repeat=3)), float)
+GRID_3X3 = np.array(list(itertools.product(range(3), repeat=2)), float)
+BLOCK_2X2X3 = np.array(list(itertools.product(range(2), range(2), range(3))),
+                       float)
+DEGENERATE_SETS = {
+    "square": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "square_with_center": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                    [0.0, 1.0], [0.5, 0.5]]),
+    "octahedron": OCTA,
+    "collinear_chain": np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 0.0],
+                                 [6.0, 0.0]]),
+    "unit_cube": UNIT_CUBE,
+    "cube_with_center": np.vstack([UNIT_CUBE, [[0.5, 0.5, 0.5]]]),
+}
+
+
+def unit_cubes(grid):
+    """The vertex labels of every unit cube of an integer grid, sorted."""
+    label = {tuple(p): i for i, p in enumerate(grid.astype(int).tolist())}
+    cubes = []
+    for corner in label:
+        cube = [label.get(tuple(c + d for c, d in zip(corner, step)))
+                for step in itertools.product(range(2), repeat=3)]
+        if None not in cube:
+            cubes.append(tuple(sorted(cube)))
+    return sorted(cubes)
+
+
 class TestAmbientDelaunay:
     def test_three_generic_points(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
@@ -199,17 +226,14 @@ class TestAmbientDelaunay:
         assert k.counts() == {0: 3, 1: 3, 2: 1}
 
     def test_unit_square_is_one_cocircular_clique(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        k = ambient_delaunay_bruteforce(pts)
+        k = ambient_delaunay_bruteforce(DEGENERATE_SETS["square"])
         # one empty circle through all four corners: every subset survives
         assert len(k) == 15
         assert (0, 1, 2, 3) in k
         assert (0, 2) in k and (1, 3) in k   # both diagonals
 
     def test_square_with_center(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                        [0.5, 0.5]])
-        k = ambient_delaunay_bruteforce(pts)
+        k = ambient_delaunay_bruteforce(DEGENERATE_SETS["square_with_center"])
         assert (0, 1, 2, 3) not in k
         assert sorted(k.of_dim(2)) == [(0, 1, 4), (0, 3, 4), (1, 2, 4),
                                        (2, 3, 4)]
@@ -225,8 +249,7 @@ class TestAmbientDelaunay:
         assert (0, 1, 2, 3, 4, 5) in k
 
     def test_collinear_points_chain(self):
-        pts = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 0.0], [6.0, 0.0]])
-        k = ambient_delaunay_bruteforce(pts)
+        k = ambient_delaunay_bruteforce(DEGENERATE_SETS["collinear_chain"])
         assert sorted(k.of_dim(1)) == [(0, 2), (1, 2), (1, 3)]
         assert k.of_dim(2) == []
 
@@ -235,7 +258,7 @@ class TestAmbientDelaunay:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(9, 2))
         a = _delaunay_by_sphere_enumeration(pts)
-        b = _delaunay_by_lifting(pts)
+        b = ambient_delaunay_bruteforce(pts)
         assert a.simplices == b.simplices
         qhull = {tuple(sorted(s)) for s in Delaunay(pts).simplices}
         assert set(a.of_dim(2)) == qhull
@@ -245,8 +268,39 @@ class TestAmbientDelaunay:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(8, 3))
         a = _delaunay_by_sphere_enumeration(pts)
-        b = _delaunay_by_lifting(pts)
+        b = ambient_delaunay_bruteforce(pts)
         assert a.simplices == b.simplices
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SETS))
+    def test_agrees_with_enumeration_on_degenerate_sets(self, name):
+        """Cospherical and collinear sets, whose cells Qhull triangulates
+        arbitrarily; for the cube with its centre the triangulation
+        holds flat simplices, which have no circumsphere."""
+        pts = DEGENERATE_SETS[name]
+        assert (ambient_delaunay_bruteforce(pts)
+                == _delaunay_by_sphere_enumeration(pts))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_agrees_with_enumeration_on_lattice_subsets(self, seed):
+        """5 to 8 points of the 3 x 3 planar grid and of the 2 x 2 x 3
+        block: cospherical groups, collinear runs and coplanar sets."""
+        rng = np.random.default_rng(seed)
+        for grid in (GRID_3X3, BLOCK_2X2X3):
+            n = int(rng.integers(5, 9))
+            pts = grid[rng.choice(len(grid), n, replace=False)]
+            assert (ambient_delaunay_bruteforce(pts)
+                    == _delaunay_by_sphere_enumeration(pts)), pts.tolist()
+
+    def test_block_of_two_unit_cubes(self):
+        k = ambient_delaunay_bruteforce(BLOCK_2X2X3)
+        cubes = unit_cubes(BLOCK_2X2X3)
+        assert k.of_dim(7) == cubes
+        assert k == AbstractComplex.from_simplices(cubes)
+
+    def test_grid_of_eight_unit_cubes(self):
+        grid = np.array(list(itertools.product(range(3), repeat=3)), float)
+        k = ambient_delaunay_bruteforce(grid)
+        assert k == AbstractComplex.from_simplices(unit_cubes(grid))
 
     def test_size_guards(self):
         rng = np.random.default_rng(0)
@@ -273,7 +327,6 @@ class TestRestrictedOracle:
         assert [s for s in seen if len(s) == 3] == OCTA_FACES
         assert as_complex(seen).counts() == {0: 6, 1: 12, 2: 8}
         assert 0.0 < res.band < 0.25 * np.sqrt(2.0)
-        assert res.resolution == res.band
         assert res.n_witnesses == 60000
 
     def test_antipodal_pair_is_an_edge(self):

@@ -9,6 +9,10 @@ Subcommands
 Exit codes: 0 success, 1 check failure or package error, 2 usage or
 parse error.
 
+``mesh`` and ``hypotheses`` take each run parameter (a field of
+``refine.Parameters``) from its flag, else from the ``--params`` file,
+else from its default; every failure to read that file exits 2.
+
 Errors are reported by ``main`` alone; subcommands do not catch them.
 Every failure of the package raises a ``TandelError`` subclass, printed
 as the one stderr line ``error: <ClassName>: <message>`` with exit 1.
@@ -20,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,11 +34,14 @@ from .errors import SparsityViolation, TandelError
 from .manifolds import (Manifold, SampleSet, closest_pair,
                         farthest_point_net, parse_manifold, read_points,
                         read_table, write_points)
-from .refine import Parameters, check_hypotheses, derive_constants
+from .refine import Parameters, check_hypotheses
 
 REPORT_SCHEMA = "tandel-report/1"
 # seed of the dense witness sample of ``tandel verify --dense-n``
 ORACLE_SEED = 7
+# defaults of the run parameters Parameters gives none
+PARAM_DEFAULTS = {"epsilon": 0.3, "gamma0": 0.05, "alpha": 0.25,
+                  "beta": 4.5, "delta0": 0.05}
 
 
 # ===== serialization helpers =====
@@ -53,10 +61,8 @@ def _jsonify(obj):
         if math.isnan(f):
             return "nan"
         return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
@@ -114,29 +120,21 @@ def _load_complex(path, n_points: int):
 
 
 def _params_from_args(args) -> Parameters:
-    if args.params:
-        params = refine.read_parameters(args.params)
-        if args.seed is not None:
-            # replace checks the new seed as the constructor does
-            params = dataclasses.replace(params, seed=args.seed)
-        return params
-    return Parameters(
-        epsilon=args.epsilon, gamma0=args.gamma0, alpha=args.alpha,
-        beta=args.beta, delta0=args.delta0, mode=args.mode,
-        seed=args.seed if args.seed is not None else 0)
+    """Each run parameter from its flag, else --params, else default."""
+    flags = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(Parameters)
+             if getattr(args, f.name) is not None}
+    from_file = refine.read_parameter_file(args.params) if args.params else {}
+    return Parameters(**{**PARAM_DEFAULTS, **from_file, **flags})
 
 
 def _add_param_flags(sub):
-    sub.add_argument("--params", help="key = value parameter file")
-    sub.add_argument("--epsilon", type=float, default=0.3)
-    sub.add_argument("--gamma0", type=float, default=0.05)
-    sub.add_argument("--alpha", type=float, default=0.25)
-    sub.add_argument("--beta", type=float, default=4.5)
-    sub.add_argument("--delta0", type=float, default=0.05)
-    sub.add_argument("--mode", choices=["practical", "strict"],
-                     default="practical")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="overrides the seed from --params")
+    sub.add_argument("--params",
+                     help="key = value parameter file; a flag beats the "
+                          "file, which beats the default, and every "
+                          "failure to read the file exits 2")
+    for name, kind in typing.get_type_hints(Parameters).items():
+        sub.add_argument(f"--{name}", type=kind)
 
 
 # ===== net =====
@@ -217,11 +215,10 @@ def cmd_mesh(args) -> int:
 
     if not hyp.ok:
         h5 = hyp.item("H5")
-        ratio = h5.value / h5.bound if h5.bound else math.inf
         print(f"hypotheses fail in {params.mode} mode: "
               f"{', '.join(hyp.failed())}", file=sys.stderr)
         print(f"H5 margin: eps/rch = {h5.value:.6g} vs bound {h5.bound:.6g} "
-              f"(ratio {ratio:.6g})", file=sys.stderr)
+              f"(ratio {h5.margin_ratio:.6g})", file=sys.stderr)
         _write_json(prefix + ".report.json", {
             "schema": REPORT_SCHEMA, "command": "mesh", "status": "refused",
             "hypotheses": [it.__dict__ for it in hyp.items],
@@ -259,15 +256,10 @@ def cmd_mesh(args) -> int:
         "command": "mesh",
         "status": "ok",
         "manifold": manifold.spec_string(),
-        "parameters": {k: getattr(params, k) for k in (
-            "epsilon", "gamma0", "alpha", "beta", "delta0", "mode", "seed")},
-        "insertions": {
-            "rule1": state.counters["rule1"],
-            "rule2_star": state.counters["rule2_star"],
-            "rule2_cosph": state.counters["rule2_cosph"],
-            "rule2_inconsistent": state.counters["rule2_inconsistent"],
-            "total": len(state.events),
-        },
+        "parameters": dataclasses.asdict(params),
+        "insertions": {**{counter: state.counters[counter]
+                          for counter, _rule in refine.RULES.values()},
+                       "total": len(state.events)},
         "counters": dict(state.counters),
         "final_audit": state.final_audit,
         "measurements": _mesh_measurements(state, cplx, manifold),
@@ -285,6 +277,8 @@ def cmd_mesh(args) -> int:
 
 def cmd_verify(args) -> int:
     manifold = parse_manifold(args.manifold)
+    if not math.isfinite(args.delta2):
+        raise ValueError(f"--delta2 must be finite, got {args.delta2}")
     pts = _load_points(args.points, manifold)
     cplx = _load_complex(args.complex, len(pts))
     checks = {}
@@ -348,15 +342,7 @@ def cmd_verify(args) -> int:
 def cmd_hypotheses(args) -> int:
     manifold = parse_manifold(args.manifold)
     params = _params_from_args(args)
-    constants = derive_constants(params, manifold)
     hyp = check_hypotheses(params, manifold)
-    items = []
-    for it in hyp.items:
-        ratio = it.value / it.bound if it.bound not in (0.0, math.inf) \
-            else math.inf
-        items.append({
-            "name": it.name, "satisfied": it.satisfied, "value": it.value,
-            "bound": it.bound, "margin_ratio": ratio, "note": it.note})
     report = {
         "schema": REPORT_SCHEMA,
         "command": "hypotheses",
@@ -368,21 +354,21 @@ def cmd_hypotheses(args) -> int:
             "mu0_fraction": "1/9",
             "eps_tilde0": refine.EPS_TILDE0,
             "eps_tilde0_fraction": "1/4624",
-            "eps_tilde": constants.eps_tilde,
-            "beta_prime": constants.beta_prime,
-            "b_hyp": constants.b_hyp,
-            "b_lemma": constants.b_lemma,
-            "b_eff": constants.b_eff,
-            "xi": constants.xi,
-            "a_vol": constants.a_vol,
+            "eps_tilde": hyp.constants.eps_tilde,
+            "beta_prime": hyp.constants.beta_prime,
+            "b_hyp": hyp.constants.b_hyp,
+            "b_lemma": hyp.constants.b_lemma,
+            "b_eff": hyp.constants.b_eff,
+            "xi": hyp.constants.xi,
+            "a_vol": hyp.constants.a_vol,
         },
-        "items": items,
+        "items": [{**dataclasses.asdict(it), "margin_ratio": it.margin_ratio}
+                  for it in hyp.items],
     }
     text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(args.out, report)
     return 0 if hyp.ok else 1
 
 
@@ -439,6 +425,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "dense_n", 0) < 0:
+            raise ValueError(f"--dense-n must be >= 0, got {args.dense_n}")
         return args.func(args)
     except TandelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -20,9 +20,11 @@ delta0 and gamma0.  ``stars`` holds star geometry only.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +99,11 @@ class Parameters:
                              f"got {self.seed!r}")
 
 
-_PARAM_ORDER = ("epsilon", "gamma0", "alpha", "beta", "delta0", "mode",
-                "seed")
-_PARAM_TYPES = {"epsilon": float, "gamma0": float, "alpha": float,
-                "beta": float, "delta0": float, "mode": str, "seed": int}
-
-
-def read_parameters(path) -> Parameters:
-    """Parse a `key = value` parameter file (# starts a comment)."""
+def read_parameter_file(path) -> dict:
+    """The values a `key = value` parameter file gives (# starts a
+    comment), typed as ``Parameters`` types them; a bad line raises
+    ValueError naming ``path:line``."""
+    types = typing.get_type_hints(Parameters)
     got = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -114,9 +113,26 @@ def read_parameters(path) -> Parameters:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _PARAM_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{ln}: unknown parameter {key!r}")
-            got[key] = _PARAM_TYPES[key](val)
+            if key in got:
+                raise ValueError(f"{path}:{ln}: repeated parameter {key!r}")
+            try:
+                got[key] = types[key](val)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: {key} = {val!r} does not "
+                                 f"parse as {types[key].__name__}") from None
+    return got
+
+
+def read_parameters(path) -> Parameters:
+    """The ``Parameters`` of a parameter file, which may leave out only
+    the fields with a default (else ValueError naming ``path``)."""
+    got = read_parameter_file(path)
+    missing = [f.name for f in dataclasses.fields(Parameters)
+               if f.name not in got and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{path}: missing parameters {', '.join(missing)}")
     return Parameters(**got)
 
 
@@ -125,12 +141,9 @@ def write_parameters(path, params: Parameters):
     ``read_parameters``, which reads it back to equal parameters (floats
     are written with 17 significant digits)."""
     with open(path, "w") as fh:
-        for key in _PARAM_ORDER:
-            val = getattr(params, key)
-            if isinstance(val, float):
-                fh.write(f"{key} = {val:.17g}\n")
-            else:
-                fh.write(f"{key} = {val}\n")
+        for key, val in dataclasses.asdict(params).items():
+            fh.write(f"{key} = {val:.17g}\n" if isinstance(val, float)
+                     else f"{key} = {val}\n")
 
 
 # ===== derived constants and hypotheses =====
@@ -196,21 +209,24 @@ class HypothesisItem:
     bound: float
     note: str = ""
 
+    @property
+    def margin_ratio(self) -> float:
+        """value / bound, or inf where the bound is 0 or inf."""
+        return (self.value / self.bound
+                if self.bound not in (0.0, math.inf) else math.inf)
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    mode: str
     ok: bool
     items: tuple
+    constants: DerivedConstants
 
     def failed(self):
         return [it.name for it in self.items if not it.satisfied]
 
     def item(self, name: str) -> HypothesisItem:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
+        return {it.name: it for it in self.items}[name]
 
 
 def check_hypotheses(params: Parameters,
@@ -233,11 +249,10 @@ def check_hypotheses(params: Parameters,
     items.append(HypothesisItem(
         "H1", b >= h1_bound, b, h1_bound, "beta floor"))
 
-    b_eff = constants.b_eff
     h2_bound = min(
         constants.nu_m * a ** m /
         (constants.e_bound ** (m + 1) * b ** m * constants.d_vol),
-        1.0 / (b_eff + 1.0))
+        1.0 / (constants.b_eff + 1.0))
     items.append(HypothesisItem(
         "H2", g0 < h2_bound, g0, h2_bound, "gamma0 ceiling"))
 
@@ -261,7 +276,7 @@ def check_hypotheses(params: Parameters,
         ok = all(it.satisfied for it in items)
     else:
         ok = items[0].satisfied and items[1].satisfied and d0 < 0.25
-    return HypothesisReport(mode=params.mode, ok=ok, items=tuple(items))
+    return HypothesisReport(ok=ok, items=tuple(items), constants=constants)
 
 
 # ===== configurations =====
@@ -307,12 +322,10 @@ class RefinementState:
         self.cosph = {}
         self.gamma_cache: dict = {}
         self.events: list[dict] = []
-        self.counters = {
-            "rule1": 0, "rule2_star": 0, "rule2_cosph": 0,
-            "rule2_inconsistent": 0,
-            "pick_attempts": 0, "pick_audit_miss": 0, "shrinks": 0,
-            "iterations": 0,
-        }
+        self.counters = dict.fromkeys(
+            [counter for counter, _rule in RULES.values()] + [
+                "pick_attempts", "pick_audit_miss", "shrinks", "iterations"],
+            0)
         self.pick_counter = 0
         self.final_audit = None
         self.unfit = {kind: {} for kind in ConfigKind}
@@ -378,15 +391,13 @@ class RefinementState:
 
 def make_state(sample: SampleSet, manifold: Manifold,
                params: Parameters) -> RefinementState:
-    """Assemble the complex, the cosph records, and gate on the hypotheses."""
+    """Gate on the hypotheses, then build the state at params.epsilon."""
     report = check_hypotheses(params, manifold)
     if not report.ok:
         raise HypothesesFailed(
             f"{params.mode} mode rejects parameters: {report.failed()}")
-    if abs(sample.epsilon - params.epsilon) > 1e-12 * params.epsilon:
-        sample = SampleSet(points=sample.points, epsilon=params.epsilon,
-                           sparsity=sample.sparsity)
-    cplx = assemble_complex(sample, manifold)
+    cplx = assemble_complex(
+        dataclasses.replace(sample, epsilon=params.epsilon), manifold)
     state = RefinementState(cplx, params)
     state.refresh_stars(list(cplx.stars))
     return state

@@ -273,6 +273,59 @@ class TestMesh:
                 "error: seed must be a non-negative int, got -3\n")
             assert not (tmp_path / "s.points.txt").exists()
 
+    @staticmethod
+    def outputs(prefix):
+        return [Path(f"{prefix}{suffix}").read_bytes() for suffix in (
+            ".points.txt", ".simplices.txt", ".events.log", ".report.json")]
+
+    def test_flag_beats_params_file(self, tmp_path):
+        """``--params p --epsilon 0.2`` runs as every value given by flag
+        with ``--epsilon 0.2``: the file's seed reaches the run and its
+        epsilon does not.  The flag used to be dropped."""
+        params_path = tmp_path / "p.params"
+        params_path.write_text("epsilon = 0.35\ngamma0 = 0.05\nalpha = 0.25\n"
+                               "beta = 4.5\ndelta0 = 0.05\nmode = practical\n"
+                               "seed = 5\n")
+        common = ["mesh", "--manifold", SPHERE, "--dense-n", 8000]
+        assert run(*common, "--params", params_path, "--epsilon", 0.2,
+                   "--out-prefix", tmp_path / "a") == 0
+        assert run(*common, "--epsilon", 0.2, "--gamma0", 0.05,
+                   "--alpha", 0.25, "--beta", 4.5, "--delta0", 0.05,
+                   "--mode", "practical", "--seed", 5,
+                   "--out-prefix", tmp_path / "b") == 0
+        assert self.outputs(tmp_path / "a") == self.outputs(tmp_path / "b")
+
+    def test_params_file_keys_left_out_take_defaults(self, tmp_path):
+        """A file naming epsilon alone runs as ``--epsilon`` alone; it
+        used to end in the constructor's TypeError."""
+        params_path = tmp_path / "p.params"
+        params_path.write_text("epsilon = 0.2\n")
+        common = ["mesh", "--manifold", SPHERE, "--dense-n", 8000]
+        assert run(*common, "--params", params_path,
+                   "--out-prefix", tmp_path / "a") == 0
+        assert run(*common, "--epsilon", 0.2,
+                   "--out-prefix", tmp_path / "b") == 0
+        assert self.outputs(tmp_path / "a") == self.outputs(tmp_path / "b")
+
+    @pytest.mark.parametrize("line,message", [
+        ("epsilon = 0.4", "repeated parameter 'epsilon'"),
+        ("seed = 1.5", "seed = '1.5' does not parse as int")],
+        ids=["repeated", "bad-value"])
+    def test_params_file_error_is_one_line(self, tmp_path, capsys, line,
+                                           message):
+        params_path = tmp_path / "p.params"
+        params_path.write_text(f"epsilon = 0.35\ngamma0 = 0.05\n{line}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["mesh", "--dense-n", 2000, "--out-prefix", out / "m"],
+                     ["hypotheses", "--out", out / "h.json"]):
+            code = run(*argv, "--manifold", SPHERE, "--params", params_path)
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {params_path}:3: {message}\n"
+            assert captured.out == ""
+            assert not any(out.iterdir())
+
     def test_off_manifold_net_point_is_named(self, tmp_path, capsys):
         net = farthest_point_net(UnitSphere(2, 3).sample(8000, seed=5),
                                  eps=0.35, seed=5)
@@ -373,6 +426,24 @@ class TestVerify:
         assert prot["ok"] is False
         assert abs(prot["min_margin"]) < 1e-12
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_delta2_is_usage_error(self, tmp_path, capsys,
+                                              value):
+        # every entry used to fail against the threshold, with exit 1
+        pts = tmp_path / "p.txt"
+        pts.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        cpx = tmp_path / "k.txt"
+        cpx.write_text("0 1 2\n")
+        out = tmp_path / "r.json"
+        code = main(["verify", "--complex", str(cpx), "--points", str(pts),
+                     "--manifold", FLAT, f"--delta2={value}",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --delta2 must be finite, got {float(value)}\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_point_row_is_usage_error(self, tmp_path, capsys,
@@ -516,6 +587,26 @@ def test_non_finite_net_in_row_is_usage_error(tmp_path, capsys):
         f"error: {net_path}:2: non-finite coordinate\n")
     assert not (tmp_path / "n.points.txt").exists()
 
+
+@pytest.mark.parametrize("command", ["net", "mesh", "verify"])
+def test_negative_dense_n_is_usage_error(tmp_path, capsys, command):
+    # numpy used to refuse it with "negative dimensions are not allowed"
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0 1\n1 0 0\n0 1 0\n")
+    cpx = tmp_path / "k.txt"
+    cpx.write_text("0 1 2\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"net": ["--epsilon", 0.3, "--out", out / "n.txt"],
+            "mesh": ["--out-prefix", out / "m"],
+            "verify": ["--complex", cpx, "--points", pts, "--delta2", 1e-9,
+                       "--out", out / "v.json"]}[command]
+    code = run(command, "--manifold", SPHERE, "--dense-n", -5, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: --dense-n must be >= 0, got -5\n"
+    assert not any(out.iterdir())
+
+
 # ===== hypotheses =====
 
 class TestHypotheses:
@@ -539,6 +630,16 @@ class TestHypotheses:
         assert captured.err == (
             "error: seed must be a non-negative int, got -3\n")
         assert captured.out == ""
+
+    def test_flag_beats_params_file(self, tmp_path, capsys):
+        # the flag used to be dropped, giving the file's eps/rch = 0.6
+        params_path = tmp_path / "p.params"
+        params_path.write_text("epsilon = 0.3\nmode = strict\n")
+        main(["hypotheses", "--manifold", "torus:R=2,r=0.5",
+              "--params", str(params_path), "--epsilon", "0.2"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["constants"]["eps_tilde"] == pytest.approx(0.4, rel=1e-15)
+        assert rep["mode"] == "strict"
 
     def test_strict_sphere_fails_h5_with_ratio(self, capsys):
         code = main(["hypotheses", "--manifold", SPHERE, "--mode", "strict",

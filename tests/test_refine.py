@@ -184,6 +184,27 @@ class TestParameterIO:
         with pytest.raises(ValueError):
             read_parameters(path)
 
+    @pytest.mark.parametrize("text,where,message", [
+        ("epsilon = 0.3\ngamma0 = 0.05\nmode = strict\n", "",
+         "missing parameters alpha, beta, delta0"),
+        ("epsilon = 0.3\ngamma0 = 0.05\n\nepsilon = 0.2\n", ":4",
+         "repeated parameter 'epsilon'"),
+        ("epsilon = 0.3\ngamma0 = 0.05\nalpha = 0.25\nbeta = 4.5\n"
+         "delta0 = 0.05\nseed = 1.5\n", ":6",
+         "seed = '1.5' does not parse as int"),
+        ("epsilon = 0.3\ngamma0 = 5e-2x\n", ":2",
+         "gamma0 = '5e-2x' does not parse as float")],
+        ids=["missing", "repeated", "bad-int", "bad-float"])
+    def test_bad_file_names_the_file(self, tmp_path, text, where, message):
+        # a missing key used to raise the constructor's TypeError, a
+        # repeated one kept its last value, and a bad value gave the bare
+        # int() or float() message
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+            read_parameters(path)
+
     def test_lenient_construction(self):
         # representable even though the checker rejects it
         p = params_ok(alpha=0.6)

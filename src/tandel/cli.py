@@ -34,7 +34,7 @@ from .errors import SparsityViolation, TandelError
 from .manifolds import (Manifold, SampleSet, closest_pair,
                         farthest_point_net, parse_manifold, read_points,
                         read_table, write_points)
-from .refine import Parameters, check_hypotheses
+from .refine import Parameters, check_epsilon, check_hypotheses, check_seed
 
 REPORT_SCHEMA = "tandel-report/1"
 # seed of the dense witness sample of ``tandel verify --dense-n``
@@ -141,8 +141,8 @@ def _add_param_flags(sub):
 
 def cmd_net(args) -> int:
     manifold = parse_manifold(args.manifold)
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {args.seed}")
+    check_epsilon(args.epsilon)
+    check_seed(args.seed)
     dense = manifold.sample(args.dense_n, args.seed)
     net = farthest_point_net(dense, eps=args.epsilon, seed=args.seed)
     pts = net.points

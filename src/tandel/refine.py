@@ -79,9 +79,8 @@ class Parameters:
     seed: int = 0
 
     def __post_init__(self):
+        check_epsilon(self.epsilon)
         # NaN fails every comparison, so the negated tests refuse it too
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.gamma0 < 1.0:
             raise ValueError("gamma0 must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
@@ -93,10 +92,21 @@ class Parameters:
         self.mode = str(self.mode).lower()
         if self.mode not in ("strict", "practical"):
             raise ValueError("mode must be 'strict' or 'practical'")
-        # numpy seeds the pick generators with no negative int
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, "
-                             f"got {self.seed!r}")
+        check_seed(self.seed)
+
+
+def check_epsilon(epsilon) -> None:
+    """The rule for a sampling radius, of ``Parameters`` and ``tandel net``:
+    positive and finite (NaN fails the comparison too)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+
+
+def check_seed(seed) -> None:
+    """The rule for a seed, of ``Parameters`` and ``tandel net``: numpy
+    seeds its generators with no negative int."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def read_parameter_file(path) -> dict:

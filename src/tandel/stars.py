@@ -13,15 +13,20 @@ and the sites tight at t*: the ball centred at c_p = p + B^T t* with
 radius R_p = |t*| passes through them and contains no other site.
 Corners therefore correspond exactly to the m-simplices of the star.
 
-Cells are intersected with a bounding box, and the corners of the
-result come from one Qhull halfspace intersection for every m (Barber,
-Dobkin & Huhdanpaa, ACM TOMS 1996).  Qhull finds which sites are tight
-at each corner; a real corner is then stored as its equidistance
-system's solution t*, the same value whichever route produced it.
-Corners supported by box walls ("synthetic" corners) keep Qhull's
-coordinates; they mark directions where the true cell runs past the
-box, which on a compact manifold can only happen when the sampling
-radius is violated there.
+Cells are intersected with a bounding box.  For m = 2 the corners of
+all the cells of a build round come from one stacked array pass
+(``_plane_cells``): each line is clipped against the other lines of its
+cell, first from the nearest sites only, and a cell is kept when a
+certificate shows the sites left out change nothing.  For m >= 3 each
+cell is one Qhull halfspace intersection (Barber, Dobkin & Huhdanpaa,
+ACM TOMS 1996).  Either route finds which sites are tight at each
+corner by the same slack test; a real corner is then stored as its
+equidistance system's solution t*, the same value whichever route
+produced it.  Corners supported by box walls ("synthetic" corners) keep
+the coordinates the route found, equal between routes up to rounding;
+they mark directions where the true cell runs past the box, which on a
+compact manifold can only happen when the sampling radius is violated
+there.
 
 A star depends only on the sites within O(epsilon) of its vertex
 (Boissonnat & Ghosh, DCG 2014), so stars are independent and are built
@@ -29,11 +34,12 @@ together: ``_build_stars`` takes a list of vertices (all of them for the
 initial complex, the new one and the cut stars the clip cannot update
 for an insertion) and runs rounds in which the ball queries, the
 tangent frames, the equidistance solves and the emptiness queries are
-one stacked call each, and the site arrays and their checks one stacked
-pass per chunk of ``_SITE_CHUNK`` stars, while the Qhull cell, its
-tight keys and the corner walk stay per star.  Each star comes out
-bit-identical to building it alone, and a failing batch raises the
-error of its first failing vertex.
+one stacked call each, the site arrays one stacked pass per chunk of
+``_SITE_CHUNK`` stars, and the m = 2 cells one stacked pass per chunk
+of ``_PLANE_STARS`` stars, while the corner walk (and the Qhull cell
+for m >= 3) stays per star.  Each star comes out bit-identical to
+building it alone, and a failing batch raises the error of its first
+failing vertex.
 
 An insertion changes a cell in one way only: it intersects the cell
 with the new site's halfspace, the cavity step of incremental Delaunay
@@ -72,6 +78,12 @@ PRUNE_MULT = 8.0
 # stars per _site_arrays call: its product holds (sites of the chunk) x
 # (_SITE_CHUNK * m) entries
 _SITE_CHUNK = 8
+# m = 2 cells (_plane_cells): sites of a cell's first attempt, stars per
+# first-attempt stack, and the largest stars x lines^2 of a stack of
+# cells taken from all their sites
+_PLANE_SITES = 12
+_PLANE_STARS = 64
+_PLANE_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -85,9 +97,9 @@ class Star:
     corner, whose norm is then only a lower bound for the cell extent.
     A real corner is its simplex's solved tangent centre t, with
     c_p = p + B^T t and R_p = |t|, whether the star was built or
-    clipped; a synthetic corner is where Qhull put it.  The order of the
-    corners (and of ``centers``) depends on how the star was made, and
-    no result depends on it.  ``frame`` is the (m, N) tangent frame B at
+    clipped; a synthetic corner is where the cell routine put it.  The
+    order of the corners (and of ``centers``) depends on how the star
+    was made, and no result depends on it.  ``frame`` is the (m, N) tangent frame B at
     the base point.
     """
     base: int
@@ -157,12 +169,20 @@ def _box_walls(m):
     return walls
 
 
+def _singular_cell(b, box, reason):
+    return SingularSystem(
+        f"power cell with its nearest site at distance "
+        f"{np.sqrt(b.min()):.3g} in a box of {box:.3g}: {reason}")
+
+
 def _cell_corners(u, b, box):
     """Corners of the cell {t : 2u.t <= b} inside the box [-box, box]^m.
 
     One Qhull halfspace intersection over the site rows and the 2m box
     walls.  t = 0 is the interior point: it is strictly inside every
     site row because each b > 0 (no site coincides with the base).
+    Cells of m >= 3 come from here; for m = 2 it is the reference of
+    ``_plane_cells``.
 
     Raises:
         SingularSystem: a site so close to the base, against the box,
@@ -184,9 +204,202 @@ def _cell_corners(u, b, box):
         if np.isfinite(corners).all():
             return corners
         reason = "a corner at infinity"
-    raise SingularSystem(
-        f"power cell with its nearest site at distance "
-        f"{np.sqrt(b.min()):.3g} in a box of {box:.3g}: {reason}")
+    raise _singular_cell(b, box, reason)
+
+
+def _plane_corners(u, b, live, box):
+    """Corners of a stack of 2-D cells, found line by line.
+
+    Cell i is {t : 2 u[i, k] . t <= b[i, k] for the k with live[i, k]}
+    inside the box [-box[i], box[i]]^2; a row with u = 0 holds
+    everywhere.  Each line is clipped against the other lines of its
+    cell: those crossing it bound it from one side, and a parallel one
+    further in drops it.  A line whose remaining interval is not empty
+    holds an edge, and the end of that edge in counter-clockwise order
+    is a corner.  t = 0 is inside every cell (each b > 0), so every
+    corner ends exactly one edge.  All arithmetic is elementwise, so a
+    cell does not depend on the other cells of its stack or on their
+    padding.
+
+    Returns (corners, edge): the (S, K + 4, 2) corner of each line (the
+    K site rows, then the walls t_0 <= box, t_1 <= box, -t_0 <= box,
+    -t_1 <= box) and the (S, K + 4) mask of the lines holding an edge.
+    """
+    count, k_sites = b.shape
+    z = u[..., 0] + 1j * u[..., 1]
+    norm = np.abs(z)
+    live = live & (norm > 0.0)
+    diagonal = np.arange(k_sites + 4)
+    # a row with tiny u has a line far past the box, or at infinity
+    with np.errstate(all="ignore"):
+        # unit normals n as complex numbers (0 for no line), offsets c:
+        # the line n . t = c
+        n = np.concatenate([np.where(live, z / norm, 0.0), np.broadcast_to(
+            [1.0, 1j, -1.0, -1j], (count, 4))], axis=1)
+        c = np.concatenate([np.where(live, b / (2.0 * norm), 1.0),
+                            np.repeat(box[:, None], 4, axis=1)], axis=1)
+        # pairs (j, k): on line j, t = (c_j + i s) n_j, and line k bounds
+        # s by num / det, from above when det > 0; conj(n_j) n_k is
+        # dot + i det
+        pair = n.conj()[:, :, None] * n[:, None, :]
+        dot, det = pair.real, pair.imag
+        det[:, diagonal, diagonal] = 0.0
+        num = c[:, None, :] - c[:, :, None] * dot
+        num[:, diagonal, diagonal] = 0.0
+        s = num / det
+        hi = np.where(det > 0.0, s, np.inf).min(axis=2)
+        lo = np.where(det < 0.0, s, -np.inf).max(axis=2)
+    # a parallel line further in drops line j
+    edge = (n != 0.0) & ~((det == 0.0) & (num < 0.0)).any(axis=2) & (lo < hi)
+    t = (np.where(edge, c, 0.0) + 1j * np.where(edge, hi, 0.0)) * n
+    return np.stack([t.real, t.imag], axis=-1), edge
+
+
+def _plane_cells(idx, u, b, starts, boxes):
+    """Corners and tight keys of the cells of a stack of m = 2 stars.
+
+    Star i has the site rows starts[i]:starts[i + 1] of (idx, u, b),
+    as ``_site_arrays`` gives them (at least one, every b > 0), and the
+    box [-boxes[i], boxes[i]]^2.  Its cell is first found from its
+    ``_PLANE_SITES`` nearest sites (``_plane_corners``, stacked over
+    ``_PLANE_STARS`` stars).  That cell is the full one, with the same
+    tight sites, when no site left out is tight at a corner or cuts the
+    cell.  With tol = 1e-9 max(max b, max |t|^2), b over all sites of
+    the star and t over the corners, that holds when either
+    - every corner t has |q - p|^2 - 2 |q - p| |t| > 2 tol for the
+      nearest site q left out: any site q has slack at least
+      |q - p| (|q - p| - 2 |t|) at t, the bound ``_clip_stars`` relies
+      on; or
+    - every site left out has slack above 2 tol at every corner.
+    A cell that passes neither is found again from all its sites, in
+    stacks of at most ``_PLANE_ELEMENTS`` (stars x lines^2).
+
+    The tight key of a corner is the sorted ids of the sites with
+    |b - 2 u . t| <= tol, the test of ``_tight_keys``.  A degenerate
+    corner (more than m tight sites) ends several edges, some of zero
+    length; of the corners with one such key only the first is kept.
+
+    Returns a list with, per star, (corners, keys), or the
+    SingularSystem of a cell with a corner that is not finite.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    counts = np.diff(starts)
+    if not len(counts):
+        return []
+    # each star's rows, nearest first (ties in row order), padded
+    rank = np.arange(counts.max())
+    ranked = starts[:-1, None] + rank
+    ranked[rank >= counts[:, None]] = 0
+    ranked = ranked[np.arange(len(counts))[:, None], np.argsort(
+        np.where(rank < counts[:, None], b[ranked], np.inf), axis=1,
+        kind="stable")]
+    b_ranked = b[ranked]
+    b_max = b_ranked[np.arange(len(counts)), counts - 1]
+    boxes = np.asarray(boxes, dtype=float)
+    out = [None] * len(counts)
+
+    def gather(stars, first, width):
+        sel = ranked[stars, first:first + width]
+        ok = first + np.arange(width) < counts[stars, None]
+        return u[sel], b[sel], idx[sel], ok
+
+    def slack_of(corners, u_s, b_s):
+        # (stars, corners, sites): b - 2 u . t
+        return b_s[:, None, :] - 2.0 * (
+            corners[:, :, 0, None] * u_s[:, None, :, 0]
+            + corners[:, :, 1, None] * u_s[:, None, :, 1])
+
+    def solve(stars, width, final):
+        """Cells of the given stars from their ``width`` nearest sites;
+        returns the stars whose cells are not certified (none when
+        ``final``)."""
+        u_k, b_k, id_k, ok = gather(stars, 0, width)
+        corners, edge = _plane_corners(u_k, b_k, ok, boxes[stars])
+        r2 = np.where(edge, (corners * corners).sum(axis=2), 0.0).max(axis=1)
+        tol = 1e-9 * np.maximum(b_max[stars], r2)
+        sure = final | (counts[stars] <= width)
+        if not sure.all():
+            b_next = b_ranked[stars, min(width, len(rank) - 1)]
+            sure |= b_next - 2.0 * np.sqrt(b_next * r2) > 2.0 * tol
+            check = np.flatnonzero(~sure)
+            if len(check):
+                rest = stars[check]
+                u_o, b_o, _id, ok_o = gather(
+                    rest, width, int((counts[rest] - width).max()))
+                clear = slack_of(corners[check], u_o, b_o) > (
+                    2.0 * tol[check, None, None])
+                sure[check] = (clear | ~(edge[check, :, None]
+                                         & ok_o[:, None, :])).all(axis=(1, 2))
+        tight = ((np.abs(slack_of(corners, u_k, b_k)) <= tol[:, None, None])
+                 & ok[:, None, :] & edge[:, :, None])
+        star, line, site = np.nonzero(tight)
+        site = id_k[star, site]
+        sites = site[np.lexsort((site, line, star))].tolist()
+        ends = np.cumsum(tight.sum(axis=2)[edge]).tolist()
+        keys = [tuple(sites[a:z]) for a, z in zip([0] + ends, ends)]
+        found = corners[edge]
+        finite = np.isfinite(found).all(axis=1)
+        all_finite = finite.all()
+        stops = np.cumsum(edge.sum(axis=1)).tolist()
+        for k, a, z, keep in zip(stars.tolist(), [0] + stops, stops,
+                                 sure.tolist()):
+            own = keys[a:z]
+            if not keep:
+                continue
+            if not (all_finite or finite[a:z].all()):
+                out[k] = _singular_cell(b[starts[k]:starts[k + 1]],
+                                        boxes[k], "a corner at infinity")
+            elif len(set(own)) == len(own):
+                out[k] = found[a:z], own
+            else:
+                first, seen = [], set()
+                for i, key in enumerate(own):
+                    if len(key) <= 2 or key not in seen:
+                        first.append(i)
+                        seen.add(key)
+                out[k] = found[a:z][first], [own[i] for i in first]
+        return stars[~sure]
+
+    redo = []
+    for c0 in range(0, len(counts), _PLANE_STARS):
+        group = np.arange(c0, min(len(counts), c0 + _PLANE_STARS))
+        redo.append(solve(group, min(_PLANE_SITES, int(counts[group].max())),
+                          False))
+    redo = np.concatenate(redo)
+    while len(redo):
+        size = max(1, _PLANE_ELEMENTS // (int(counts[redo].max()) + 4) ** 2)
+        solve(redo[:size], int(counts[redo[:size]].max()), True)
+        redo = redo[size:]
+    return out
+
+
+def _well_conditioned(a_mat):
+    """For a (K, m, m) stack, the rows whose 2-norm condition number is
+    finite and at most ``COND_LIMIT``: the verdict of ``np.linalg.cond``,
+    which takes one SVD per row.
+
+    With F the Frobenius norm and d the determinant of a row,
+    (F / sqrt(m)) / |d|^(1/m) <= cond_2 <= F^m / |d|, since the largest
+    singular value lies between F / sqrt(m) and F and the smallest is at
+    most the geometric mean |d|^(1/m) of all of them.  A row is accepted
+    when the upper bound is at most COND_LIMIT / 2 and rejected when the
+    lower one is at least 2 COND_LIMIT; the factor 2 covers the rounding
+    of d, F and the SVD.  Rows with d = 0, a non-finite entry or bounds
+    inside that margin go to ``np.linalg.cond``.
+    """
+    m = a_mat.shape[-1]
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(a_mat))
+        frob = np.sqrt((a_mat * a_mat).sum(axis=(-2, -1)))
+        accept = frob ** m / det <= 0.5 * COND_LIMIT
+        reject = frob / math.sqrt(m) / det ** (1.0 / m) >= 2.0 * COND_LIMIT
+    exact = ~(accept | reject) | (det == 0.0) | ~np.isfinite(
+        a_mat).all(axis=(-2, -1))
+    accepted = accept & ~exact
+    if exact.any():
+        cond = np.linalg.cond(a_mat[exact])
+        accepted[exact] = np.isfinite(cond) & (cond <= COND_LIMIT)
+    return accepted
 
 
 def tangent_centers(pts, base, others, basis):
@@ -199,12 +412,12 @@ def tangent_centers(pts, base, others, basis):
     may also be one index and one frame shared by every row.
 
     A row is accepted when the condition number of its matrix is finite
-    and at most ``COND_LIMIT``; only accepted rows go to the stacked
-    solve, so one singular row cannot fail the others.  Each step is the
-    per-row arithmetic stacked (the same LAPACK and BLAS call per
-    matrix), so a row comes out bit-identical to solving it alone; the
-    centre is built as B^T @ t per row, not as t @ B, which rounds
-    differently.
+    and at most ``COND_LIMIT`` (``_well_conditioned``); only accepted
+    rows go to the stacked solve, so one singular row cannot fail the
+    others.  Each step is the per-row arithmetic stacked (the same LAPACK
+    and BLAS call per matrix), so a row comes out bit-identical to
+    solving it alone; the centre is built as B^T @ t per row, not as
+    t @ B, which rounds differently.
 
     Returns:
         (centres, r2, accepted, t): the K x N ambient centres, the squared
@@ -216,8 +429,7 @@ def tangent_centers(pts, base, others, basis):
     basis_t = np.swapaxes(basis, -1, -2)
     a_mat = 2.0 * (rel @ basis_t)
     rhs = (rel * rel).sum(axis=-1)
-    cond = np.linalg.cond(a_mat)
-    accepted = np.isfinite(cond) & (cond <= COND_LIMIT)
+    accepted = _well_conditioned(a_mat)
     t = np.full(rhs.shape, np.nan)
     t[accepted] = np.linalg.solve(a_mat[accepted],
                                   rhs[accepted][..., None])[..., 0]
@@ -261,29 +473,38 @@ def _singular_message(simplex, p) -> str:
 
 
 def _cells(pts, bases, frames, balls, boxes):
-    """Pruned cells of one ``_site_arrays`` chunk of stars.
+    """Pruned cells of a list of stars.
 
     Star k has base ``bases[k]``, frame ``frames[k]``, the sites of
     ``balls[k]`` and the box [-boxes[k], boxes[k]]^m.  The site arrays
-    and the checks are one stacked pass over the chunk; the cell corners
-    (one Qhull call, ``_cell_corners``) and their tight keys are per star.
+    are one ``_site_arrays`` call per chunk of ``_SITE_CHUNK`` stars and
+    the checks one stacked pass.  For m = 2 the corners and tight keys
+    of every cell are one ``_plane_cells`` stack; for m >= 3 each cell is
+    one Qhull call (``_cell_corners``) and its keys ``_tight_keys``.
 
     Returns (cells, errors): cells lists (k, corners, keys) with the
     tight site key of each corner, and errors maps k to the error of a
     star without a cell:
         NeighborhoodTooSparse: fewer than m sites within the box.
         SparsityViolation: a site coincides with the base.
-        SingularSystem: from ``_cell_corners``.
+        SingularSystem: from ``_cell_corners`` or ``_plane_cells``.
     """
     m = frames.shape[1]
-    idx, u, b, owner = _site_arrays(pts, bases, frames, balls)
-    starts = np.searchsorted(owner, np.arange(len(bases) + 1)).tolist()
+    parts = [_site_arrays(pts, bases[c0:c0 + _SITE_CHUNK],
+                          frames[c0:c0 + _SITE_CHUNK],
+                          balls[c0:c0 + _SITE_CHUNK])
+             for c0 in range(0, len(bases), _SITE_CHUNK)]
+    idx, u, b = (np.concatenate([part[j] for part in parts])
+                 for j in range(3))
+    owner = np.concatenate([part[3] + c0 for part, c0 in zip(
+        parts, range(0, len(bases), _SITE_CHUNK))])
+    starts = np.searchsorted(owner, np.arange(len(bases) + 1))
     # the first site of each star that coincides with its base
     zero = np.flatnonzero(b <= 0.0)[::-1]
     coincident = dict(zip(owner[zero].tolist(), idx[zero].tolist()))
-    cells, errors = [], {}
-    for k, p in enumerate(bases.tolist()):
-        r0, r1 = starts[k], starts[k + 1]
+    errors, good = {}, []
+    for k, (p, r0, r1) in enumerate(zip(bases.tolist(), starts[:-1].tolist(),
+                                        starts[1:].tolist())):
         if r1 - r0 < m:
             errors[k] = NeighborhoodTooSparse(
                 f"vertex {p} has {r1 - r0} neighbors within {boxes[k]:.4g}")
@@ -291,13 +512,30 @@ def _cells(pts, bases, frames, balls, boxes):
             errors[k] = SparsityViolation(
                 f"sample points {p} and {coincident[k]} coincide")
         else:
+            good.append(k)
+    if m == 2:
+        rows = np.zeros(len(bases), dtype=bool)
+        rows[good] = True
+        rows = rows[owner]
+        found = _plane_cells(idx[rows], u[rows], b[rows], np.concatenate(
+            [[0], np.cumsum(np.diff(starts)[good])]), boxes[good])
+    else:
+        found = []
+        for k in good:
+            r0, r1 = starts[k], starts[k + 1]
             try:
                 corners = _cell_corners(u[r0:r1], b[r0:r1], float(boxes[k]))
             except SingularSystem as exc:
-                errors[k] = exc
+                found.append(exc)
             else:
-                cells.append((k, corners, _tight_keys(
+                found.append((corners, _tight_keys(
                     idx[r0:r1], u[r0:r1], b[r0:r1], corners)))
+    cells = []
+    for k, cell in zip(good, found):
+        if isinstance(cell, SingularSystem):
+            errors[k] = cell
+        else:
+            cells.append((k, *cell))
     return cells, errors
 
 
@@ -320,8 +558,8 @@ def _corner_star(p, frame, corners, keys, solved, pts, tree, prune_r):
     the tangent solution and d_min the distance from c to the nearest
     site.  A degenerate corner (more than m tight sites) is solved here
     by ``tangent_center``.  A real corner's row of ``corners`` becomes its
-    key's solved t, so it does not depend on the Qhull call that found
-    it; synthetic corners keep Qhull's coordinates.
+    key's solved t, so it does not depend on the cell routine that found
+    it; synthetic corners keep that routine's coordinates.
 
     Raises:
         SingularSystem: at the first corner whose system is rejected.
@@ -374,22 +612,24 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
 
     The frames come from one ``tangent_frames`` stack.  A round takes
     every star still open: one ball query over their pruning radii
-    (``PRUNE_MULT * epsilon`` in the first round), then per chunk of
-    ``_SITE_CHUNK`` stars one gather and one product for their site
-    arrays and a Qhull cell and its tight keys per star (``_cells``),
-    one ``tangent_centers`` stack over the unique m-site keys of all of
-    them, one emptiness query over the accepted centres, and then each
-    star's corner walk (``_corner_star``).  A star with a site beyond its pruning radius
-    inside a corner ball doubles its radius and goes to the next round,
-    for at most 4 rounds.
+    (``PRUNE_MULT * epsilon`` in the first round), their cells and
+    tight keys (``_cells``: site arrays per chunk of ``_SITE_CHUNK``
+    stars, then one ``_plane_cells`` stack for m = 2 or a Qhull cell
+    per star for m >= 3), one ``tangent_centers`` stack over the unique
+    m-site keys of all of them, one emptiness query over the accepted
+    centres, and then each star's corner walk (``_corner_star``).  A
+    star with a site beyond its pruning radius inside a corner ball
+    doubles its radius and goes to the next round, for at most 4
+    rounds.
 
     Every step is the per-star arithmetic stacked (row-wise solves and
-    queries, and site products that are the one-star product's columns;
-    see ``_site_arrays``), so a star comes out bit-identical to building
-    it alone, and the stars do not depend on one another.  When some stars fail,
-    the error raised is the one of the first failing vertex in the order
-    given: the error building them one at a time in that order raises.
-    Stars after a failed one are dropped, as they cannot change that.
+    queries, elementwise cell arithmetic, and site products that are
+    the one-star product's columns; see ``_site_arrays``), so a star
+    comes out bit-identical to building it alone, and the stars do not
+    depend on one another.  When some stars fail, the error raised is
+    the one of the first failing vertex in the order given: the error
+    building them one at a time in that order raises.  Stars after a
+    failed one are dropped, as they cannot change that.
 
     Raises:
         PointNotOnManifold: from ``tangent_frames``, naming the vertex.
@@ -417,13 +657,10 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
             break
         near = tree.query_ball_point(pts[base_idx[todo]], prune[todo],
                                      return_sorted=True)
-        cells = []
-        for c0 in range(0, len(todo), _SITE_CHUNK):
-            chunk = todo[c0:c0 + _SITE_CHUNK]
-            got, failed = _cells(pts, base_idx[chunk], frames[chunk],
-                                 near[c0:c0 + _SITE_CHUNK], prune[chunk])
-            cells += [(chunk[k], corners, keys) for k, corners, keys in got]
-            errors.update((chunk[k], exc) for k, exc in failed.items())
+        got, failed = _cells(pts, base_idx[todo], frames[todo], near,
+                             prune[todo])
+        cells = [(todo[k], corners, keys) for k, corners, keys in got]
+        errors.update((todo[k], exc) for k, exc in failed.items())
         # a star after a failed one cannot change the outcome
         cells = [cell for cell in cells if cell[0] < min(errors, default=n)]
         # the unique m-site keys of every cell: one stacked solve and one
@@ -587,8 +824,8 @@ class TangentialComplex:
     """Union of the tangent-plane stars of every sample point.
 
     Raises:
-        UnsupportedDim: m < 2; a cell's corners come from Qhull, which
-            needs two dimensions or more.
+        UnsupportedDim: m < 2; a cell's corners come from
+            ``_plane_cells`` (m = 2) or Qhull (m >= 3).
     """
 
     def __init__(self, sample: SampleSet, manifold: Manifold):

@@ -1,8 +1,8 @@
 """Shared fixtures: reference samples; the tangent frame at one point;
 the faces of a simplex; the tuple-walk face closure; the empty-sphere
 subset enumeration that defines the ambient Delaunay complex; the
-one-vertex star build; the one-at-a-time references for the power-cell
-corners, the fixed-step torus sampler, the farthest-point net, the site
+one-vertex star build; the cell corners of the build for one cell; the
+one-at-a-time references for the power-cell corners, the fixed-step torus sampler, the farthest-point net, the site
 arrays, the cut test and the cosph scan; a bitwise comparison of two
 stars; a refinement state around a built complex; and session-scoped
 refinement runs."""
@@ -185,9 +185,10 @@ def exact_flat_member(tri, sites):
 def corners_by_enumeration(u, b, box, m):
     """All feasible corners of the cell {t : 2u.t <= b} inside the box.
 
-    The reference for ``stars._cell_corners``: rows are the site
-    constraints plus the 2m box walls, and every feasible m-subset
-    intersection is a corner candidate.
+    The reference for ``stars._cell_corners`` and
+    ``stars._plane_cells``: rows are the site constraints plus the 2m
+    box walls, and every feasible m-subset intersection is a corner
+    candidate.
     """
     a_full = np.vstack([2.0 * u, np.eye(m), -np.eye(m)])
     b_full = np.concatenate([b, np.full(2 * m, box)])
@@ -258,13 +259,43 @@ def farthest_point_net_reference(dense, eps, seed=0):
     return pts, float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
 
 
+def plane_cells_by(corners_of):
+    """A stand-in for ``stars._plane_cells`` that finds each cell's
+    corners with ``corners_of(u, b, box)`` and their keys with
+    ``stars._tight_keys``."""
+    def plane_cells(idx, u, b, starts, boxes):
+        out = []
+        for r0, r1, box in zip(starts[:-1], starts[1:], boxes):
+            rows = slice(int(r0), int(r1))
+            corners = corners_of(u[rows], b[rows], float(box))
+            out.append((corners, stars._tight_keys(idx[rows], u[rows],
+                                                   b[rows], corners)))
+        return out
+
+    return plane_cells
+
+
 def reference_star(p, sample, manifold):
     """``compute_star`` with its cell corners from the enumeration."""
     def enumerate_corners(u, b, box):
         return corners_by_enumeration(u, b, box, u.shape[1])
 
-    with mock.patch.object(stars, "_cell_corners", enumerate_corners):
+    with mock.patch.object(stars, "_cell_corners", enumerate_corners), \
+            mock.patch.object(stars, "_plane_cells",
+                              plane_cells_by(enumerate_corners)):
         return compute_star(p, sample, manifold)
+
+
+def cell_corners(u, b, box):
+    """The corners of one cell {t : 2u.t <= b} inside [-box, box]^m from
+    the routine the star build runs for its m: ``stars._plane_cells``
+    for m = 2 and ``stars._cell_corners`` for m >= 3."""
+    if u.shape[1] != 2:
+        return stars._cell_corners(u, b, box)
+    cell = stars._plane_cells(np.arange(len(b)), u, b, [0, len(b)], [box])[0]
+    if isinstance(cell, Exception):
+        raise cell
+    return cell[0]
 
 
 def frame_at(manifold, p):

@@ -61,6 +61,22 @@ class TestNet:
                    "--dense-n", 200, "--out", tmp_path / "x.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["0", "inf", "nan"])
+    def test_epsilon_takes_the_parameters_rule(self, tmp_path, capsys, eps):
+        # the rule and message of Parameters and tandel mesh; a zero
+        # radius used to write every dense point as a passing net
+        code = run("net", "--manifold", SPHERE, "--epsilon", eps,
+                   "--dense-n", 500, "--out", tmp_path / "x.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: epsilon must be positive and finite\n")
+        assert not (tmp_path / "x.txt").exists()
+        code = run("mesh", "--manifold", SPHERE, "--epsilon", eps,
+                   "--dense-n", 500, "--out-prefix", tmp_path / "m")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: epsilon must be positive and finite\n")
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
@@ -73,6 +89,13 @@ class TestNet:
         assert capsys.readouterr().err == (
             "error: seed must be a non-negative int, got -3\n")
         assert not (tmp_path / "x.txt").exists()
+        # the same rule and message as tandel mesh
+        code = run("mesh", "--manifold", SPHERE, "--epsilon", 0.3,
+                   "--dense-n", 200, "--seed", -3,
+                   "--out-prefix", tmp_path / "m")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative int, got -3\n")
 
 
 # ===== mesh =====

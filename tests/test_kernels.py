@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import compute_star, corners_by_enumeration
@@ -12,7 +12,7 @@ from tandel.errors import SingularSystem, SparsityViolation
 from tandel.geometry import (GammaClass, classify_gamma, edge_extremes,
                              min_weighted_radius)
 from tandel.manifolds import FlatPatch, SampleSet
-from tandel.stars import _cell_corners
+from tandel.stars import _cell_corners, _plane_cells, _tight_keys
 
 
 def _canon(poly, decimals=9):
@@ -80,16 +80,13 @@ def test_coincident_base_is_named(offset):
         compute_star(40, sample, FlatPatch(2, 3))
 
 
-@pytest.mark.parametrize("offset,message", [
-    (1e-160, "Qhull precision error"),
-    (1e-16, "Qhull precision error"),
-    (1e-14, "corner at infinity"),
-])
-def test_near_coincident_base_is_singular(offset, message):
-    # Qhull works on the dual points 2u/b of the cell rows: this site's
-    # lies about 2/offset from the origin, the others within a few units,
-    # and Qhull either fails or returns a corner at infinity
-    with pytest.raises(SingularSystem, match=message):
+@pytest.mark.parametrize("offset", [1e-160, 1e-16, 1e-14])
+def test_near_coincident_base_is_singular(offset):
+    # the site's line passes offset / 2 from the base, so its slack is
+    # within the key tolerance at every corner of the cell; the corner it
+    # shares with one other site has an equidistance system whose rows
+    # differ in scale by about 1 / offset
+    with pytest.raises(SingularSystem, match="condition number above"):
         compute_star(0, _flat_with_neighbor(offset), FlatPatch(2, 3))
 
 
@@ -111,6 +108,99 @@ def test_qhull_matches_enumeration(m, max_sites):
         assert _same_corners(got, want, 1e-7 * max(box, 1.0))
 
     check()
+
+
+@st.composite
+def _plane_sites(draw):
+    """Site rows of a tangent-plane cell as a star build makes them: the
+    base at the origin, sites q in R^3 with u = (q_0, q_1) and
+    b = |q|^2, and a box.  Random sites may come with a planted
+    cocircular group (sites on a circle through the base, whose lines
+    meet in one point), a collinear group, far sites that never bind,
+    and one site whose line passes a relative gap ``just`` from the
+    farthest corner of the rest of the cell, so that the first omitted
+    site sits just inside or just outside the certificate."""
+    # no coordinate below 1e-6 but 0: a line within about 1e-14 of
+    # parallel to another crosses it in a corner of almost 180 degrees,
+    # which this route keeps and Qhull merges away
+    coord = st.floats(-2.0, 2.0).map(lambda x: x if abs(x) > 1e-6 else 0.0)
+    rows = draw(st.lists(st.tuples(coord, coord, st.floats(-0.5, 0.5)),
+                         min_size=1, max_size=30))
+    # and up to 40 scattered sites, so that most cells leave sites out
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scattered = rng.uniform(-2.0, 2.0, (draw(st.integers(0, 40)), 3))
+    scattered[:, 2] *= 0.25
+    q = np.vstack([np.array(rows, dtype=float), scattered])
+    if draw(st.booleans()):
+        # cocircular: a circle through the base with centre c
+        c = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+        angles = np.radians(draw(st.lists(st.integers(0, 359), min_size=2,
+                                          max_size=5, unique=True)))
+        ring = c + np.linalg.norm(c) * np.column_stack(
+            [np.cos(angles), np.sin(angles)])
+        q = np.vstack([q, np.column_stack([ring, np.zeros(len(ring))])])
+    if draw(st.booleans()):
+        # collinear with the base
+        d = np.array([draw(coord), draw(coord), 0.0])
+        scales = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4))
+        q = np.vstack([q, np.outer(scales, d)])
+    if draw(st.booleans()):
+        far = np.array(draw(st.lists(coord, min_size=2, max_size=8)))
+        half = len(far) // 2
+        q = np.vstack([q, np.column_stack(
+            [far[:half], far[half:2 * half],
+             np.full(half, draw(st.floats(5.0, 8.0)))])])
+    box = draw(st.floats(0.5, 4.0))
+    just = draw(st.sampled_from([None, -1e-6, -1e-12, 0.0, 1e-12, 1e-9,
+                                 1e-6, 1e-3]))
+    return q, box, just
+
+
+def _plane_rows(q):
+    """u and b of sites q, without sites near the base and without a
+    second site on the line of an earlier one (two sites on one line
+    would make equal keys at distinct corners)."""
+    q = q[(q * q).sum(axis=1) > 1e-4]
+    u, b = q[:, :2].copy(), (q * q).sum(axis=1)
+    norm = np.hypot(u[:, 0], u[:, 1])
+    lines = np.column_stack([u, b]) / np.where(norm > 0, norm, 1.0)[:, None]
+    lines[norm == 0] = np.arange((norm == 0).sum())[:, None]
+    _, first = np.unique(lines, axis=0, return_index=True)
+    first = np.sort(first)
+    return u[first], b[first]
+
+
+@settings(max_examples=200)
+@given(_plane_sites())
+def test_plane_cells_match_qhull_and_enumeration(cell):
+    """The cell of one star from ``_plane_cells`` has the corners of
+    ``_cell_corners`` and of the enumeration, and the tight keys
+    ``_tight_keys`` finds at either's corners."""
+    q, box, just = cell
+    u, b = _plane_rows(q)
+    assume(len(b) > 0)
+    if just is not None:
+        corners = corners_by_enumeration(u, b, box, 2)
+        far = corners[np.argmax((corners * corners).sum(axis=1))]
+        if (np.abs(far) < box * (1.0 - 1e-6)).all():
+            u, b = _plane_rows(np.vstack(
+                [q, [[*(2.0 * far * (1.0 + just)), 0.0]]]))
+    # the enumeration accepts corners infeasible by up to 1e-9 max b,
+    # which near-parallel lines can give
+    want = corners_by_enumeration(u, b, box, 2)
+    excess = np.maximum((2.0 * want @ u.T - b).max(axis=1),
+                        np.abs(want).max(axis=1) - box)
+    assume((excess <= 1e-12 * max(b.max(), 1.0)).all())
+    idx = np.arange(len(b))
+    (got,) = _plane_cells(idx, u, b, [0, len(b)], [box])
+    assert not isinstance(got, Exception)
+    corners, keys = got
+    for want in (_cell_corners(u, b, box), want):
+        assert _same_corners(corners, want, 1e-7 * max(box, 1.0))
+        assert set(keys) == set(_tight_keys(idx, u, b, want))
+    # a degenerate corner is found once
+    assert len(set(k for k in keys if len(k) > 2)) == sum(
+        len(k) > 2 for k in keys)
 
 
 def _near_tight_flake(rng, k, dim, gamma0):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
-from conftest import (assert_same_star_bitwise, compute_star,
+from conftest import (assert_same_star_bitwise, cell_corners, compute_star,
                       cosph_scan_per_star, cosph_state, faces, flat_sites,
-                      frame_at, reference_star, site_arrays_per_star,
-                      star_is_cut_by)
+                      frame_at, plane_cells_by, reference_star,
+                      site_arrays_per_star, star_is_cut_by)
 from test_acceptance import _lattice_patch
 from tandel import stars as stars_module
 from tandel.errors import (NeighborhoodTooSparse, PointNotOnManifold,
@@ -46,7 +46,8 @@ from tandel.verify import (
     manifold_complex_check,
 )
 
-# the star under test, and the same star from the reference corners
+# the star under test (its cell from the routine the build runs for its
+# m), and the same star from the reference corners
 BUILDS = pytest.mark.parametrize(
     "build", [compute_star, reference_star], ids=["qhull", "enumerate"])
 
@@ -121,8 +122,8 @@ def test_too_sparse_raises():
 
 
 def test_circle_is_unsupported_dim(monkeypatch):
-    """A cell's corners come from Qhull, which needs m >= 2, so the
-    complex of a curve refuses to start, before any star is built."""
+    """A cell's corners come from routines for m = 2 and m >= 3 only, so
+    the complex of a curve refuses to start, before any star is built."""
     circle = UnitSphere(1, 2)
     sample = SampleSet(points=circle.sample(12, seed=1), epsilon=0.6,
                        sparsity=0.0)
@@ -198,7 +199,7 @@ class TestFlatDelaunay:
         assert cplx.consistency_report() == {}
 
 
-# ===== Qhull corners agree with the enumeration reference =====
+# ===== built stars agree with the enumeration reference =====
 
 def _assert_same_star(a, b):
     assert sorted(a.centers) == sorted(b.centers)
@@ -578,7 +579,8 @@ def _tangent_center_per_corner(simplex, p, pts, frame):
 def _star_per_corner(p, cplx):
     """The star of p with every corner's centre solved and checked for
     emptiness one at a time, in corner order.  A real corner is its own
-    solve's t; a synthetic one keeps the coordinates of the Qhull cell."""
+    solve's t; a synthetic one keeps the coordinates of the cell that
+    ``cell_corners`` finds."""
     pts, tree, m = cplx.points, cplx.tree, cplx.manifold.m
     frame = frame_at(cplx.manifold, pts[p])
     prune_r = PRUNE_MULT * cplx.epsilon
@@ -586,7 +588,7 @@ def _star_per_corner(p, cplx):
         idx = np.array(sorted(
             i for i in tree.query_ball_point(pts[p], prune_r) if i != p))
         u, b = site_arrays_per_star(p, pts, idx, frame)
-        corners = _cell_corners(u, b, prune_r)
+        corners = cell_corners(u, b, prune_r)
         slack = b[None, :] - corners @ (2.0 * u).T
         tol = 1e-9 * max(b.max(), (corners ** 2).sum(axis=1).max())
         centers, corner_simplex, seen, real = {}, [], {}, {}
@@ -667,6 +669,39 @@ def test_stacked_centres_reject_singular_rows_only():
         assert centres[row].tobytes() == c.tobytes()
         assert np.sqrt(r2[row]) == r
         assert t[row].tobytes() == t_one.tobytes()
+
+
+def test_condition_bounds_decide_as_cond(monkeypatch):
+    """``_well_conditioned`` gives the verdict of ``np.linalg.cond`` on
+    rows of every condition number, from the bounds far from COND_LIMIT
+    and from ``np.linalg.cond`` near it and on singular rows."""
+    rng = np.random.default_rng(3)
+    exact = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda a: exact.append(len(a)) or real_cond(a))
+    for m in (2, 3):
+        kappa = np.concatenate([
+            10.0 ** rng.uniform(0.0, 30.0, 400),
+            COND_LIMIT * (1.0 + np.linspace(-1e-6, 1e-6, 21)),
+            COND_LIMIT * np.array([0.49, 0.51, 1.99, 2.01])])
+        rows = []
+        for k in kappa:
+            left = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            right = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            rows.append(left @ np.diag(scale * np.geomspace(1.0, 1.0 / k, m))
+                        @ right)
+        a_mat = np.array(rows + [np.zeros((m, m)), np.ones((m, m))])
+        want = real_cond(a_mat)
+        exact.clear()
+        got = stars_module._well_conditioned(a_mat)
+        assert got.tolist() == (np.isfinite(want)
+                                & (want <= COND_LIMIT)).tolist()
+        # the bounds decide some rows and the SVD the others; the lower
+        # bound is about sqrt(cond) for m = 2, so it rejects only rows
+        # with cond above about 1e25
+        assert 0 < sum(exact) < len(a_mat)
 
 
 # ===== batch star builds =====
@@ -795,18 +830,87 @@ def test_batch_raises_the_first_failing_base_error(monkeypatch):
             for p in bases:
                 compute_star(p, sample, flat)
     # vertex 0 fails only in its second round, after vertex 4 has failed
-    real = stars_module._cell_corners
+    real = stars_module._plane_cells
 
-    def second_round_fails(u, b, box):
-        if box > PRUNE_MULT * 0.1:
-            raise SingularSystem("second round")
-        return real(u, b, box)
+    def second_round_fails(idx, u, b, starts, boxes):
+        return [SingularSystem("second round") if box > PRUNE_MULT * 0.1
+                else cell
+                for cell, box in zip(real(idx, u, b, starts, boxes), boxes)]
 
-    monkeypatch.setattr(stars_module, "_cell_corners", second_round_fails)
+    monkeypatch.setattr(stars_module, "_plane_cells", second_round_fails)
     with pytest.raises(SingularSystem, match="second round"):
         _batch(sample, flat, [0, 4])
     with pytest.raises(NeighborhoodTooSparse, match="vertex 4"):
         _batch(sample, flat, [4, 0])
+
+
+# ===== the plane route against the Qhull route =====
+
+def _turned_torus_net(seed):
+    """The ``_torus_net`` points turned about the torus axis by an angle
+    drawn from seed, as the benchmark turns its torus net."""
+    net, torus = _torus_net()
+    theta = 2.0 * np.pi * np.random.default_rng(seed).random()
+    c, s = np.cos(theta), np.sin(theta)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return SampleSet(points=net.points @ turn.T, epsilon=net.epsilon,
+                     sparsity=net.sparsity), torus
+
+
+@pytest.mark.parametrize("make", [
+    *(_flat_net(seed) for seed in range(1, 4)),
+    lambda: (_lattice_patch(), FlatPatch(2, 3)),
+    lambda: _turned_torus_net(1),
+], ids=["flat1", "flat2", "flat3", "lattice", "torus"])
+def test_plane_route_equals_qhull_route(make, monkeypatch):
+    """An m = 2 build makes no Qhull call, and each of its stars is
+    bitwise the star whose cells come from ``_cell_corners`` and
+    ``_tight_keys``: the same keys, centres and radii, the same real
+    corners for each simplex, and synthetic corners within rounding."""
+    sample, manifold = make()
+    n = len(sample.points)
+
+    def no_qhull(*_args):
+        raise AssertionError("an m = 2 build called _cell_corners")
+
+    monkeypatch.setattr(stars_module, "_cell_corners", no_qhull)
+    stars = _batch(sample, manifold, range(n))
+    monkeypatch.undo()
+    monkeypatch.setattr(stars_module, "_plane_cells",
+                        plane_cells_by(_cell_corners))
+    qhull = _batch(sample, manifold, range(n))
+    n_synthetic = 0
+    for a, b in zip(stars, qhull):
+        assert list(a.centers) != [] and sorted(a.centers) == sorted(b.centers)
+        for key, (c, r) in a.centers.items():
+            assert b.centers[key][0].tobytes() == c.tobytes(), (a.base, key)
+            assert b.centers[key][1] == r, (a.base, key)
+        real = {}
+        for star in (a, b):
+            real[star is a] = sorted((s, t.tobytes()) for s, t in zip(
+                star.corner_simplex, star.corners) if s is not None)
+        assert real[True] == real[False], a.base
+        synth_a = a.corners[[s is None for s in a.corner_simplex]]
+        synth_b = b.corners[[s is None for s in b.corner_simplex]]
+        assert len(synth_a) == len(synth_b), a.base
+        if len(synth_a):
+            gap = np.abs(synth_a[:, None] - synth_b[None]).max(axis=2)
+            assert gap.min(axis=1).max() <= 1e-12 * sample.epsilon, a.base
+            assert gap.min(axis=0).max() <= 1e-12 * sample.epsilon, a.base
+        n_synthetic += len(synth_a)
+    # the flat patches have rim cells that reach the box
+    assert n_synthetic > 0 or isinstance(manifold, TorusOfRevolution)
+
+
+def test_three_sphere_build_uses_qhull(monkeypatch):
+    calls = []
+    real = stars_module._cell_corners
+    monkeypatch.setattr(stars_module, "_cell_corners",
+                        lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(stars_module, "_plane_cells", None)
+    sample, manifold = _three_sphere_net()
+    _batch(sample, manifold, range(4))
+    assert len(calls) >= 4
 
 
 def test_batch_off_manifold_error_names_the_base():

@@ -99,8 +99,8 @@ class Star:
     c_p = p + B^T t and R_p = |t|, whether the star was built or
     clipped; a synthetic corner is where the cell routine put it.  The
     order of the corners (and of ``centers``) depends on how the star
-    was made, and no result depends on it.  ``frame`` is the (m, N) tangent frame B at
-    the base point.
+    was made, and no result depends on it.  ``frame`` is the (m, N)
+    tangent frame B at the base point.
     """
     base: int
     frame: np.ndarray
@@ -343,9 +343,9 @@ def _plane_cells(idx, u, b, starts, boxes):
         stops = np.cumsum(edge.sum(axis=1)).tolist()
         for k, a, z, keep in zip(stars.tolist(), [0] + stops, stops,
                                  sure.tolist()):
-            own = keys[a:z]
             if not keep:
                 continue
+            own = keys[a:z]
             if not (all_finite or finite[a:z].all()):
                 out[k] = _singular_cell(b[starts[k]:starts[k + 1]],
                                         boxes[k], "a corner at infinity")

@@ -195,9 +195,9 @@ def test_plane_cells_match_qhull_and_enumeration(cell):
     (got,) = _plane_cells(idx, u, b, [0, len(b)], [box])
     assert not isinstance(got, Exception)
     corners, keys = got
-    for want in (_cell_corners(u, b, box), want):
-        assert _same_corners(corners, want, 1e-7 * max(box, 1.0))
-        assert set(keys) == set(_tight_keys(idx, u, b, want))
+    for reference in (_cell_corners(u, b, box), want):
+        assert _same_corners(corners, reference, 1e-7 * max(box, 1.0))
+        assert set(keys) == set(_tight_keys(idx, u, b, reference))
     # a degenerate corner is found once
     assert len(set(k for k in keys if len(k) > 2)) == sum(
         len(k) > 2 for k in keys)

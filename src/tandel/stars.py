@@ -36,7 +36,7 @@ for an insertion) and runs rounds in which the ball queries, the
 tangent frames, the equidistance solves and the emptiness queries are
 one stacked call each, the site arrays one stacked pass per chunk of
 ``_SITE_CHUNK`` stars, and the m = 2 cells one stacked pass per chunk
-of ``_PLANE_STARS`` stars, while the corner walk (and the Qhull cell
+of ``_CELL_STARS`` stars, while the corner walk (and the Qhull cell
 for m >= 3) stays per star.  Each star comes out bit-identical to
 building it alone, and a failing batch raises the error of its first
 failing vertex.
@@ -78,11 +78,11 @@ PRUNE_MULT = 8.0
 # stars per _site_arrays call: its product holds (sites of the chunk) x
 # (_SITE_CHUNK * m) entries
 _SITE_CHUNK = 8
-# m = 2 cells (_plane_cells): sites of a cell's first attempt, stars per
-# first-attempt stack, and the largest stars x lines^2 of a stack of
-# cells taken from all their sites
+# stars per _cells call, whose site rows (and m = 2 cells) are held at once
+_CELL_STARS = 64
+# m = 2 cells (_plane_cells): sites of a cell's first attempt, and the
+# largest stars x lines^2 of a stack of cells taken from all their sites
 _PLANE_SITES = 12
-_PLANE_STARS = 64
 _PLANE_ELEMENTS = 1 << 16
 
 
@@ -261,8 +261,8 @@ def _plane_cells(idx, u, b, starts, boxes):
     Star i has the site rows starts[i]:starts[i + 1] of (idx, u, b),
     as ``_site_arrays`` gives them (at least one, every b > 0), and the
     box [-boxes[i], boxes[i]]^2.  Its cell is first found from its
-    ``_PLANE_SITES`` nearest sites (``_plane_corners``, stacked over
-    ``_PLANE_STARS`` stars).  That cell is the full one, with the same
+    ``_PLANE_SITES`` nearest sites (``_plane_corners``, one stack for
+    all the stars).  That cell is the full one, with the same
     tight sites, when no site left out is tight at a corner or cuts the
     cell.  With tol = 1e-9 max(max b, max |t|^2), b over all sites of
     the star and t over the corners, that holds when either
@@ -360,12 +360,8 @@ def _plane_cells(idx, u, b, starts, boxes):
                 out[k] = found[a:z][first], [own[i] for i in first]
         return stars[~sure]
 
-    redo = []
-    for c0 in range(0, len(counts), _PLANE_STARS):
-        group = np.arange(c0, min(len(counts), c0 + _PLANE_STARS))
-        redo.append(solve(group, min(_PLANE_SITES, int(counts[group].max())),
-                          False))
-    redo = np.concatenate(redo)
+    redo = solve(np.arange(len(counts)),
+                 min(_PLANE_SITES, int(counts.max())), False)
     while len(redo):
         size = max(1, _PLANE_ELEMENTS // (int(counts[redo].max()) + 4) ** 2)
         solve(redo[:size], int(counts[redo[:size]].max()), True)
@@ -476,9 +472,10 @@ def _cells(pts, bases, frames, balls, boxes):
     """Pruned cells of a list of stars.
 
     Star k has base ``bases[k]``, frame ``frames[k]``, the sites of
-    ``balls[k]`` and the box [-boxes[k], boxes[k]]^m.  The site arrays
-    are one ``_site_arrays`` call per chunk of ``_SITE_CHUNK`` stars and
-    the checks one stacked pass.  For m = 2 the corners and tight keys
+    ``balls[k]`` and the box [-boxes[k], boxes[k]]^m; ``_build_stars``
+    passes at most ``_CELL_STARS`` stars.  The site arrays are one
+    ``_site_arrays`` call per chunk of ``_SITE_CHUNK`` stars and the
+    checks one stacked pass.  For m = 2 the corners and tight keys
     of every cell are one ``_plane_cells`` stack; for m >= 3 each cell is
     one Qhull call (``_cell_corners``) and its keys ``_tight_keys``.
 
@@ -613,14 +610,14 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
     The frames come from one ``tangent_frames`` stack.  A round takes
     every star still open: one ball query over their pruning radii
     (``PRUNE_MULT * epsilon`` in the first round), their cells and
-    tight keys (``_cells``: site arrays per chunk of ``_SITE_CHUNK``
-    stars, then one ``_plane_cells`` stack for m = 2 or a Qhull cell
-    per star for m >= 3), one ``tangent_centers`` stack over the unique
-    m-site keys of all of them, one emptiness query over the accepted
-    centres, and then each star's corner walk (``_corner_star``).  A
-    star with a site beyond its pruning radius inside a corner ball
-    doubles its radius and goes to the next round, for at most 4
-    rounds.
+    tight keys per chunk of ``_CELL_STARS`` stars (``_cells``: site
+    arrays per chunk of ``_SITE_CHUNK`` stars, then one ``_plane_cells``
+    stack for m = 2 or a Qhull cell per star for m >= 3), one
+    ``tangent_centers`` stack over the unique m-site keys of all of
+    them, one emptiness query over the accepted centres, and then each
+    star's corner walk (``_corner_star``).  A star with a site beyond
+    its pruning radius inside a corner ball doubles its radius and goes
+    to the next round, for at most 4 rounds.
 
     Every step is the per-star arithmetic stacked (row-wise solves and
     queries, elementwise cell arithmetic, and site products that are
@@ -657,10 +654,13 @@ def _build_stars(bases, pts, tree, manifold, epsilon) -> list:
             break
         near = tree.query_ball_point(pts[base_idx[todo]], prune[todo],
                                      return_sorted=True)
-        got, failed = _cells(pts, base_idx[todo], frames[todo], near,
-                             prune[todo])
-        cells = [(todo[k], corners, keys) for k, corners, keys in got]
-        errors.update((todo[k], exc) for k, exc in failed.items())
+        cells = []
+        for c0 in range(0, len(todo), _CELL_STARS):
+            chunk = todo[c0:c0 + _CELL_STARS]
+            got, failed = _cells(pts, base_idx[chunk], frames[chunk],
+                                 near[c0:c0 + _CELL_STARS], prune[chunk])
+            cells += [(chunk[k], corners, keys) for k, corners, keys in got]
+            errors.update((chunk[k], exc) for k, exc in failed.items())
         # a star after a failed one cannot change the outcome
         cells = [cell for cell in cells if cell[0] < min(errors, default=n)]
         # the unique m-site keys of every cell: one stacked solve and one
